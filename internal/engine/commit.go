@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"pmblade/internal/fault"
 	"pmblade/internal/kv"
@@ -50,11 +49,14 @@ func entriesBytes(entries []kv.Entry) int64 {
 	return n
 }
 
+// walBatchBytes caps how many payload bytes the group committer coalesces
+// into one WAL append+sync.
+const walBatchBytes = 1 << 20
+
 // committer is the group-commit loop: take the first waiting request,
 // opportunistically coalesce everything else already queued (bounded by
-// WALBatchBytes, optionally lingering WALBatchDelay for stragglers), write
-// all batches in a single device append, sync once, and fan the result back
-// out. Concurrent writers therefore share one WAL sync instead of paying one
+// walBatchBytes), write all batches in a single device append, sync once,
+// and fan the result back out. Concurrent writers therefore share one WAL sync instead of paying one
 // each — the group-commit amortization the write path is built around.
 func (db *DB) committer() {
 	defer close(db.commitDone)
@@ -66,12 +68,8 @@ func (db *DB) committer() {
 		reqs := []*commitReq{first}
 		batches := [][]kv.Entry{first.entries}
 		size := entriesBytes(first.entries)
-		var linger <-chan time.Time
-		if d := db.cfg.WALBatchDelay; d > 0 {
-			linger = time.After(d)
-		}
 	gather:
-		for size < db.cfg.WALBatchBytes {
+		for size < walBatchBytes {
 			select {
 			case r, chOpen := <-db.commitC:
 				if !chOpen {
@@ -81,20 +79,7 @@ func (db *DB) committer() {
 				batches = append(batches, r.entries)
 				size += entriesBytes(r.entries)
 			default:
-				if linger == nil {
-					break gather
-				}
-				select {
-				case r, chOpen := <-db.commitC:
-					if !chOpen {
-						break gather
-					}
-					reqs = append(reqs, r)
-					batches = append(batches, r.entries)
-					size += entriesBytes(r.entries)
-				case <-linger:
-					break gather
-				}
+				break gather
 			}
 		}
 		db.walMu.Lock()

@@ -23,12 +23,13 @@ import (
 // only p, so partitions maintain themselves in parallel. Callers hold
 // p.maint and must NOT hold majorMu.
 func (db *DB) localCompactionStrategy(p *partition) error {
+	s := p.state.Load()
 	switch {
 	case db.cfg.RocksDB:
 		return db.runLeveledCompactions(p)
-	case p.l0 == nil:
+	case !db.cfg.Level0OnPM:
 		// PMBlade-SSD: threshold strategy on the SSD level-0.
-		if len(p.l0ssdSnapshot()) >= db.cfg.L0TriggerTables {
+		if len(s.ssdL0) >= db.cfg.L0TriggerTables {
 			return db.majorCompactSSDPartition(p)
 		}
 		return nil
@@ -40,7 +41,7 @@ func (db *DB) localCompactionStrategy(p *partition) error {
 			if ok, _ := db.cfg.Cost.ShouldInternalCompact(st); ok {
 				return db.internalCompact(p)
 			}
-		} else if p.l0.UnsortedCount() >= db.cfg.L0TriggerTables {
+		} else if len(s.pmUnsorted) >= db.cfg.L0TriggerTables {
 			return db.internalCompact(p)
 		}
 	}
@@ -67,16 +68,20 @@ func (db *DB) globalCompactionCheck() error {
 	// global wipe, which is exactly why the conventional strategy fails to
 	// retain warm data in PM (Figure 8(b)). The count here is a cheap
 	// pre-check; wipeLevel0 re-decides under majorMu.
-	total := 0
-	for _, q := range db.partitions {
-		if q.l0 != nil {
-			total += q.l0.UnsortedCount() + q.l0.SortedCount()
-		}
-	}
-	if total < db.cfg.L0TriggerTables {
+	if db.pmTableCount() < db.cfg.L0TriggerTables {
 		return nil
 	}
 	return db.evictOnce(db.wipeLevel0)
+}
+
+// pmTableCount counts the PM level-0 tables of every partition.
+func (db *DB) pmTableCount() int {
+	total := 0
+	for _, p := range db.partitions {
+		s := p.state.Load()
+		total += len(s.pmUnsorted) + len(s.pmSorted)
+	}
+	return total
 }
 
 // evictOnce is the cross-partition eviction singleflight: at most one
@@ -142,22 +147,12 @@ func (db *DB) finishEviction(st *evictState, err error) {
 }
 
 // wipeLevel0 is the conventional global wipe: if the table count is still
-// over the threshold, every partition with a PM level-0 is a victim.
+// over the threshold, every partition is a victim.
 func (db *DB) wipeLevel0() error {
 	db.majorMu.Lock()
-	total := 0
-	for _, q := range db.partitions {
-		if q.l0 != nil {
-			total += q.l0.UnsortedCount() + q.l0.SortedCount()
-		}
-	}
 	var victims []*partition
-	if total >= db.cfg.L0TriggerTables {
-		for _, q := range db.partitions {
-			if q.l0 != nil {
-				victims = append(victims, q)
-			}
-		}
+	if db.pmTableCount() >= db.cfg.L0TriggerTables {
+		victims = db.partitions
 	}
 	db.majorMu.Unlock()
 	return db.compactVictims(victims)
@@ -178,24 +173,29 @@ func (db *DB) installAfterMajor() error {
 	return err
 }
 
-// partitionCostState assembles the Table II observations for the cost model.
+// partitionCostState assembles the Table II observations for the cost model
+// from p's published state.
 func (db *DB) partitionCostState(p *partition) costmodel.PartitionState {
 	elapsed := clock.SecondsSince(p.statsSince.Load())
 	if elapsed < 1e-3 {
 		elapsed = 1e-3
 	}
 	reads := p.reads.Load()
-	return costmodel.PartitionState{
-		ID:           p.id,
-		Size:         p.l0.SizeBytes(),
-		Unsorted:     p.l0.UnsortedCount(),
-		Sorted:       p.l0.SortedCount(),
-		Reads:        reads,
-		Writes:       p.writes.Load(),
-		Updates:      p.updates.Load(),
-		ReadsPerSec:  float64(reads) / elapsed,
-		TotalRecords: int64(p.l0.EntryCount()),
+	s := p.state.Load()
+	st := costmodel.PartitionState{
+		ID:          p.id,
+		Unsorted:    len(s.pmUnsorted),
+		Sorted:      len(s.pmSorted),
+		Reads:       reads,
+		Writes:      p.writes.Load(),
+		Updates:     p.updates.Load(),
+		ReadsPerSec: float64(reads) / elapsed,
 	}
+	for _, t := range s.pmTables() {
+		st.Size += t.SizeBytes()
+		st.TotalRecords += int64(t.Len())
+	}
+	return st
 }
 
 // resetPartitionStats re-zeroes the per-partition counters, as the paper
@@ -215,7 +215,7 @@ func resetPartitionStats(p *partition) {
 //
 //pmblade:compacts
 func (db *DB) internalCompact(p *partition) error {
-	keepTombstones := p.run.Len() > 0
+	keepTombstones := p.run().Len() > 0
 	_, err := p.l0.CompactInternal(keepTombstones, db.retentionBounds())
 	if err == pmem.ErrOutOfSpace {
 		return db.majorCompactPartition(p)
@@ -224,7 +224,7 @@ func (db *DB) internalCompact(p *partition) error {
 		return err
 	}
 	db.metrics.InternalCount.Add(1)
-	db.invalidateView(p, true)
+	db.installTables(p, nil, true)
 	resetPartitionStats(p)
 	return nil
 }
@@ -247,9 +247,7 @@ func (db *DB) evictByCost() error {
 	db.majorMu.Lock()
 	states := make([]costmodel.PartitionState, 0, len(db.partitions))
 	for _, p := range db.partitions {
-		if p.l0 != nil {
-			states = append(states, db.partitionCostState(p))
-		}
+		states = append(states, db.partitionCostState(p))
 	}
 	preserved := db.cfg.Cost.SelectPreserved(states)
 	var victims []*partition
@@ -321,7 +319,7 @@ func (db *DB) majorCompactPartition(p *partition) error {
 	if len(unsorted)+len(sorted) == 0 {
 		return nil
 	}
-	oldRun := p.run.Tables()
+	oldRun := p.run().Tables()
 
 	// Boundaries for the task splitter: table bounds from all inputs.
 	var bounds [][]byte
@@ -363,12 +361,12 @@ func (db *DB) majorCompactPartition(p *partition) error {
 
 	// Install the new run, then retire inputs. Disposal is deferred until the
 	// next manifest install when a WAL is in use (see DB.retireSST).
-	p.run.Replace(oldRun, newTables)
+	p.run().Replace(oldRun, newTables)
+	p.l0.Evict()
+	db.installTables(p, nil, true)
 	for _, t := range oldRun {
 		db.retireSST(t)
 	}
-	p.l0.Evict()
-	db.invalidateView(p, true)
 	db.metrics.MajorCount.Add(1)
 	resetPartitionStats(p)
 	return nil
@@ -377,11 +375,11 @@ func (db *DB) majorCompactPartition(p *partition) error {
 // majorCompactSSDPartition is the PMBlade-SSD path: merge the SSD level-0
 // tables with the overlapping run tables.
 func (db *DB) majorCompactSSDPartition(p *partition) error {
-	l0 := p.l0ssdSnapshot()
+	l0 := p.tree.L0Tables()
 	if len(l0) == 0 {
 		return nil
 	}
-	oldRun := p.run.Tables()
+	oldRun := p.run().Tables()
 	var bounds [][]byte
 	for _, t := range l0 {
 		bounds = append(bounds, t.Smallest(), t.Largest())
@@ -410,18 +408,15 @@ func (db *DB) majorCompactSSDPartition(p *partition) error {
 	if err != nil {
 		return err
 	}
-	p.run.Replace(oldRun, newTables)
-	p.clearL0SSD(l0)
-	// Retire via a fresh slice: append(l0, oldRun...) could scribble over the
-	// spare capacity of the snapshot's backing array while another reader
-	// holds the same snapshot.
-	retired := make([]*sstable.Table, 0, len(l0)+len(oldRun))
-	retired = append(retired, l0...)
-	retired = append(retired, oldRun...)
-	for _, t := range retired {
+	p.run().Replace(oldRun, newTables)
+	p.tree.RemoveL0(l0)
+	db.installTables(p, nil, true)
+	for _, t := range l0 {
 		db.retireSST(t)
 	}
-	db.invalidateView(p, true)
+	for _, t := range oldRun {
+		db.retireSST(t)
+	}
 	db.metrics.MajorCount.Add(1)
 	resetPartitionStats(p)
 	return nil
@@ -500,7 +495,7 @@ func (db *DB) runMajor(makeSources func(lo []byte) []kv.Iterator, bounds [][]byt
 // level is over its trigger.
 func (db *DB) runLeveledCompactions(p *partition) error {
 	for {
-		level, ok := p.leveled.PickCompaction()
+		level, ok := p.tree.PickCompaction()
 		if !ok {
 			return nil
 		}
@@ -517,7 +512,7 @@ func (db *DB) compactLeveledOnce(p *partition, level int) error {
 	var inputs []*sstable.Table
 	var lo, hi []byte
 	if level == 0 {
-		inputs = p.leveled.L0Tables()
+		inputs = p.tree.L0Tables()
 		for _, t := range inputs {
 			if lo == nil || string(t.Smallest()) < string(lo) {
 				lo = t.Smallest()
@@ -529,22 +524,22 @@ func (db *DB) compactLeveledOnce(p *partition, level int) error {
 	} else {
 		// Pick the first table of the over-target level (round-robin by key
 		// would be better; first-table keeps it deterministic).
-		src := p.leveled.Run(level).Tables()
+		src := p.tree.Run(level).Tables()
 		if len(src) == 0 {
 			return nil
 		}
 		inputs = src[:1]
 		lo, hi = inputs[0].Smallest(), inputs[0].Largest()
 	}
-	next := p.leveled.Run(level + 1)
+	next := p.tree.Run(level + 1)
 	overlap := next.Overlapping(lo, hi)
 	all := append(append([]*sstable.Table(nil), inputs...), overlap...)
 
 	// Bottom level drops tombstones.
-	bottom := level+1 >= p.leveled.Levels() && len(p.leveled.Run(level+1).Tables()) == len(overlap)
+	bottom := level+1 >= p.tree.Levels() && len(p.tree.Run(level+1).Tables()) == len(overlap)
 	deeperEmpty := true
-	for l := level + 2; l <= p.leveled.Levels(); l++ {
-		if p.leveled.Run(l).Len() > 0 {
+	for l := level + 2; l <= p.tree.Levels(); l++ {
+		if p.tree.Run(l).Len() > 0 {
 			deeperEmpty = false
 			break
 		}
@@ -615,14 +610,14 @@ func (db *DB) compactLeveledOnce(p *partition, level int) error {
 
 	next.Replace(overlap, outTables)
 	if level == 0 {
-		p.leveled.RemoveL0(inputs)
+		p.tree.RemoveL0(inputs)
 	} else {
-		p.leveled.Run(level).Replace(inputs, nil)
+		p.tree.Run(level).Replace(inputs, nil)
 	}
+	db.installTables(p, nil, true)
 	for _, t := range all {
 		db.retireSST(t)
 	}
-	db.invalidateView(p, true)
 	db.metrics.MajorCount.Add(1)
 	return nil
 }
@@ -635,11 +630,12 @@ func (db *DB) CompactNow() error {
 
 // InternalCompactAll forces an internal compaction on every partition
 // regardless of the cost models (Table IV triggers compaction manually).
+// Without a PM level-0 there is nothing to compact internally.
 func (db *DB) InternalCompactAll() error {
+	if !db.cfg.Level0OnPM {
+		return nil
+	}
 	for _, p := range db.partitions {
-		if p.l0 == nil {
-			continue
-		}
 		p.maint.Lock()
 		err := db.internalCompact(p)
 		p.maint.Unlock()
@@ -661,10 +657,10 @@ func (db *DB) MajorCompactAll() error {
 		p.maint.Lock()
 		defer p.maint.Unlock()
 		switch {
-		case p.l0 != nil:
-			errs[i] = db.majorCompactPartition(p)
-		case p.leveled != nil:
+		case db.cfg.RocksDB:
 			errs[i] = db.runLeveledCompactions(p)
+		case db.cfg.Level0OnPM:
+			errs[i] = db.majorCompactPartition(p)
 		default:
 			errs[i] = db.majorCompactSSDPartition(p)
 		}

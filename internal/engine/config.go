@@ -84,17 +84,6 @@ type Config struct {
 	// BlockCacheBytes sizes the shared SSD block cache; 0 disables it.
 	BlockCacheBytes int64
 
-	// WALBatchBytes caps how many payload bytes the group committer
-	// coalesces into one WAL append+sync.
-	WALBatchBytes int64
-	// WALBatchDelay is how long the committer lingers for more writers
-	// after the first request of a group commit; 0 commits whatever is
-	// already queued without waiting (lowest latency).
-	WALBatchDelay time.Duration
-	// MaxImmutables is the per-partition backpressure threshold: a writer
-	// stalls while its partition holds this many unflushed immutable
-	// memtables, giving the background flushers time to catch up.
-	MaxImmutables int
 	// SyncFlush flushes a rotated memtable inline in the writing goroutine
 	// instead of handing it to the background workers. Deterministic but
 	// slower; the experiments use it so the timing-sensitive cost-model
@@ -107,27 +96,10 @@ type Config struct {
 	// passes. Crash-point enumeration relies on bit-identical device-op
 	// sequences, which is why the scrubber is opt-in rather than always-on.
 	ScrubInterval time.Duration
-	// ScrubBytesPerSec rate-limits scrub device reads; the zero value means
-	// the default of 8 MiB/s. Negative disables the limit (tests).
-	ScrubBytesPerSec int64
-
-	// DisableRangeIndex turns off the per-partition REMIX-style sorted view
-	// (internal/rangeindex) and makes every scan use the plain merging
-	// iterator. The zero value keeps the index enabled — it is an
-	// optimization layered over the merge, never a correctness dependency.
-	DisableRangeIndex bool
 
 	// FaultInjector, when set, is attached to both devices at Open/Recover
 	// (faultkit). nil disables fault injection.
 	FaultInjector *fault.Injector
-	// FaultRetries bounds the retry attempts for transient device failures
-	// on the durability paths (WAL commit, flush, manifest install). The
-	// zero value means the default of 3; negative disables retries.
-	FaultRetries int
-	// FaultRetryBackoff is the base delay between retries, doubled per
-	// attempt and waited deterministically via internal/clock. The zero
-	// value means the default of 100µs.
-	FaultRetryBackoff time.Duration
 }
 
 // mode returns a short name for logs.
@@ -176,21 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.L1TargetBytes == 0 {
 		c.L1TargetBytes = 64 << 20
-	}
-	if c.WALBatchBytes == 0 {
-		c.WALBatchBytes = 1 << 20
-	}
-	if c.MaxImmutables == 0 {
-		c.MaxImmutables = 4
-	}
-	if c.FaultRetries == 0 {
-		c.FaultRetries = 3
-	}
-	if c.ScrubBytesPerSec == 0 {
-		c.ScrubBytesPerSec = 8 << 20
-	}
-	if c.FaultRetryBackoff == 0 {
-		c.FaultRetryBackoff = 100 * time.Microsecond
 	}
 	if c.Cost == (costmodel.Params{}) {
 		c.Cost = DefaultCostParams(c.PMCapacity, len(c.PartitionBoundaries)+1)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pmblade/internal/clock"
 	"pmblade/internal/fault"
@@ -15,7 +16,6 @@ import (
 	"pmblade/internal/memtable"
 	"pmblade/internal/pmem"
 	"pmblade/internal/pmtable"
-	"pmblade/internal/rangeindex"
 	"pmblade/internal/sched"
 	"pmblade/internal/ssd"
 	"pmblade/internal/sstable"
@@ -29,9 +29,10 @@ var ErrClosed = errors.New("engine: closed")
 //
 // Concurrency: the lock hierarchy is documented in DESIGN.md §5.3. In
 // short: majorMu > partition.maint > partition.mu, and the small leaf
-// mutexes (walMu, flushesMu, partition.l0mu, partition.seenMu) are never
-// held across an acquisition of any other lock. Fields carry "guarded by:"
-// annotations checked by the guardedby analyzer (pmblade-vet).
+// mutexes (walMu, flushesMu, partition.seenMu) are never held across an
+// acquisition of any other lock. Readers take none of them: they acquire the
+// partition's readState (state.go). Fields carry "guarded by:" annotations
+// checked by the guardedby analyzer (pmblade-vet).
 type DB struct {
 	cfg   Config
 	pm    *pmem.Device
@@ -93,6 +94,10 @@ type DB struct {
 	evictInflight *evictState // guarded by: evictMu
 
 	closed atomic.Bool
+
+	// plainMerge makes every scan and iterator use the plain full merge, the
+	// reference the tests compare the range-view path against.
+	plainMerge bool
 
 	// bgErr records the first background-flush failure; once set, writes
 	// return it (the pipeline is considered wedged).
@@ -161,25 +166,29 @@ type partition struct {
 	// exclusive upper bound; nil on the last.
 	lo, hi []byte
 
-	// mu guards memtable rotation; reads snapshot under RLock.
-	mu  sync.RWMutex
-	mem *memtable.Memtable   // guarded by: mu
-	imm []*memtable.Memtable // newest first; guarded by: mu
+	// state is the partition's published read state (state.go). mu is the
+	// publish lock: every install builds a new state from the current one and
+	// stores it under mu; writers hold mu shared around their memtable insert
+	// so a rotation waits them out. Readers never take mu.
+	mu    sync.RWMutex
+	state atomic.Pointer[readState]
 
 	// maint serializes this partition's structural maintenance (flush,
-	// internal compaction, major compaction of this partition) without
-	// blocking other partitions. See DB.majorMu for the lock order.
+	// internal compaction, major compaction of this partition, quarantine
+	// detach) without blocking other partitions. See DB.majorMu for the lock
+	// order.
 	maint sync.Mutex
 	// flushPending is true while a background flush task is queued or has
 	// not yet taken maint; it prevents piling up duplicate tasks.
 	flushPending atomic.Bool
 
-	l0    *level0.Level0   // PM level-0 (Level0OnPM)
-	l0ssd []*sstable.Table // SSD level-0, newest first (PMBlade-SSD); guarded by: l0mu
-	l0mu  sync.RWMutex
-	run   *levels.Run // SSD level-1 sorted run (non-RocksDB modes)
-
-	leveled *levels.Leveled // RocksDB mode
+	// The maintenance-side table containers, touched only under maint; every
+	// edit is followed by installTables, which publishes them. l0 is the PM
+	// level-0 (empty unless Level0OnPM). tree is the SSD tier: its level 0
+	// takes flushes when level-0 is not on PM, and below it sits the single
+	// sorted run — or, in RocksDB mode, the leveled hierarchy.
+	l0   *level0.Level0
+	tree *levels.Leveled
 
 	// Stats for the cost models (Table II), reset on compaction.
 	reads, writes, updates atomic.Int64
@@ -194,22 +203,10 @@ type partition struct {
 	// path: nil when nothing is quarantined, so the common case costs one
 	// atomic load on a miss. Rebuilt under DB.quarMu.
 	quar atomic.Pointer[[]quarSource]
-
-	// view is the REMIX-style sorted view over this partition's stable
-	// sorted sources (rangeview.go); nil until the first scan builds one.
-	// viewGen is the install epoch: every mutation of the stable sorted
-	// set bumps it, and a view whose epoch differs is never served.
-	view    atomic.Pointer[rangeindex.View]
-	viewGen atomic.Uint64
-	// viewBuilding single-flights view construction so concurrent scans do
-	// not duplicate the O(n) build.
-	viewBuilding atomic.Bool
-	// viewBackoff, when positive, suppresses scan-triggered rebuilds for
-	// that many scans — set after a build was discarded because the epoch
-	// moved mid-build, so heavy write churn cannot make every scan pay a
-	// doomed O(n) build.
-	viewBackoff atomic.Int32
 }
+
+// run is the level-1 sorted run (the whole SSD tier outside RocksDB mode).
+func (p *partition) run() *levels.Run { return p.tree.Run(1) }
 
 // noteKeyWrite records a write in the update detector, reporting whether the
 // key was already written since the last reset.
@@ -268,30 +265,8 @@ func Open(cfg Config) (*DB, error) {
 		db.wal = wal.NewWriter(db.ssd)
 	}
 
-	bounds := cfg.PartitionBoundaries
-	for i := 0; i <= len(bounds); i++ {
-		p := &partition{id: i, mem: memtable.New()}
-		if i > 0 {
-			p.lo = bounds[i-1]
-		}
-		if i < len(bounds) {
-			p.hi = bounds[i]
-		}
-		if cfg.RocksDB {
-			p.leveled = levels.NewLeveled(4, cfg.L1TargetBytes, 10)
-		} else {
-			p.run = levels.NewRun()
-			if cfg.Level0OnPM {
-				p.l0 = level0.New(db.pm, level0.Config{
-					Format:          cfg.PMTableFormat,
-					GroupSize:       cfg.GroupSize,
-					TargetTableSize: cfg.L0TableBytes,
-					Retire:          db.retirePM,
-				})
-			}
-		}
-		p.statsSince.Store(clock.NowNanos())
-		db.partitions = append(db.partitions, p)
+	for i := 0; i <= len(cfg.PartitionBoundaries); i++ {
+		db.partitions = append(db.partitions, db.newPartition(i))
 	}
 	// Install the initial manifest before any write can be acknowledged, so
 	// a power cut at any later instant finds a recoverable root. Without a
@@ -309,18 +284,50 @@ func Open(cfg Config) (*DB, error) {
 	return db, nil
 }
 
+// newPartition builds partition i of cfg's range partitioning with empty
+// table containers and an empty published state.
+func (db *DB) newPartition(i int) *partition {
+	bounds := db.cfg.PartitionBoundaries
+	p := &partition{id: i}
+	if i > 0 {
+		p.lo = bounds[i-1]
+	}
+	if i < len(bounds) {
+		p.hi = bounds[i]
+	}
+	p.l0 = level0.New(db.pm, level0.Config{
+		Format:          db.cfg.PMTableFormat,
+		GroupSize:       db.cfg.GroupSize,
+		TargetTableSize: db.cfg.L0TableBytes,
+		Retire:          db.retirePM,
+	})
+	p.tree = levels.NewLeveled(4, db.cfg.L1TargetBytes, 10)
+	p.run() // level 1 exists in every mode
+	p.statsSince.Store(clock.NowNanos())
+	p.publish(&readState{mem: memtable.New(), stableHalf: &stableHalf{}})
+	return p
+}
+
+// faultRetries bounds the retry attempts for transient device failures on the
+// durability paths (WAL commit, flush, manifest install); faultRetryBackoff is
+// the base delay between them, doubled per attempt and waited
+// deterministically via internal/clock.
+const (
+	faultRetries      = 3
+	faultRetryBackoff = 100 * time.Microsecond
+)
+
 // retryDurable runs op, retrying transient injected faults (fault.IsTransient)
-// up to cfg.FaultRetries times with deterministic exponential backoff. Any
+// up to faultRetries times with deterministic exponential backoff. Any
 // other error — including a torn write, which must never be blindly repeated
 // on an append-ordered device — is returned as-is on the first occurrence.
 func (db *DB) retryDurable(op func() error) error {
-	backoff := db.cfg.FaultRetryBackoff
 	for attempt := 0; ; attempt++ {
 		err := op()
-		if err == nil || !fault.IsTransient(err) || attempt >= db.cfg.FaultRetries {
+		if err == nil || !fault.IsTransient(err) || attempt >= faultRetries {
 			return err
 		}
-		clock.Spin(backoff << uint(attempt))
+		clock.Spin(faultRetryBackoff << uint(attempt))
 	}
 }
 
@@ -355,7 +362,6 @@ func (db *DB) Close() error {
 	}
 	db.drainFlushes()
 	db.pool.CloseBackground()
-	db.dropViews()
 	if db.wal != nil {
 		db.wal.Close()
 	}
@@ -538,54 +544,4 @@ func collectEntries(it kv.Iterator) []kv.Entry {
 		})
 	}
 	return out
-}
-
-// l0ssdSnapshot returns the SSD level-0 tables, newest first.
-func (p *partition) l0ssdSnapshot() []*sstable.Table {
-	p.l0mu.RLock()
-	defer p.l0mu.RUnlock()
-	return append([]*sstable.Table(nil), p.l0ssd...)
-}
-
-// l0ssdRef returns the SSD level-0 tables with references held; the caller
-// must Unref each table when done.
-func (p *partition) l0ssdRef() []*sstable.Table {
-	p.l0mu.RLock()
-	defer p.l0mu.RUnlock()
-	out := append([]*sstable.Table(nil), p.l0ssd...)
-	for _, t := range out {
-		t.Ref()
-	}
-	return out
-}
-
-// addL0SSD prepends a freshly flushed SSD level-0 table.
-func (p *partition) addL0SSD(t *sstable.Table) {
-	p.l0mu.Lock()
-	defer p.l0mu.Unlock()
-	p.l0ssd = append([]*sstable.Table{t}, p.l0ssd...)
-}
-
-// clearL0SSD removes the given tables.
-func (p *partition) clearL0SSD(ts []*sstable.Table) {
-	drop := make(map[*sstable.Table]bool, len(ts))
-	for _, t := range ts {
-		drop[t] = true
-	}
-	p.l0mu.Lock()
-	keep := p.l0ssd[:0]
-	for _, t := range p.l0ssd {
-		if !drop[t] {
-			keep = append(keep, t)
-		}
-	}
-	p.l0ssd = keep
-	p.l0mu.Unlock()
-}
-
-// memSnapshot returns the active memtable and immutables (newest first).
-func (p *partition) memSnapshot() (*memtable.Memtable, []*memtable.Memtable) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.mem, append([]*memtable.Memtable(nil), p.imm...)
 }

@@ -351,8 +351,8 @@ func TestRocksDBModeCreatesLevels(t *testing.T) {
 	}
 	db.FlushAll()
 	p := db.partitions[0]
-	if p.leveled.Levels() < 2 {
-		t.Fatalf("expected >=2 levels, got %d", p.leveled.Levels())
+	if n := len(p.state.Load().runs); n < 2 {
+		t.Fatalf("expected >=2 levels, got %d", n)
 	}
 	// Leveled compactions happened and data is still correct.
 	if db.ssd.Stats().WriteBytes(device.CauseLeveled) == 0 {

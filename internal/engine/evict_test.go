@@ -81,7 +81,7 @@ func checkAll(t *testing.T, db *DB, want map[string]string) {
 }
 
 func l0Tables(p *partition) int {
-	return p.l0.UnsortedCount() + p.l0.SortedCount()
+	return len(p.state.Load().pmTables())
 }
 
 // TestEvictionDoesNotBlockPreservedPuts is the acceptance test for the
@@ -142,7 +142,7 @@ func TestEvictionDoesNotBlockPreservedPuts(t *testing.T) {
 			t.Errorf("victim partition %d still has %d level-0 tables", i, n)
 		}
 	}
-	if db.partitions[0].l0.SizeBytes() == 0 {
+	if l0Tables(db.partitions[0]) == 0 {
 		t.Error("preserved partition was evicted from PM")
 	}
 	checkAll(t, db, want)

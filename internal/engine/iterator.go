@@ -7,7 +7,8 @@ import (
 )
 
 // Iterator streams live key-value pairs in key order across every tier and
-// partition. It holds table references while open; Close releases them.
+// partition. It holds the current partition's read state while open; Close
+// releases it.
 // Iterators observe a snapshot sequence taken at creation: writes committed
 // afterwards are not visible. The sequence is pinned in the snapshot
 // registry until Close, so flush and compaction retain the versions the
@@ -21,7 +22,7 @@ type Iterator struct {
 	parts    []*partition
 	pi       int
 	merged   *kv.DedupIterator
-	release  func()
+	state    *readState // the open partition's state; merged reads its tables
 	prefetch *iterPrefetch
 	cur      ScanResult
 	valid    bool
@@ -32,12 +33,12 @@ type Iterator struct {
 
 // iterPrefetch is the next partition's source stack being seeked in the
 // background while the current partition drains. At most one is in flight;
-// done closes when merged/release are safe to read.
+// done closes when merged/state are safe to read.
 type iterPrefetch struct {
-	pi      int
-	done    chan struct{}
-	merged  *kv.DedupIterator
-	release func()
+	pi     int
+	done   chan struct{}
+	merged *kv.DedupIterator
+	state  *readState
 }
 
 // NewIterator opens an iterator over [start, end); nil bounds are unbounded.
@@ -92,9 +93,9 @@ func (db *DB) newIteratorAt(start, end []byte, seq uint64) (*Iterator, error) {
 // mid-iteration must stop the stream (Err reports ErrUnavailable) rather
 // than silently serve results the corpse may shadow.
 func (it *Iterator) openPartition(pi int, from []byte) {
-	if it.release != nil {
-		it.release()
-		it.release = nil
+	if it.state != nil {
+		it.state.release()
+		it.state = nil
 	}
 	it.merged = nil
 	it.pi = pi
@@ -106,14 +107,29 @@ func (it *Iterator) openPartition(pi int, from []byte) {
 		it.err = ErrUnavailable
 		return
 	}
-	if from == nil {
-		if merged, release, ok := it.takePrefetch(pi); ok {
-			it.merged, it.release = merged, release
-			it.startPrefetch(pi + 1)
-			return
-		}
+	// Only hops (from == nil) ever find a prefetch; it was sought to first.
+	if pf := it.takePrefetch(pi); pf != nil {
+		it.merged, it.state = pf.merged, pf.state
+	} else {
+		it.merged, it.state = it.db.openSources(it.parts[pi], from, it.seq)
 	}
-	its, release := it.db.partitionSources(it.parts[pi])
+	it.startPrefetch(pi + 1)
+}
+
+// openSources acquires p's state and seeks a merged, visibility-filtered,
+// deduplicated iterator over it to from (nil = first key): the overlay plus
+// the range view's cursor-following iterator when the stable half has or can
+// get one, else every table. The caller releases the returned state when done
+// with the iterator.
+func (db *DB) openSources(p *partition, from []byte, seq uint64) (*kv.DedupIterator, *readState) {
+	s := p.acquire()
+	v := db.viewOf(s, true)
+	if v != nil {
+		db.metrics.RangeViewHits.Add(1)
+	} else {
+		db.metrics.RangeViewFallbacks.Add(1)
+	}
+	its := s.sources(v)
 	for _, src := range its {
 		if from != nil {
 			src.SeekGE(from)
@@ -121,12 +137,10 @@ func (it *Iterator) openPartition(pi int, from []byte) {
 			src.SeekToFirst()
 		}
 	}
-	it.release = release
 	// Visibility before dedup (see scanPartition): otherwise a key whose
 	// newest version postdates the snapshot vanishes instead of resolving to
 	// its older visible version.
-	it.merged = kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), it.seq), false)
-	it.startPrefetch(pi + 1)
+	return kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), false), s
 }
 
 // startPrefetch begins seeking partition pi's sources in the background so
@@ -142,31 +156,24 @@ func (it *Iterator) startPrefetch(pi int) {
 	p, db, seq := it.parts[pi], it.db, it.seq
 	go func() {
 		defer close(pf.done)
-		its, release := db.partitionSources(p)
-		for _, src := range its {
-			src.SeekToFirst()
-		}
-		pf.release = release
-		pf.merged = kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), false)
+		pf.merged, pf.state = db.openSources(p, nil, seq)
 	}()
 }
 
-// takePrefetch consumes the in-flight prefetch if it targets partition pi;
-// a stale prefetch is drained and its table references released.
-func (it *Iterator) takePrefetch(pi int) (*kv.DedupIterator, func(), bool) {
+// takePrefetch waits out and returns the in-flight prefetch if it targets
+// partition pi; a stale one is released and nil returned.
+func (it *Iterator) takePrefetch(pi int) *iterPrefetch {
 	pf := it.prefetch
 	if pf == nil {
-		return nil, nil, false
+		return nil
 	}
 	it.prefetch = nil
 	<-pf.done
-	if pf.pi == pi {
-		return pf.merged, pf.release, true
+	if pf.pi != pi {
+		pf.state.release()
+		return nil
 	}
-	if pf.release != nil {
-		pf.release()
-	}
-	return nil, nil, false
+	return pf
 }
 
 // advance moves to the next live visible entry, crossing partitions.
@@ -222,8 +229,8 @@ func (it *Iterator) Next() {
 	it.advance()
 }
 
-// Close releases the iterator's table references and its snapshot-registry
-// pin. It is safe to call twice.
+// Close releases the iterator's read state and its snapshot-registry pin. It
+// is safe to call twice.
 func (it *Iterator) Close() {
 	if it.closed {
 		return
@@ -231,15 +238,13 @@ func (it *Iterator) Close() {
 	it.closed = true
 	it.valid = false
 	it.db.releaseSeq(it.seq)
-	if it.release != nil {
-		it.release()
-		it.release = nil
+	if it.state != nil {
+		it.state.release()
+		it.state = nil
 	}
 	if pf := it.prefetch; pf != nil {
 		it.prefetch = nil
 		<-pf.done
-		if pf.release != nil {
-			pf.release()
-		}
+		pf.state.release()
 	}
 }

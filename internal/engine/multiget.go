@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"pmblade/internal/kv"
+	"pmblade/internal/level0"
+	"pmblade/internal/levels"
 )
 
 // GetResult is one key's outcome in a MultiGet batch.
@@ -19,10 +21,10 @@ type GetResult struct {
 
 // MultiGet resolves many keys at a single snapshot and returns results
 // positionally identical to len(keys) sequential Get calls. Keys are grouped
-// by partition with one routing pass; each partition pays its memtable and
-// level-0 snapshots once for the whole group, probes fence keys and Bloom
-// filters before touching entry data, and coalesces SSD block reads so keys
-// co-located in a block (or in adjacent blocks) share one device read.
+// by partition with one routing pass; each partition acquires its read state
+// once for the whole group, probes fence keys and Bloom filters before
+// touching entry data, and coalesces SSD block reads so keys co-located in a
+// block (or in adjacent blocks) share one device read.
 // Partitions resolve in parallel with bounded fan-out through the scheduler
 // pool. Per-key failures (corruption, quarantined ranges) surface in each
 // GetResult's Err — mirroring the error the equivalent Get would return —
@@ -118,14 +120,17 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 		subKeys[j] = keys[i]
 	}
 
-	// 1. Active memtable + immutables, newest first — one snapshot per batch.
-	mem, imms := p.memSnapshot()
+	// One state for the whole batch; every tier below is a walk over it.
+	s := p.acquire()
+	defer s.release()
+
+	// 1. Active memtable + immutables, newest first.
 	for j, key := range subKeys {
-		if e, ok := mem.Get(key, seq); ok {
+		if e, ok := s.mem.Get(key, seq); ok {
 			subEntries[j], subFound[j], subTiers[j] = e, true, TierMemtable
 			continue
 		}
-		for _, m := range imms {
+		for _, m := range s.imm {
 			if e, ok := m.Get(key, seq); ok {
 				subEntries[j], subFound[j], subTiers[j] = e, true, TierMemtable
 				break
@@ -133,7 +138,8 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 		}
 	}
 
-	// 2. Level-0.
+	// 2. Level-0: PM tables, then SSD tables newest first (found keys shadow
+	// older tables).
 	markNew := func(t Tier) {
 		for j := range subFound {
 			if subFound[j] && subTiers[j] == TierMiss {
@@ -141,63 +147,36 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 			}
 		}
 	}
-	if p.l0 != nil {
-		stats := p.l0.GetBatch(subKeys, seq, subEntries, subFound)
-		db.metrics.L0TablesProbed.Add(int64(stats.Probed))
-		db.metrics.FilterHits.Add(int64(stats.FilterHits))
-		db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
-		markNew(TierPM)
-	} else if p.leveled == nil {
-		// SSD level-0: newest table first; found keys shadow older tables.
-		l0 := p.l0ssdRef()
-		for _, t := range l0 {
-			coalesced, err := t.GetBatch(subKeys, seq, subEntries, subFound)
-			db.metrics.MultiGetCoalescedReads.Add(int64(coalesced))
-			if err != nil {
-				unrefAll(l0)
-				return err
-			}
+	stats := level0.GetBatch(s.pmUnsorted, s.pmSorted, subKeys, seq, subEntries, subFound)
+	db.metrics.L0TablesProbed.Add(int64(stats.Probed))
+	db.metrics.FilterHits.Add(int64(stats.FilterHits))
+	db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
+	markNew(TierPM)
+	for _, t := range s.ssdL0 {
+		coalesced, err := t.GetBatch(subKeys, seq, subEntries, subFound)
+		db.metrics.MultiGetCoalescedReads.Add(int64(coalesced))
+		if err != nil {
+			return err
 		}
-		unrefAll(l0)
-		markNew(TierSSD)
 	}
 
-	// 3. SSD tier.
-	if p.leveled != nil {
-		for j, key := range subKeys {
-			if subFound[j] {
-				continue
-			}
-			e, ok, err := p.leveled.Get(key, seq)
-			if err != nil {
-				return err
-			}
-			if ok {
-				subEntries[j], subFound[j], subTiers[j] = e, true, TierSSD
-			}
-		}
-	} else {
-		// When a range-index view is current, the remaining keys resolve
-		// through shared forward-only view cursors: sorted keys landing in the
-		// same segment reuse positioned cursors and loaded blocks, coalescing
-		// across tables. No view is built here — MultiGet is a point-read
-		// path and must not pay an O(partition) construction. Anything the
-		// view could serve beyond the run was already settled in stage 2
-		// (tier attribution below is therefore still TierSSD).
-		viewDone := false
-		if v := db.acquireView(p, false); v != nil {
-			viewDone = viewGetBatch(v, subKeys, seq, subEntries, subFound)
-			v.Unref()
-		}
-		if !viewDone {
-			coalesced, err := p.run.GetBatch(subKeys, seq, subEntries, subFound)
+	// 3. The SSD runs. When the stable half already has a range view, the
+	// remaining keys resolve through shared forward-only view cursors:
+	// sorted keys landing in the same segment reuse positioned cursors and
+	// loaded blocks, coalescing across tables. No view is built here —
+	// MultiGet is a point-read path and must not pay an O(partition)
+	// construction. Anything the view could serve beyond the runs was already
+	// settled in stage 2 (tier attribution below is therefore still TierSSD).
+	if v := db.viewOf(s, false); v == nil || !viewGetBatch(v, subKeys, seq, subEntries, subFound) {
+		for _, run := range s.runs {
+			coalesced, err := levels.GetBatch(run, subKeys, seq, subEntries, subFound)
 			db.metrics.MultiGetCoalescedReads.Add(int64(coalesced))
 			if err != nil {
 				return err
 			}
 		}
-		markNew(TierSSD)
 	}
+	markNew(TierSSD)
 
 	for j, i := range idxs {
 		entries[i], found[i], tiers[i] = subEntries[j], subFound[j], subTiers[j]

@@ -139,39 +139,26 @@ func (db *DB) rebuildQuarLocked(p *partition) {
 	p.quar.Store(&srcs)
 }
 
-// detachSST removes t from every live structure of p that may hold it. The
-// container removals are individually tolerant of absence, so the call is
-// safe regardless of which tier actually held the table.
-func (db *DB) detachSST(p *partition, t *sstable.Table) {
-	if p.run != nil {
-		p.run.Replace([]*sstable.Table{t}, nil)
-	}
-	p.clearL0SSD([]*sstable.Table{t})
-	if p.leveled != nil {
-		p.leveled.RemoveL0([]*sstable.Table{t})
-		for l := 1; l <= p.leveled.Levels(); l++ {
-			p.leveled.Run(l).Replace([]*sstable.Table{t}, nil)
-		}
-	}
-}
-
 // quarantineSST pulls SSTable t out of partition p's live set and registers
 // the corpse. The unavailable range is published BEFORE the table leaves the
 // live structures, so no reader can observe a window where the data is both
 // unservable and unflagged. Cached blocks of the file are dropped — a block
 // cached before the corruption was detected must not outlive its table's
 // quarantine. Reports false when the table was already quarantined
-// (concurrent detection). Callers hold no engine locks and must follow a
-// true return with a manifest install (persistQuarantine).
+// (concurrent detection). Callers hold no engine locks (the detach takes
+// p.maint) and must follow a true return with a manifest install
+// (persistQuarantine).
 func (db *DB) quarantineSST(p *partition, t *sstable.Table, detail string) bool {
 	if !db.registerSSTCorpse(p, t, detail) {
 		return false
 	}
-	db.detachSST(p, t)
-	// Invalidate without rebuilding: quarantine runs on the read path, and a
-	// stale view could still follow cursors into the detached corpse. The
-	// next scan rebuilds over the surviving sources.
-	db.invalidateView(p, false)
+	// The new state's stable half starts without a view and none is built
+	// here: quarantine runs on the read path. The next scan builds one over
+	// the surviving tables.
+	p.maint.Lock()
+	p.tree.Remove(t)
+	db.installTables(p, nil, false)
+	p.maint.Unlock()
 	if db.cache != nil {
 		db.cache.DropFile(t.File())
 	}
@@ -216,10 +203,15 @@ func (db *DB) quarantinePM(p *partition, t *pmtable.Table, detail string) bool {
 	}
 	// Remove gates registration: of any concurrent detections, exactly one
 	// caller observes the table leaving the live set and registers it.
-	if p.l0 == nil || !p.l0.Remove(t) {
+	p.maint.Lock()
+	removed := p.l0.Remove(t)
+	if removed {
+		db.installTables(p, nil, false)
+	}
+	p.maint.Unlock()
+	if !removed {
 		return false
 	}
-	db.invalidateView(p, false)
 	db.registerPMCorpse(p, t, detail)
 	db.metrics.QuarantineIncidents.Add(1)
 	db.metrics.QuarantinedNow.Add(1)
@@ -264,30 +256,9 @@ func (db *DB) persistQuarantine() error {
 // findLiveSST locates the live table of p backed by file id, or nil if the
 // file no longer belongs to the live set.
 func (db *DB) findLiveSST(p *partition, id ssd.FileID) *sstable.Table {
-	if p.run != nil {
-		for _, t := range p.run.Tables() {
-			if t.File() == id {
-				return t
-			}
-		}
-	}
-	for _, t := range p.l0ssdSnapshot() {
+	for _, t := range p.state.Load().ssts() {
 		if t.File() == id {
 			return t
-		}
-	}
-	if p.leveled != nil {
-		for _, t := range p.leveled.L0Tables() {
-			if t.File() == id {
-				return t
-			}
-		}
-		for l := 1; l <= p.leveled.Levels(); l++ {
-			for _, t := range p.leveled.Run(l).Tables() {
-				if t.File() == id {
-					return t
-				}
-			}
 		}
 	}
 	return nil
@@ -295,16 +266,7 @@ func (db *DB) findLiveSST(p *partition, id ssd.FileID) *sstable.Table {
 
 // findLivePM locates the live PM table of p at addr, or nil.
 func (db *DB) findLivePM(p *partition, addr pmem.Addr) *pmtable.Table {
-	if p.l0 == nil {
-		return nil
-	}
-	unsorted, sorted := p.l0.Tables()
-	for _, t := range unsorted {
-		if t.Addr() == addr {
-			return t
-		}
-	}
-	for _, t := range sorted {
+	for _, t := range p.state.Load().pmTables() {
 		if t.Addr() == addr {
 			return t
 		}

@@ -17,10 +17,6 @@ import (
 // fraction of a selector byte per entry.
 const viewSegTarget = 32
 
-// viewBackoffScans is how many scans skip the inline rebuild after a build
-// was discarded because the epoch moved mid-build.
-const viewBackoffScans = 8
-
 // pmViewSource adapts a sorted PM level-0 table.
 type pmViewSource struct{ t *pmtable.Table }
 
@@ -28,8 +24,8 @@ func (s pmViewSource) NewCursor() kv.PosIterator { return s.t.NewIterator().(kv.
 func (s pmViewSource) Len() int                  { return s.t.Len() }
 func (s pmViewSource) DataBytes() int64          { return s.t.SizeBytes() }
 
-// runViewSource adapts a sorted, non-overlapping table sequence (the SSD run
-// or one leveled run) as a single source through a concatenating cursor.
+// runViewSource adapts one SSD run as a single source through a
+// concatenating cursor.
 type runViewSource struct{ tables []*sstable.Table }
 
 func (s runViewSource) NewCursor() kv.PosIterator { return levels.NewConcatScanIterator(s.tables) }
@@ -49,185 +45,46 @@ func (s runViewSource) DataBytes() int64 {
 	return n
 }
 
-// stableViewSources snapshots the partition's stable sorted sources — the
-// inputs of a range-index view. SSD tables are reference-held; release drops
-// them (it is handed to the view as its release hook). The mutable overlay
-// (memtable, immutables, unsorted PM tables, SSD/leveled level-0) is
-// deliberately excluded: it changes on every flush, while these sources only
-// change at compaction/repair install points.
-func (db *DB) stableViewSources(p *partition) (srcs []rangeindex.Source, release func()) {
-	var held []*sstable.Table
-	if p.l0 != nil {
-		_, sorted := p.l0.Tables()
-		for _, t := range sorted {
-			srcs = append(srcs, pmViewSource{t: t})
-		}
-	}
-	if p.leveled != nil {
-		for lv := 1; lv <= p.leveled.Levels(); lv++ {
-			ts := p.leveled.Run(lv).RefTables()
-			held = append(held, ts...)
-			if len(ts) > 0 {
-				srcs = append(srcs, runViewSource{tables: ts})
-			}
-		}
-	} else {
-		ts := p.run.RefTables()
-		held = append(held, ts...)
-		if len(ts) > 0 {
-			srcs = append(srcs, runViewSource{tables: ts})
-		}
-	}
-	return srcs, func() { unrefAll(held) }
-}
-
-// overlayIterators collects iterators over the mutable overlay of p — every
-// tier a view does not cover — newest first (rank order breaks merge ties in
-// favor of newer data, matching partitionIterators).
-func (db *DB) overlayIterators(p *partition) (its []kv.Iterator, release func()) {
-	var held []*sstable.Table
-	mem, imms := p.memSnapshot()
-	its = append(its, mem.NewIterator())
-	for _, m := range imms {
-		its = append(its, m.NewIterator())
-	}
-	if p.l0 != nil {
-		unsorted, _ := p.l0.Tables()
-		for _, t := range unsorted {
-			its = append(its, t.NewIterator())
-		}
-	} else if p.leveled == nil {
-		l0 := p.l0ssdRef()
-		held = append(held, l0...)
-		for _, t := range l0 {
-			its = append(its, t.NewScanIterator())
-		}
-	}
-	if p.leveled != nil {
-		l0 := p.leveled.RefL0()
-		held = append(held, l0...)
-		for _, t := range l0 {
-			its = append(its, t.NewScanIterator())
-		}
-	}
-	return its, func() { unrefAll(held) }
-}
-
-// acquireView returns the partition's current view with a read reference
-// held, or nil when the index is disabled, the installed view is stale, or
-// no view exists. When build is true a missing/stale view is constructed
-// inline (single-flighted, with backoff after doomed builds under churn).
-func (db *DB) acquireView(p *partition, build bool) *rangeindex.View {
-	if db.cfg.DisableRangeIndex {
+// viewOf returns the REMIX-style range view over s's stable half, or nil when
+// there is none: the half is empty (a view would only add merge plumbing),
+// the build failed, another reader is building it right now, or build is
+// false and no one has built it yet. The view needs no reference of its own —
+// s keeps its tables alive. A nil result sends the caller down the plain
+// merge, which serves the same state unchanged.
+func (db *DB) viewOf(s *readState, build bool) *rangeindex.View {
+	if db.plainMerge {
 		return nil
 	}
-	if v := p.view.Load(); v != nil && v.Epoch() == p.viewGen.Load() && v.TryRef() {
+	if v := s.view.Load(); v != nil || !build {
 		return v
 	}
-	if !build {
+	var srcs []rangeindex.Source
+	for _, t := range s.pmSorted {
+		srcs = append(srcs, pmViewSource{t})
+	}
+	for _, run := range s.runs {
+		if len(run) > 0 {
+			srcs = append(srcs, runViewSource{run})
+		}
+	}
+	if len(srcs) == 0 || !s.building.CompareAndSwap(false, true) {
 		return nil
 	}
-	if p.viewBackoff.Load() > 0 {
-		p.viewBackoff.Add(-1)
-		return nil
+	defer s.building.Store(false)
+	if v := s.view.Load(); v != nil {
+		return v
 	}
-	return db.tryBuildView(p)
-}
-
-// tryBuildView constructs and installs a fresh view over p's stable sources,
-// returning it with a read reference held. It returns nil when another build
-// is in flight or the epoch moved mid-build (the view would be stale before
-// its first use). Safe to call from any context that may touch the devices:
-// it takes no engine locks.
-func (db *DB) tryBuildView(p *partition) *rangeindex.View {
-	if !p.viewBuilding.CompareAndSwap(false, true) {
-		return nil
-	}
-	defer p.viewBuilding.Store(false)
-	gen := p.viewGen.Load()
-	srcs, release := db.stableViewSources(p)
 	sw := clock.NewStopwatch()
-	v, err := rangeindex.Build(gen, srcs, viewSegTarget, release)
+	v, err := rangeindex.Build(0, srcs, viewSegTarget, nil)
 	if err != nil {
-		release()
 		return nil
 	}
 	db.metrics.RangeViewBuilds.Add(1)
 	db.metrics.RangeViewBuildNanos.Add(sw.Elapsed().Nanoseconds())
 	db.metrics.RangeViewSegments.Add(int64(v.Segments()))
 	db.metrics.RangeViewBytes.Add(v.Bytes())
-	if p.viewGen.Load() != gen {
-		// Sources changed mid-build: the view is stale on arrival. Discard
-		// and back off so churn cannot make every scan pay a doomed build.
-		p.viewBackoff.Store(viewBackoffScans)
-		v.Unref()
-		return nil
-	}
-	v.TryRef() // reader reference; cannot fail, the owner reference is live
-	if old := p.view.Swap(v); old != nil {
-		old.Unref()
-	}
-	if p.viewGen.Load() != gen {
-		// An install raced the swap; drop the owner reference eagerly so the
-		// stale view does not pin table files until the next install point.
-		if p.view.CompareAndSwap(v, nil) {
-			v.Unref()
-		}
-	}
+	s.view.Store(v)
 	return v
-}
-
-// invalidateView bumps p's view epoch and unhooks the installed view,
-// releasing its table references. Every mutation of the stable sorted set
-// (compaction install, repair reinstall, quarantine detach) must call it.
-// When rebuild is set and a view was installed — i.e. scans on this
-// partition actually use the index — a replacement is built immediately at
-// the install point, so steady scan workloads never see a fallback window.
-func (db *DB) invalidateView(p *partition, rebuild bool) {
-	p.viewGen.Add(1)
-	old := p.view.Swap(nil)
-	if old == nil {
-		return
-	}
-	old.Unref()
-	if rebuild && !db.cfg.DisableRangeIndex {
-		if v := db.tryBuildView(p); v != nil {
-			v.Unref()
-		}
-	}
-}
-
-// dropViews releases every partition's view at Close, dropping their table
-// references.
-func (db *DB) dropViews() {
-	for _, p := range db.partitions {
-		if old := p.view.Swap(nil); old != nil {
-			old.Unref()
-		}
-	}
-}
-
-// partitionSources returns p's iterator stack for merged iteration: the
-// mutable overlay plus the range-index view's cursor-following iterator
-// (ranked last — it is the oldest data) when a view is current or buildable,
-// else every tier via partitionIterators. release also drops the view
-// reference.
-func (db *DB) partitionSources(p *partition) (its []kv.Iterator, release func()) {
-	v := db.acquireView(p, true)
-	if v != nil && v.Len() == 0 {
-		// An empty view (no stable sources yet) adds merge plumbing without
-		// removing any: the plain path serves the overlay alone just as well.
-		v.Unref()
-		v = nil
-	}
-	if v == nil {
-		db.metrics.RangeViewFallbacks.Add(1)
-		return db.partitionIterators(p)
-	}
-	db.metrics.RangeViewHits.Add(1)
-	its, orelease := db.overlayIterators(p)
-	its = append(its, v.NewIter())
-	return its, func() { orelease(); v.Unref() }
 }
 
 // scanArena allocates scan results in chunks: one bump-pointer append per
@@ -312,17 +169,17 @@ func viewGetBatch(v *rangeindex.View, subKeys [][]byte, seq uint64, subEntries [
 	return it.Err() == nil
 }
 
-// scanViewPartition is scanPartition's fast path: the stable sources stream
-// through the view's selector walk (no per-step heap pushes, no per-step
-// key comparisons between stable sources) and only the mutable overlay goes
-// through a merging iterator, in a 2-way merge. Returns ok=false — with out
-// restored to its input length — if the view turned out inconsistent with
-// its sources; the caller redoes the range through the plain merge.
-func (db *DB) scanViewPartition(p *partition, v *rangeindex.View, start, end []byte, limit int, seq uint64, out []ScanResult) ([]ScanResult, bool) {
+// scanView is scanPartition's fast path over state s and the view v of its
+// stable half: the stable tables stream through the view's selector walk (no
+// per-step heap pushes, no per-step key comparisons between stable sources)
+// and only the mutable overlay goes through a merging iterator, in a 2-way
+// merge. Returns ok=false — with out restored to its input length — if the
+// view turned out inconsistent with its sources; the caller redoes the range
+// through the plain merge.
+func scanView(s *readState, v *rangeindex.View, start, end []byte, limit int, seq uint64, out []ScanResult) ([]ScanResult, bool) {
 	base := len(out)
 	vi := v.NewIter()
-	oits, orelease := db.overlayIterators(p)
-	defer orelease()
+	oits := s.overlay()
 	if limit > 0 {
 		// Bounded scan: cap the sources' first readahead span to roughly what
 		// the scan will consume (slack for the seek's anchor walk and stale

@@ -110,12 +110,10 @@ func TestScanViewEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Reference: the plain merge path, forced by disabling the
-				// index on the same DB (config is copied at Open, so flip the
-				// field the read path consults).
-				db.cfg.DisableRangeIndex = true
+				// Reference: the plain merge path over the same DB.
+				db.plainMerge = true
 				want, err := db.Scan(start, end, r.limit)
-				db.cfg.DisableRangeIndex = false
+				db.plainMerge = false
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,64 +126,6 @@ func TestScanViewEquivalence(t *testing.T) {
 				t.Fatal("no view was ever built")
 			}
 		})
-	}
-}
-
-// TestScanViewInvalidationOnCompaction: a compaction install must bump the
-// epoch so scans never serve the pre-compaction view, and the install-point
-// rebuild must leave a fresh view in place.
-func TestScanViewInvalidationOnCompaction(t *testing.T) {
-	db, err := Open(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	want := make(map[string]string)
-	for i := 0; i < 1500; i++ {
-		k := fmt.Sprintf("key-%05d", i)
-		v := fmt.Sprintf("v1-%05d", i)
-		if err := db.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	res := scanAll(t, db)
-	if len(res) != len(want) {
-		t.Fatalf("pre-compaction scan: %d results, want %d", len(res), len(want))
-	}
-	builds := db.Metrics().RangeViewBuilds.Load()
-	if builds == 0 {
-		t.Fatal("first scan built no view")
-	}
-	// Overwrite, then force a full install cycle.
-	for i := 0; i < 1500; i += 3 {
-		k := fmt.Sprintf("key-%05d", i)
-		v := fmt.Sprintf("v2-%05d", i)
-		if err := db.Put([]byte(k), []byte(v)); err != nil {
-			t.Fatal(err)
-		}
-		want[k] = v
-	}
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.MajorCompactAll(); err != nil {
-		t.Fatal(err)
-	}
-	if db.Metrics().RangeViewBuilds.Load() <= builds {
-		t.Fatal("compaction install did not rebuild the view")
-	}
-	res = scanAll(t, db)
-	if len(res) != len(want) {
-		t.Fatalf("post-compaction scan: %d results, want %d", len(res), len(want))
-	}
-	for _, r := range res {
-		if want[string(r.Key)] != string(r.Value) {
-			t.Fatalf("post-compaction scan: %s = %s, want %s", r.Key, r.Value, want[string(r.Key)])
-		}
 	}
 }
 
@@ -306,22 +246,23 @@ func TestTakePrefetchStaleRelease(t *testing.T) {
 	if it.prefetch == nil {
 		t.Fatal("prefetch did not start")
 	}
-	merged, release, ok := it.takePrefetch(0) // wrong partition: stale
-	if ok || merged != nil || release != nil {
+	stale := it.prefetch
+	if pf := it.takePrefetch(0); pf != nil { // wrong partition: stale
 		t.Fatal("stale prefetch was handed out")
 	}
 	if it.prefetch != nil {
 		t.Fatal("stale prefetch not cleared")
 	}
+	if n := stale.state.refs.Load(); n != 1 {
+		t.Fatalf("stale prefetch still holds its state: %d refs, want the publisher's 1", n)
+	}
 	// The matching case still works.
 	it.startPrefetch(1)
-	merged, release, ok = it.takePrefetch(1)
-	if !ok || merged == nil {
+	pf := it.takePrefetch(1)
+	if pf == nil || pf.merged == nil {
 		t.Fatal("matching prefetch rejected")
 	}
-	if release != nil {
-		release()
-	}
+	pf.state.release()
 }
 
 // TestScanLimitTruncationMultiPartition: the parallel fan-out scan with a
@@ -360,8 +301,9 @@ func TestScanLimitTruncationMultiPartition(t *testing.T) {
 }
 
 // TestScanDuringViewInstall scans concurrently with flushes and compactions
-// installing new view epochs; run under -race this pins the epoch handoff,
-// and in any mode each scanned value must be one the writer actually wrote.
+// publishing new read states (and, at compactions, new views); run under
+// -race this pins the state handoff, and in any mode each scanned value must
+// be one the writer actually wrote.
 func TestScanDuringViewInstall(t *testing.T) {
 	db, err := Open(fastConfig())
 	if err != nil {

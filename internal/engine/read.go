@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"pmblade/internal/kv"
+	"pmblade/internal/level0"
 	"pmblade/internal/levels"
-	"pmblade/internal/sstable"
 )
 
 // Get returns the newest value of key, or ok=false when absent or deleted.
@@ -49,73 +49,57 @@ func (db *DB) getAt(key []byte, seq uint64) (value []byte, ok bool, err error) {
 	if !ok || e.Kind == kv.KindDelete {
 		return nil, false, nil
 	}
-	// Copy-out boundary: internal lookups alias cache/block memory.
-	return append([]byte(nil), e.Value...), true, nil
+	return e.Value, true, nil
 }
 
-// get resolves a key at a snapshot within its partition p (resolved once by
-// the caller), reporting the serving tier. It returns tombstones to the
-// caller (Kind). The returned Entry may alias internal block memory; copy
-// before retaining.
+// get resolves key at a snapshot in p's current state, reporting the serving
+// tier. It returns tombstones to the caller (Kind). Copy-out boundary: lookups
+// alias cache/block memory, so the value is copied before the state — and
+// with it the tables' references — is released.
 func (db *DB) get(p *partition, key []byte, seq uint64) (kv.Entry, bool, Tier, error) {
-	// 1. Active memtable + immutables, newest first.
-	mem, imms := p.memSnapshot()
-	if e, ok := mem.Get(key, seq); ok {
-		return e, true, TierMemtable, nil
-	}
-	for _, m := range imms {
-		if e, ok := m.Get(key, seq); ok {
-			return e, true, TierMemtable, nil
-		}
-	}
-
-	// 2. Level-0.
-	if p.l0 != nil {
-		e, ok, stats := p.l0.Get(key, seq)
-		db.metrics.L0TablesProbed.Add(int64(stats.Probed))
-		db.metrics.FilterHits.Add(int64(stats.FilterHits))
-		db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
-		if ok {
-			return e, true, TierPM, nil
-		}
-	} else if p.leveled == nil {
-		l0 := p.l0ssdRef()
-		for _, t := range l0 {
-			if bytes.Compare(key, t.Smallest()) < 0 || bytes.Compare(key, t.Largest()) > 0 {
-				continue
-			}
-			e, ok, err := t.Get(key, seq)
-			if err != nil {
-				unrefAll(l0)
-				return kv.Entry{}, false, TierMiss, err
-			}
-			if ok {
-				unrefAll(l0)
-				return e, true, TierSSD, nil
-			}
-		}
-		unrefAll(l0)
-	}
-
-	// 3. SSD tier.
-	if p.leveled != nil {
-		e, ok, err := p.leveled.Get(key, seq)
-		if err != nil {
-			return kv.Entry{}, false, TierMiss, err
-		}
-		if ok {
-			return e, true, TierSSD, nil
-		}
-		return kv.Entry{}, false, TierMiss, nil
-	}
-	e, ok, err := p.run.Get(key, seq)
-	if err != nil {
+	s := p.acquire()
+	defer s.release()
+	e, tier, err := db.lookup(s, key, seq)
+	if err != nil || tier == TierMiss {
 		return kv.Entry{}, false, TierMiss, err
 	}
-	if ok {
-		return e, true, TierSSD, nil
+	e.Key, e.Value = key, append([]byte(nil), e.Value...)
+	return e, true, tier, nil
+}
+
+// lookup walks s's tiers newest first and returns the first version of key
+// visible at seq (tombstones included) with the tier that held it, or
+// TierMiss.
+func (db *DB) lookup(s *readState, key []byte, seq uint64) (kv.Entry, Tier, error) {
+	if e, ok := s.mem.Get(key, seq); ok {
+		return e, TierMemtable, nil
 	}
-	return kv.Entry{}, false, TierMiss, nil
+	for _, m := range s.imm {
+		if e, ok := m.Get(key, seq); ok {
+			return e, TierMemtable, nil
+		}
+	}
+	e, ok, stats := level0.Get(s.pmUnsorted, s.pmSorted, key, seq)
+	db.metrics.L0TablesProbed.Add(int64(stats.Probed))
+	db.metrics.FilterHits.Add(int64(stats.FilterHits))
+	db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
+	if ok {
+		return e, TierPM, nil
+	}
+	for _, t := range s.ssdL0 {
+		if bytes.Compare(key, t.Smallest()) < 0 || bytes.Compare(key, t.Largest()) > 0 {
+			continue
+		}
+		if e, ok, err := t.Get(key, seq); err != nil || ok {
+			return e, TierSSD, err
+		}
+	}
+	for _, run := range s.runs {
+		if e, ok, err := levels.Get(run, key, seq); err != nil || ok {
+			return e, TierSSD, err
+		}
+	}
+	return kv.Entry{}, TierMiss, nil
 }
 
 // ScanResult is one visible key-value pair returned by Scan.
@@ -179,33 +163,26 @@ func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, er
 }
 
 // scanPartition appends partition p's visible entries in [start, end) to out,
-// stopping once out holds limit entries (limit 0 = unbounded). When a
-// range-index view is current (or can be built) the stable sources stream
+// stopping once out holds limit entries (limit 0 = unbounded). When the
+// state's stable half has (or can get) a range view, the stable tables stream
 // through its selector walk; otherwise — and whenever the view proves
 // inconsistent mid-scan — the plain merging-iterator path below serves the
-// range unchanged.
+// same state unchanged.
 func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint64, out []ScanResult) []ScanResult {
 	if limit > 0 && len(out) >= limit {
 		return out
 	}
-	if v := db.acquireView(p, true); v != nil {
-		if v.Len() == 0 {
-			// No stable sources yet: the view would only add merge plumbing on
-			// top of the overlay merge below. Serve through the plain path.
-			v.Unref()
-		} else {
-			res, ok := db.scanViewPartition(p, v, start, end, limit, seq, out)
-			v.Unref()
-			if ok {
-				db.metrics.RangeViewHits.Add(1)
-				p.reads.Add(1)
-				return res
-			}
+	s := p.acquire()
+	defer s.release()
+	p.reads.Add(1)
+	if v := db.viewOf(s, true); v != nil {
+		if res, ok := scanView(s, v, start, end, limit, seq, out); ok {
+			db.metrics.RangeViewHits.Add(1)
+			return res
 		}
 	}
 	db.metrics.RangeViewFallbacks.Add(1)
-	its, release := db.partitionIterators(p)
-	defer release()
+	its := s.sources(nil)
 	for _, it := range its {
 		if limit > 0 {
 			if h, ok := it.(interface{ HintEntries(int) }); ok {
@@ -238,57 +215,5 @@ func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint
 			break
 		}
 	}
-	p.reads.Add(1)
 	return out
-}
-
-// unrefAll releases a ref-held table snapshot.
-func unrefAll(ts []*sstable.Table) {
-	for _, t := range ts {
-		t.Unref()
-	}
-}
-
-// partitionIterators collects iterators over every tier of p, newest tiers
-// first (rank order breaks merge ties in favor of newer data). SSD tables
-// are reference-held; the caller must invoke release when done iterating.
-// SSD sources use scan iterators: readahead spans on cache misses, cache
-// hits served from memory (compaction uses NewCompactionIterator instead).
-func (db *DB) partitionIterators(p *partition) (its []kv.Iterator, release func()) {
-	var held []*sstable.Table
-	mem, imms := p.memSnapshot()
-	its = append(its, mem.NewIterator())
-	for _, m := range imms {
-		its = append(its, m.NewIterator())
-	}
-	if p.l0 != nil {
-		its = append(its, p.l0.Iterators()...)
-	} else if p.leveled == nil {
-		l0 := p.l0ssdRef()
-		held = append(held, l0...)
-		for _, t := range l0 {
-			its = append(its, t.NewScanIterator())
-		}
-	}
-	if p.leveled != nil {
-		l0 := p.leveled.RefL0()
-		held = append(held, l0...)
-		for _, t := range l0 {
-			its = append(its, t.NewScanIterator())
-		}
-		for lv := 1; lv <= p.leveled.Levels(); lv++ {
-			ts := p.leveled.Run(lv).RefTables()
-			held = append(held, ts...)
-			for _, t := range ts {
-				its = append(its, t.NewScanIterator())
-			}
-		}
-	} else {
-		ts := p.run.RefTables()
-		held = append(held, ts...)
-		// The run is non-overlapping: a concatenating iterator seeks only
-		// the single covering table instead of every table.
-		its = append(its, levels.NewConcatScanIterator(ts))
-	}
-	return its, func() { unrefAll(held) }
 }

@@ -7,13 +7,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"time"
 
 	"pmblade/internal/device"
 	"pmblade/internal/kv"
-	"pmblade/internal/level0"
-	"pmblade/internal/levels"
-	"pmblade/internal/memtable"
 	"pmblade/internal/pmem"
 	"pmblade/internal/pmtable"
 	"pmblade/internal/sched"
@@ -145,35 +141,26 @@ func (db *DB) buildManifest(extraWAL uint64) Manifest {
 	}
 	db.walMu.Unlock()
 	for _, p := range db.partitions {
+		s := p.state.Load()
 		var pm PartManifest
-		if p.l0 != nil {
-			unsorted, sorted := p.l0.Tables()
-			for _, t := range unsorted {
-				pm.L0Unsorted = append(pm.L0Unsorted, int64(t.Addr()))
-			}
-			for _, t := range sorted {
-				pm.L0Sorted = append(pm.L0Sorted, int64(t.Addr()))
-			}
+		for _, t := range s.pmUnsorted {
+			pm.L0Unsorted = append(pm.L0Unsorted, int64(t.Addr()))
 		}
-		for _, t := range p.l0ssdSnapshot() {
+		for _, t := range s.pmSorted {
+			pm.L0Sorted = append(pm.L0Sorted, int64(t.Addr()))
+		}
+		for _, t := range s.ssdL0 {
 			pm.L0SSD = append(pm.L0SSD, uint64(t.File()))
 		}
-		if p.leveled != nil {
-			for l := 1; l <= p.leveled.Levels(); l++ {
-				var files []uint64
-				for _, t := range p.leveled.Run(l).Tables() {
-					files = append(files, uint64(t.File()))
-				}
+		for _, run := range s.runs {
+			var files []uint64
+			for _, t := range run {
+				files = append(files, uint64(t.File()))
+			}
+			if db.cfg.RocksDB {
 				pm.Levels = append(pm.Levels, files)
-			}
-			// L0 of the leveled hierarchy rides in L0SSD.
-			pm.L0SSD = pm.L0SSD[:0]
-			for _, t := range p.leveled.L0Tables() {
-				pm.L0SSD = append(pm.L0SSD, uint64(t.File()))
-			}
-		} else if p.run != nil {
-			for _, t := range p.run.Tables() {
-				pm.Run = append(pm.Run, uint64(t.File()))
+			} else {
+				pm.Run = files
 			}
 		}
 		m.Partitions = append(m.Partitions, pm)
@@ -410,107 +397,76 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	db.seq.Store(m.Seq)
 	db.manifestCur = manifestFile
 
-	bounds := cfg.PartitionBoundaries
-	if len(m.Partitions) != len(bounds)+1 {
-		return nil, fmt.Errorf("engine: manifest has %d partitions, config wants %d",
-			len(m.Partitions), len(bounds)+1)
+	if want := len(cfg.PartitionBoundaries) + 1; len(m.Partitions) != want {
+		return nil, fmt.Errorf("engine: manifest has %d partitions, config wants %d", len(m.Partitions), want)
 	}
-	for i := 0; i <= len(bounds); i++ {
-		p := &partition{id: i, mem: memtable.New()}
-		if i > 0 {
-			p.lo = bounds[i-1]
-		}
-		if i < len(bounds) {
-			p.hi = bounds[i]
-		}
-		pmPart := m.Partitions[i]
-		if cfg.RocksDB {
-			p.leveled = levels.NewLeveled(4, cfg.L1TargetBytes, 10)
-			// AddL0 prepends, so walk the manifest's newest-first list in
-			// reverse to preserve recency order.
-			for j := len(pmPart.L0SSD) - 1; j >= 0; j-- {
-				t, err := sstable.Open(sd, ssd.FileID(pmPart.L0SSD[j]), db.cache)
-				if err != nil {
-					if db.recoverQuarantine("ssd", pmPart.L0SSD[j], i, err) {
-						continue
-					}
-					return nil, fmt.Errorf("engine: reopen L0 sstable %d: %w", pmPart.L0SSD[j], err)
-				}
-				p.leveled.AddL0(t)
-			}
-			for li, files := range pmPart.Levels {
-				var ts []*sstable.Table
-				for _, f := range files {
-					t, err := sstable.Open(sd, ssd.FileID(f), db.cache)
-					if err != nil {
-						if db.recoverQuarantine("ssd", f, i, err) {
-							continue
-						}
-						return nil, fmt.Errorf("engine: reopen L%d sstable %d: %w", li+1, f, err)
-					}
-					ts = append(ts, t)
-				}
-				p.leveled.Run(li+1).Replace(nil, ts)
-			}
-		} else {
-			p.run = levels.NewRun()
-			var runTs []*sstable.Table
-			for _, f := range pmPart.Run {
+	if cfg.Level0OnPM && pm == nil {
+		return nil, fmt.Errorf("engine: config wants PM level-0 but no PM device supplied")
+	}
+	for i, pmPart := range m.Partitions {
+		p := db.newPartition(i)
+		// openSSTs reopens one manifest file list in order; a corrupt table is
+		// quarantined and left out instead of failing the candidate.
+		openSSTs := func(files []uint64, what string) ([]*sstable.Table, error) {
+			var ts []*sstable.Table
+			for _, f := range files {
 				t, err := sstable.Open(sd, ssd.FileID(f), db.cache)
 				if err != nil {
 					if db.recoverQuarantine("ssd", f, i, err) {
 						continue
 					}
-					return nil, fmt.Errorf("engine: reopen run sstable %d: %w", f, err)
+					return nil, fmt.Errorf("engine: reopen %s sstable %d: %w", what, f, err)
 				}
-				runTs = append(runTs, t)
+				ts = append(ts, t)
 			}
-			p.run.Replace(nil, runTs)
-			for j := len(pmPart.L0SSD) - 1; j >= 0; j-- {
-				t, err := sstable.Open(sd, ssd.FileID(pmPart.L0SSD[j]), db.cache)
+			return ts, nil
+		}
+		openPMs := func(addrs []int64) ([]*pmtable.Table, error) {
+			var ts []*pmtable.Table
+			for _, a := range addrs {
+				t, err := pmtable.Open(pm, pmem.Addr(a))
 				if err != nil {
-					if db.recoverQuarantine("ssd", pmPart.L0SSD[j], i, err) {
+					if db.recoverQuarantine("pm", uint64(a), i, err) {
 						continue
 					}
-					return nil, err
+					return nil, fmt.Errorf("engine: reopen PM table @%d: %w", a, err)
 				}
-				p.addL0SSD(t)
+				ts = append(ts, t)
 			}
-			if cfg.Level0OnPM {
-				if pm == nil {
-					return nil, fmt.Errorf("engine: config wants PM level-0 but no PM device supplied")
-				}
-				p.l0 = level0.New(pm, level0.Config{
-					Format:          cfg.PMTableFormat,
-					GroupSize:       cfg.GroupSize,
-					TargetTableSize: cfg.L0TableBytes,
-					Retire:          db.retirePM,
-				})
-				var unsorted, sorted []*pmtable.Table
-				for _, a := range pmPart.L0Unsorted {
-					t, err := pmtable.Open(pm, pmem.Addr(a))
-					if err != nil {
-						if db.recoverQuarantine("pm", uint64(a), i, err) {
-							continue
-						}
-						return nil, fmt.Errorf("engine: reopen PM table @%d: %w", a, err)
-					}
-					unsorted = append(unsorted, t)
-				}
-				for _, a := range pmPart.L0Sorted {
-					t, err := pmtable.Open(pm, pmem.Addr(a))
-					if err != nil {
-						if db.recoverQuarantine("pm", uint64(a), i, err) {
-							continue
-						}
-						return nil, fmt.Errorf("engine: reopen PM table @%d: %w", a, err)
-					}
-					sorted = append(sorted, t)
-				}
-				p.l0.ReplaceAll(unsorted, sorted)
-			}
+			return ts, nil
 		}
-		p.statsSince.Store(time.Now().UnixNano())
+		l0, err := openSSTs(pmPart.L0SSD, "L0")
+		if err != nil {
+			return nil, err
+		}
+		// AddL0 prepends, so walk the manifest's newest-first list in reverse
+		// to preserve recency order.
+		for j := len(l0) - 1; j >= 0; j-- {
+			p.tree.AddL0(l0[j])
+		}
+		runs := pmPart.Levels
+		if !cfg.RocksDB {
+			runs = [][]uint64{pmPart.Run}
+		}
+		for li, files := range runs {
+			ts, err := openSSTs(files, fmt.Sprintf("L%d", li+1))
+			if err != nil {
+				return nil, err
+			}
+			p.tree.Run(li+1).Replace(nil, ts)
+		}
+		if cfg.Level0OnPM {
+			unsorted, err := openPMs(pmPart.L0Unsorted)
+			if err != nil {
+				return nil, err
+			}
+			sorted, err := openPMs(pmPart.L0Sorted)
+			if err != nil {
+				return nil, err
+			}
+			p.l0.ReplaceAll(unsorted, sorted)
+		}
+		db.installTables(p, nil, false)
 		db.partitions = append(db.partitions, p)
 	}
 
@@ -564,12 +520,9 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		var replayed []kv.Entry
 		for _, wf := range walFiles {
 			_, err := wal.Replay(sd, ssd.FileID(wf), func(e kv.Entry) error {
-				p := db.route(e.Key)
-				// Recovery is single-threaded: the DB has not been returned to
-				// the caller yet, so no concurrent reader or writer exists and
-				// taking p.mu here would only suggest a race that cannot occur.
-				//pmblade:allow guardedby recovery runs before the DB is published; no concurrency
-				p.mem.Add(e)
+				// Recovery is single-threaded: no rotation can race this insert,
+				// so the publish lock is not needed.
+				db.route(e.Key).state.Load().mem.Add(e)
 				if e.Seq > maxSeq {
 					maxSeq = e.Seq
 				}

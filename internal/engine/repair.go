@@ -74,7 +74,7 @@ func (db *DB) RepairQuarantined() error {
 				}
 			}
 		}
-		if p.leveled == nil && len(salvage) > 0 {
+		if !db.cfg.RocksDB && len(salvage) > 0 {
 			p.maint.Lock()
 			err := db.repairPartition(p, salvage)
 			p.maint.Unlock()
@@ -98,20 +98,17 @@ func (db *DB) RepairQuarantined() error {
 //pmblade:compacts
 func (db *DB) repairPartition(p *partition, salvage []*sstable.Iterator) error {
 	var its []kv.Iterator
-	if p.l0 != nil {
-		unsorted, sorted := p.l0.Tables()
-		for _, t := range unsorted {
-			its = append(its, t.NewIterator())
-		}
-		for _, t := range sorted {
-			its = append(its, t.NewIterator())
-		}
+	unsorted, sorted := p.l0.Tables()
+	for _, t := range unsorted {
+		its = append(its, t.NewIterator())
 	}
-	l0ssd := p.l0ssdSnapshot()
+	for _, t := range sorted {
+		its = append(its, t.NewIterator())
+	}
+	l0ssd, oldRun := p.tree.L0Tables(), p.run().Tables()
 	for _, t := range l0ssd {
 		its = append(its, t.NewCompactionIterator(256<<10))
 	}
-	oldRun := p.run.Tables()
 	for _, t := range oldRun {
 		its = append(its, t.NewCompactionIterator(256<<10))
 	}
@@ -143,21 +140,19 @@ func (db *DB) repairPartition(p *partition, salvage []*sstable.Iterator) error {
 	for _, t := range newTables {
 		t.AttachCache(db.cache)
 	}
-	p.run.Replace(oldRun, newTables)
+	p.run().Replace(oldRun, newTables)
+	p.tree.RemoveL0(l0ssd)
+	p.l0.Evict()
+	db.installTables(p, nil, true)
 	for _, t := range oldRun {
 		db.retireSST(t)
 	}
-	p.clearL0SSD(l0ssd)
 	for _, t := range l0ssd {
 		db.retireSST(t)
-	}
-	if p.l0 != nil {
-		p.l0.Evict()
 	}
 	for _, s := range salvage {
 		db.metrics.RepairBlocksSkipped.Add(int64(s.Skipped()))
 	}
-	db.invalidateView(p, true)
 	db.metrics.MajorCount.Add(1)
 	resetPartitionStats(p)
 	return nil

@@ -15,7 +15,6 @@ import (
 
 	"pmblade/internal/device"
 	"pmblade/internal/pmtable"
-	"pmblade/internal/sstable"
 	"pmblade/internal/wal"
 )
 
@@ -35,41 +34,22 @@ type Incident struct {
 	Detail    string
 }
 
-// scrubPacer rate-limits scrub device traffic to BytesPerSec, sleeping once
-// the pass runs ahead of its byte budget.
+// scrubBytesPerSec rate-limits scrub device reads.
+const scrubBytesPerSec = 8 << 20
+
+// scrubPacer rate-limits scrub device traffic to scrubBytesPerSec, sleeping
+// once the pass runs ahead of its byte budget.
 type scrubPacer struct {
-	bytesPerSec int64
-	start       time.Time
-	bytes       int64
+	start time.Time
+	bytes int64
 }
 
 func (sp *scrubPacer) charge(n int64) {
-	if sp.bytesPerSec <= 0 {
-		return
-	}
 	sp.bytes += n
-	ahead := time.Duration(float64(sp.bytes)/float64(sp.bytesPerSec)*float64(time.Second)) - time.Since(sp.start)
+	ahead := time.Duration(float64(sp.bytes)/scrubBytesPerSec*float64(time.Second)) - time.Since(sp.start)
 	if ahead > time.Millisecond {
 		time.Sleep(ahead)
 	}
-}
-
-// liveSSTRef snapshots every live SSD table of p with references held; the
-// caller must Unref each. Order: level-0 (newest first), then the sorted
-// run, then the leveled hierarchy.
-func (p *partition) liveSSTRef() []*sstable.Table {
-	var out []*sstable.Table
-	out = append(out, p.l0ssdRef()...)
-	if p.run != nil {
-		out = append(out, p.run.RefTables()...)
-	}
-	if p.leveled != nil {
-		out = append(out, p.leveled.RefL0()...)
-		for l := 1; l <= p.leveled.Levels(); l++ {
-			out = append(out, p.leveled.Run(l).RefTables()...)
-		}
-	}
-	return out
 }
 
 // ScrubOnce performs one synchronous scrub pass over every live table and
@@ -81,7 +61,7 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	pacer := &scrubPacer{bytesPerSec: db.cfg.ScrubBytesPerSec, start: time.Now()}
+	pacer := &scrubPacer{start: time.Now()}
 	budget := func(n int64) {
 		db.metrics.ScrubBytes.Add(n)
 		pacer.charge(n)
@@ -89,14 +69,16 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 	var incidents []Incident
 	quarantined := false
 	for _, p := range db.partitions {
+		// One state per partition: a table compacted away mid-pass stays
+		// readable (and its file alive) until the walk lets go of it.
+		s := p.acquire()
 		// SSD tables: per-block CRC verification straight from the device.
-		ssts := p.liveSSTRef()
-		for _, t := range ssts {
+		for _, t := range s.ssts() {
 			db.pool.ScrubGate()
 			corrupt, err := t.VerifyBlocks(device.CauseScrub, budget)
 			db.metrics.ScrubTables.Add(1)
 			if err != nil {
-				unrefAll(ssts)
+				s.release()
 				return incidents, fmt.Errorf("engine: scrub sstable %d: %w", t.File(), err)
 			}
 			if len(corrupt) == 0 {
@@ -113,36 +95,32 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 				quarantined = true
 			}
 		}
-		unrefAll(ssts)
 
 		// PM tables: whole-image checksum. A verification failure that is not
 		// a corruption (the region left the live set while we walked) is
 		// skipped — the table's content was merged forward before the rot.
-		if p.l0 != nil {
-			unsorted, sorted := p.l0.Tables()
-			pms := append(append([]*pmtable.Table(nil), unsorted...), sorted...)
-			for _, t := range pms {
-				db.pool.ScrubGate()
-				err := t.Verify()
-				db.metrics.ScrubTables.Add(1)
-				budget(t.SizeBytes())
-				if err == nil {
-					continue
-				}
-				ce, ok := asPMCorruption(err)
-				if !ok {
-					continue
-				}
-				incidents = append(incidents, Incident{
-					Device: "pm", ID: uint64(ce.Addr), Offset: 0, Length: ce.Len,
-					Partition: p.id, Detail: ce.Detail,
-				})
-				db.metrics.ScrubCorruptions.Add(1)
-				if db.quarantinePM(p, t, ce.Detail) {
-					quarantined = true
-				}
+		for _, t := range s.pmTables() {
+			db.pool.ScrubGate()
+			err := t.Verify()
+			db.metrics.ScrubTables.Add(1)
+			budget(t.SizeBytes())
+			if err == nil {
+				continue
+			}
+			ce, ok := asPMCorruption(err)
+			if !ok {
+				continue
+			}
+			incidents = append(incidents, Incident{
+				Device: "pm", ID: uint64(ce.Addr), Offset: 0, Length: ce.Len,
+				Partition: p.id, Detail: ce.Detail,
+			})
+			db.metrics.ScrubCorruptions.Add(1)
+			if db.quarantinePM(p, t, ce.Detail) {
+				quarantined = true
 			}
 		}
+		s.release()
 	}
 
 	// WAL: record-CRC walk over the active log. The WAL is an early warning,
@@ -237,21 +215,14 @@ type RotTarget struct {
 func (db *DB) RotTargets() []RotTarget {
 	var out []RotTarget
 	for pi, p := range db.partitions {
-		ssts := p.liveSSTRef()
-		for _, t := range ssts {
+		s := p.state.Load()
+		for _, t := range s.ssts() {
 			if n := t.DataBytes(); n > 0 {
 				out = append(out, RotTarget{Device: "ssd", ID: uint64(t.File()), Limit: n, Partition: pi})
 			}
 		}
-		unrefAll(ssts)
-		if p.l0 != nil {
-			unsorted, sorted := p.l0.Tables()
-			for _, t := range unsorted {
-				out = append(out, RotTarget{Device: "pm", ID: uint64(t.Addr()), Limit: t.SizeBytes(), Partition: pi})
-			}
-			for _, t := range sorted {
-				out = append(out, RotTarget{Device: "pm", ID: uint64(t.Addr()), Limit: t.SizeBytes(), Partition: pi})
-			}
+		for _, t := range s.pmTables() {
+			out = append(out, RotTarget{Device: "pm", ID: uint64(t.Addr()), Limit: t.SizeBytes(), Partition: pi})
 		}
 	}
 	return out

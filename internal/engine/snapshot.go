@@ -99,14 +99,20 @@ func (db *DB) endRead(seq uint64) { db.releaseSeq(seq) }
 // future in-order publish may stop on any of them, so they must not shadow
 // the currently visible version out of existence. With nothing pinned the
 // result is just the watermark and retention degenerates to plain dedup.
+//
+// Invariant: all bounds ≤ the watermark read under snapMu. Pins are taken at
+// the watermark under the same lock (beginRead, NewSnapshot), so every pin
+// that exists is in the copy and every later pin lands at or above the
+// largest bound — no reader can sit unlisted between two bounds, which is
+// where the Retainer drops versions.
 func (db *DB) retentionBounds() []uint64 {
 	db.snapMu.Lock()
 	bounds := make([]uint64, 0, len(db.snapRefs)+1)
 	for s := range db.snapRefs {
 		bounds = append(bounds, s)
 	}
-	db.snapMu.Unlock()
 	bounds = append(bounds, db.visible.Load())
+	db.snapMu.Unlock()
 	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
 	// Dedup (a snapshot at the watermark is common).
 	out := bounds[:0]

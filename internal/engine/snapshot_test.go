@@ -102,17 +102,17 @@ func TestSnapshotBasic(t *testing.T) {
 // Scan and Iterator used to filter e.Seq > seq AFTER dedup had already
 // discarded older versions, so a key overwritten after the snapshot opened
 // disappeared entirely instead of resolving to its older visible value. Runs
-// with the range index on and off — the two paths must agree.
+// through the range view and through the plain merge — the two paths must
+// agree.
 func TestScanOverwriteAfterSnapshot(t *testing.T) {
-	for _, disable := range []bool{false, true} {
-		t.Run(fmt.Sprintf("DisableRangeIndex=%v", disable), func(t *testing.T) {
-			cfg := fastConfig()
-			cfg.DisableRangeIndex = disable
-			db, err := Open(cfg)
+	for _, plain := range []bool{false, true} {
+		t.Run(fmt.Sprintf("plainMerge=%v", plain), func(t *testing.T) {
+			db, err := Open(fastConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
+			db.plainMerge = plain
 
 			const n = 64
 			for i := 0; i < n; i++ {

@@ -80,9 +80,7 @@ func (db *DB) Apply(b *Batch) error {
 		e := b.entries[i]
 		p := db.route(e.Key)
 		db.noteWrite(p, e)
-		p.mu.RLock()
-		p.mem.Add(e)
-		p.mu.RUnlock()
+		p.insert(e)
 		touched[p] = true
 	}
 	// Every entry is inserted: publish the block, making the whole batch
@@ -126,15 +124,22 @@ func (db *DB) apply(e kv.Entry) error {
 	e = one[0]
 	p := db.route(e.Key)
 	db.noteWrite(p, e)
-	p.mu.RLock()
-	p.mem.Add(e)
-	p.mu.RUnlock()
+	p.insert(e)
 	db.publish(first, last)
 	if err := db.maybeFlush(p); err != nil {
 		return err
 	}
 	db.metrics.WriteLatency.Record(time.Since(start))
 	return nil
+}
+
+// insert adds e to p's active memtable. It holds p.mu shared, so a rotation
+// (which takes it exclusively) cannot retire the memtable mid-insert and hand
+// a flush a memtable that is still growing.
+func (p *partition) insert(e kv.Entry) {
+	p.mu.RLock()
+	p.state.Load().mem.Add(e)
+	p.mu.RUnlock()
 }
 
 // noteWrite updates n_i^w / n_i^u and user-byte accounting. An update is a
@@ -150,25 +155,22 @@ func (db *DB) noteWrite(p *partition, e kv.Entry) {
 	}
 }
 
+// maxImmutables is the per-partition backpressure threshold: a writer stalls
+// while its partition holds this many unflushed immutable memtables, giving
+// the background flushers time to catch up.
+const maxImmutables = 4
+
 // maybeFlush is the foreground half of flushing (Section IV-D, stage 3→4
 // boundary): when the memtable exceeds its budget it is rotated into the
 // immutable list and a background flush task is scheduled. Backpressure: if
-// the partition has accumulated MaxImmutables unflushed memtables the writer
+// the partition has accumulated maxImmutables unflushed memtables the writer
 // stops accepting new writes and joins the flush effort until the backlog is
 // below the threshold again, with the stall time recorded in Metrics.
 func (db *DB) maybeFlush(p *partition) error {
-	p.mu.RLock()
-	oversize := p.mem.ApproximateSize() >= db.cfg.MemtableBytes
-	stalled := len(p.imm) >= db.cfg.MaxImmutables
-	p.mu.RUnlock()
-	if oversize {
-		p.mu.Lock()
-		if p.mem.ApproximateSize() >= db.cfg.MemtableBytes {
-			p.imm = append([]*memtable.Memtable{p.mem}, p.imm...)
-			p.mem = memtable.New()
-			stalled = len(p.imm) >= db.cfg.MaxImmutables
-		}
-		p.mu.Unlock()
+	s := p.state.Load()
+	backlog := len(s.imm)
+	if s.mem.ApproximateSize() >= db.cfg.MemtableBytes {
+		backlog = p.rotate(db.cfg.MemtableBytes)
 		if db.cfg.SyncFlush {
 			if err := db.flushAndMaintain(p); err != nil {
 				return err
@@ -177,15 +179,9 @@ func (db *DB) maybeFlush(p *partition) error {
 		}
 		db.scheduleFlush(p)
 	}
-	if stalled {
+	if backlog >= maxImmutables {
 		stall := time.Now()
-		for db.loadBgErr() == nil && !db.closed.Load() {
-			p.mu.RLock()
-			deep := len(p.imm) >= db.cfg.MaxImmutables
-			p.mu.RUnlock()
-			if !deep {
-				break
-			}
+		for db.loadBgErr() == nil && !db.closed.Load() && len(p.state.Load().imm) >= maxImmutables {
 			// Lend this writer's CPU to the flushers instead of parking it:
 			// on machines with few cores the background workers may not be
 			// scheduled often enough to keep pace with a hot write loop, and
@@ -261,12 +257,7 @@ func (db *DB) flushAndMaintain(p *partition) error {
 // checkpoint, and shutdown support) and runs the compaction strategy.
 func (db *DB) FlushAll() error {
 	for _, p := range db.partitions {
-		p.mu.Lock()
-		if !p.mem.Empty() {
-			p.imm = append([]*memtable.Memtable{p.mem}, p.imm...)
-			p.mem = memtable.New()
-		}
-		p.mu.Unlock()
+		p.rotate(0)
 	}
 	for _, p := range db.partitions {
 		if err := db.flushAndMaintain(p); err != nil {
@@ -277,28 +268,20 @@ func (db *DB) FlushAll() error {
 }
 
 // flushImmutables performs minor compactions for p, oldest immutable first
-// so level-0 recency order is preserved. Each immutable stays visible to
-// readers until its level-0 table is installed — the tier snapshot order in
-// the read path makes the transient duplicate harmless. Callers hold p.maint.
+// so level-0 recency order is preserved. Each immutable leaves the read state
+// in the same store that adds its level-0 table. Callers hold p.maint, so
+// nothing else shortens imm underneath the loop.
 func (db *DB) flushImmutables(p *partition) error {
 	for {
-		var m *memtable.Memtable
-		p.mu.RLock()
-		if n := len(p.imm); n > 0 {
-			m = p.imm[n-1] // oldest
-		}
-		p.mu.RUnlock()
-		if m == nil {
+		imm := p.state.Load().imm
+		if len(imm) == 0 {
 			return nil
 		}
+		m := imm[len(imm)-1] // oldest
 		if err := db.flushOne(p, m); err != nil {
 			return err
 		}
-		p.mu.Lock()
-		if n := len(p.imm); n > 0 && p.imm[n-1] == m {
-			p.imm = p.imm[:n-1]
-		}
-		p.mu.Unlock()
+		db.installTables(p, m, false)
 	}
 }
 
@@ -316,8 +299,7 @@ func (db *DB) flushOne(p *partition, m *memtable.Memtable) error {
 		return nil
 	}
 	entries := collectEntries(kv.NewRetainIterator(m.NewIterator(), db.retentionBounds(), false))
-	switch {
-	case p.l0 != nil: // PM level-0
+	if db.cfg.Level0OnPM {
 		// Transient PM faults are retried (Build releases its allocation on
 		// every failure, so a retry starts clean); anything else propagates.
 		var res pmtable.BuildResult
@@ -330,18 +312,12 @@ func (db *DB) flushOne(p *partition, m *memtable.Memtable) error {
 			return err
 		}
 		p.l0.AddUnsorted(res.Table)
-	case p.leveled != nil: // RocksDB mode
+	} else { // PMBlade-SSD and RocksDB modes: SSTable level-0
 		t, err := buildSSTable(db, entries, device.CauseFlush)
 		if err != nil {
 			return err
 		}
-		p.leveled.AddL0(t)
-	default: // PMBlade-SSD: SSTable level-0
-		t, err := buildSSTable(db, entries, device.CauseFlush)
-		if err != nil {
-			return err
-		}
-		p.addL0SSD(t)
+		p.tree.AddL0(t)
 	}
 	db.metrics.FlushCount.Add(1)
 	return nil

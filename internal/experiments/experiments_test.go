@@ -146,13 +146,15 @@ func TestTable5Shape(t *testing.T) {
 	res, _ := RunTable5(testScale, io.Discard)
 	var pmTotal, ssdTotal time.Duration
 	for i := range res.ValueSizes {
-		pmTotal += res.PMBlade[i]
-		ssdTotal += res.PMBladeSSD[i]
+		pmTotal += res.PMCharged[i]
+		ssdTotal += res.SSDCharged[i]
 	}
-	// PM internal compaction wins in aggregate (paper: ~2x faster); single
-	// value sizes are noisy at test scale.
+	// PM internal compaction wins in aggregate (paper: ~2x faster). The
+	// comparison is on charged device time, which the op sequence determines;
+	// the wall-clock durations the table prints also carry host scheduling
+	// noise larger than the gap at test scale.
 	if pmTotal >= ssdTotal {
-		t.Errorf("PM compaction total (%v) must beat SSD (%v)", pmTotal, ssdTotal)
+		t.Errorf("PM compaction charged device time (%v) must beat SSD (%v)", pmTotal, ssdTotal)
 	}
 }
 

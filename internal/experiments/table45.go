@@ -98,6 +98,11 @@ type Table5Result struct {
 	ValueSizes []int
 	PMBlade    []time.Duration // internal compaction on PM
 	PMBladeSSD []time.Duration // conventional compaction on SSD
+	// PMCharged / SSDCharged are the device service time the two compactions
+	// were charged (device.Stats busy time, both devices): the model's
+	// deterministic share of the wall-clock durations above.
+	PMCharged  []time.Duration
+	SSDCharged []time.Duration
 }
 
 // RunTable5 reproduces Table V: insert a fixed volume of data at several
@@ -141,12 +146,21 @@ func RunTable5(s Scale, w io.Writer) (Table5Result, Report) {
 		cfgPM.InternalCompaction = false
 		cfgPM.CostBased = false
 		cfgPM.L0TriggerTables = 1 << 30
+		charged := func(db *engine.DB) time.Duration {
+			d := db.SSDDevice().Stats().BusyTime()
+			if pm := db.PMDevice(); pm != nil {
+				d += pm.Stats().BusyTime()
+			}
+			return d
+		}
 		dbPM := load(cfgPM)
+		before := charged(dbPM)
 		sw := clock.NewStopwatch()
 		if err := dbPM.InternalCompactAll(); err != nil {
 			panic(err)
 		}
 		res.PMBlade = append(res.PMBlade, sw.Elapsed())
+		res.PMCharged = append(res.PMCharged, charged(dbPM)-before)
 		dbPM.Close()
 
 		// SSD compaction of the same volume (PMBlade-SSD level-0 -> run).
@@ -155,11 +169,13 @@ func RunTable5(s Scale, w io.Writer) (Table5Result, Report) {
 		})
 		cfgSSD.L0TriggerTables = 1 << 30
 		dbSSD := load(cfgSSD)
+		before = charged(dbSSD)
 		sw = clock.NewStopwatch()
 		if err := dbSSD.MajorCompactAll(); err != nil {
 			panic(err)
 		}
 		res.PMBladeSSD = append(res.PMBladeSSD, sw.Elapsed())
+		res.SSDCharged = append(res.SSDCharged, charged(dbSSD)-before)
 		dbSSD.Close()
 
 		res.ValueSizes = append(res.ValueSizes, vs)

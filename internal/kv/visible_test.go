@@ -110,6 +110,53 @@ func TestRetainerKeepsUnpublishedVersions(t *testing.T) {
 	}
 }
 
+// TestRetainerServesExactlyTheListedReaders is the Retainer half of the
+// engine's retentionBounds invariant ("all bounds ≤ the watermark read under
+// snapMu", every live pin among them): a reader is served the version it
+// should see iff its sequence is a bound or lies at/above the largest bound.
+// A pin that is missing from the set and falls between two bounds — {W0, S1}
+// with S2 in between, which is what copying the pins and loading the
+// watermark in two unsynchronized steps could produce — loses its version.
+func TestRetainerServesExactlyTheListedReaders(t *testing.T) {
+	versions := []Entry{ // one key, newest first
+		{Key: []byte("a"), Value: []byte("a12"), Seq: 12},
+		{Key: []byte("a"), Value: []byte("a9"), Seq: 9},
+		{Key: []byte("a"), Value: []byte("a6"), Seq: 6},
+		{Key: []byte("a"), Value: []byte("a3"), Seq: 3},
+	}
+	visibleAt := func(es []Entry, seq uint64) uint64 {
+		for _, e := range es {
+			if e.Seq <= seq {
+				return e.Seq
+			}
+		}
+		return 0
+	}
+	for _, tc := range []struct {
+		name   string
+		bounds []uint64
+		served []uint64 // reader sequences that must see what they saw before
+		lost   []uint64 // reader sequences whose version is gone
+	}{
+		{"every pin listed", []uint64{4, 7, 10}, []uint64{4, 7, 10}, nil},
+		{"pins at or above the largest bound need no listing", []uint64{4, 10}, []uint64{4, 10, 11, 12, 13}, nil},
+		{"unlisted pin between two bounds", []uint64{4, 10}, []uint64{4, 10}, []uint64{7}},
+		{"unlisted pin below a lone watermark", []uint64{10}, []uint64{10, 12}, []uint64{4, 7}},
+	} {
+		kept := retain(versions, tc.bounds, false)
+		for _, seq := range tc.served {
+			if got, want := visibleAt(kept, seq), visibleAt(versions, seq); got != want {
+				t.Errorf("%s: reader at %d sees a@%d after retention, want a@%d (kept %v)", tc.name, seq, got, want, kept)
+			}
+		}
+		for _, seq := range tc.lost {
+			if got, want := visibleAt(kept, seq), visibleAt(versions, seq); got == want {
+				t.Errorf("%s: reader at %d still sees a@%d — the case no longer shows why every pin must be a bound", tc.name, seq, got)
+			}
+		}
+	}
+}
+
 func TestRetainerTombstoneElision(t *testing.T) {
 	// A retained tombstone is dropped only when it is the sole retained
 	// version of its key; when an older version survives for a snapshot, the

@@ -8,7 +8,7 @@ package level0
 
 import (
 	"bytes"
-	"sync"
+	"slices"
 
 	"pmblade/internal/device"
 	"pmblade/internal/kv"
@@ -32,16 +32,17 @@ type Config struct {
 	Retire func(*pmtable.Table)
 }
 
-// Level0 is one partition's level-0. Methods are safe for concurrent use;
-// internal compaction swaps table sets atomically under the lock while
-// readers hold a snapshot.
+// Level0 is one partition's level-0 table set, as its maintainer sees it. It
+// carries no lock: the engine mutates it only under the partition's
+// maintenance lock and publishes Tables() to readers inside an immutable read
+// state. Every mutator installs fresh slices, so a slice handed out by Tables
+// is never edited afterwards.
 type Level0 struct {
 	dev *pmem.Device
 	cfg Config
 
-	mu       sync.RWMutex
-	unsorted []*pmtable.Table // newest first; guarded by: mu
-	sorted   []*pmtable.Table // ascending, non-overlapping; guarded by: mu
+	unsorted []*pmtable.Table // newest first
+	sorted   []*pmtable.Table // ascending, non-overlapping
 }
 
 // New creates an empty level-0 on dev.
@@ -64,9 +65,16 @@ func (l *Level0) retire(t *pmtable.Table) {
 // AddUnsorted installs a freshly flushed PM table as the newest unsorted
 // table (minor compaction's output).
 func (l *Level0) AddUnsorted(t *pmtable.Table) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.unsorted = append([]*pmtable.Table{t}, l.unsorted...)
+}
+
+// without returns a copy of ts with t removed, and whether t was present.
+func without(ts []*pmtable.Table, t *pmtable.Table) ([]*pmtable.Table, bool) {
+	i := slices.Index(ts, t)
+	if i < 0 {
+		return ts, false
+	}
+	return slices.Delete(slices.Clone(ts), i, i+1), true
 }
 
 // Remove detaches one table from the level without retiring it: the caller
@@ -74,71 +82,16 @@ func (l *Level0) AddUnsorted(t *pmtable.Table) {
 // Quarantine uses it to pull a rotted table out of the read path while
 // keeping the corpse alive for inspection. Reports whether t was present.
 func (l *Level0) Remove(t *pmtable.Table) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, u := range l.unsorted {
-		if u == t {
-			l.unsorted = append(l.unsorted[:i], l.unsorted[i+1:]...)
-			return true
-		}
-	}
-	for i, s := range l.sorted {
-		if s == t {
-			l.sorted = append(l.sorted[:i], l.sorted[i+1:]...)
-			return true
-		}
-	}
-	return false
+	var inUnsorted, inSorted bool
+	l.unsorted, inUnsorted = without(l.unsorted, t)
+	l.sorted, inSorted = without(l.sorted, t)
+	return inUnsorted || inSorted
 }
 
-// UnsortedCount reports n_i for the cost model.
-func (l *Level0) UnsortedCount() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.unsorted)
-}
-
-// SortedCount reports m_i for the cost model.
-func (l *Level0) SortedCount() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.sorted)
-}
-
-// SizeBytes reports the partition's PM footprint s_i.
-func (l *Level0) SizeBytes() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var t int64
-	for _, tb := range l.unsorted {
-		t += tb.SizeBytes()
-	}
-	for _, tb := range l.sorted {
-		t += tb.SizeBytes()
-	}
-	return t
-}
-
-// EntryCount reports total entries across all tables (redundancy included).
-func (l *Level0) EntryCount() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	n := 0
-	for _, tb := range l.unsorted {
-		n += tb.Len()
-	}
-	for _, tb := range l.sorted {
-		n += tb.Len()
-	}
-	return n
-}
-
-// snapshot returns the current table sets without copying tables.
-func (l *Level0) snapshot() (unsorted, sorted []*pmtable.Table) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]*pmtable.Table(nil), l.unsorted...),
-		append([]*pmtable.Table(nil), l.sorted...)
+// Tables returns the current (unsorted, sorted) sets; callers must not edit
+// the slices.
+func (l *Level0) Tables() (unsorted, sorted []*pmtable.Table) {
+	return l.unsorted, l.sorted
 }
 
 // GetStats describes the work one Get performed against level-0.
@@ -157,8 +110,7 @@ type GetStats struct {
 // Get searches the newest-first unsorted tables, then the sorted run. It
 // returns the newest version visible at seq, honoring tombstones (the caller
 // interprets Kind).
-func (l *Level0) Get(key []byte, seq uint64) (e kv.Entry, ok bool, stats GetStats) {
-	unsorted, sorted := l.snapshot()
+func Get(unsorted, sorted []*pmtable.Table, key []byte, seq uint64) (e kv.Entry, ok bool, stats GetStats) {
 	// Unsorted tables must all be consulted newest-first: any of them may
 	// hold a newer version (this is level-0 read amplification). Fence keys
 	// and the per-table Bloom filter prune tables that cannot hold the key
@@ -200,66 +152,27 @@ func (l *Level0) Get(key []byte, seq uint64) (e kv.Entry, ok bool, stats GetStat
 	return kv.Entry{}, false, stats
 }
 
-// GetBatch resolves several keys with one table-set snapshot (Get snapshots
-// per call; a MultiGet batch pays the two slice copies once). out and found
-// are parallel to keys; positions already marked found are skipped, fence
-// keys and Bloom filters are probed before any entry data is touched.
-func (l *Level0) GetBatch(keys [][]byte, seq uint64, out []kv.Entry, found []bool) (stats GetStats) {
-	unsorted, sorted := l.snapshot()
+// Get is the package-level Get over the level's current tables.
+func (l *Level0) Get(key []byte, seq uint64) (kv.Entry, bool, GetStats) {
+	return Get(l.unsorted, l.sorted, key, seq)
+}
+
+// GetBatch resolves several keys with Get. out and found are parallel to
+// keys; positions already marked found are skipped.
+func GetBatch(unsorted, sorted []*pmtable.Table, keys [][]byte, seq uint64, out []kv.Entry, found []bool) (stats GetStats) {
 	for i, key := range keys {
 		if found[i] {
 			continue
 		}
-		var best kv.Entry
-		hit := false
-		for _, t := range unsorted {
-			if bytes.Compare(key, t.Smallest()) < 0 || bytes.Compare(key, t.Largest()) > 0 ||
-				!t.MayContain(key) {
-				stats.FilterSkips++
-				continue
-			}
-			stats.Probed++
-			stats.FilterHits++
-			if cand, ok := t.Get(key, seq); ok {
-				if !hit || cand.Seq > best.Seq {
-					best, hit = cand, true
-				}
-			}
+		e, ok, st := Get(unsorted, sorted, key, seq)
+		if ok {
+			out[i], found[i] = e, true
 		}
-		if hit {
-			out[i], found[i] = best, true
-			continue
-		}
-		for _, t := range sorted {
-			if bytes.Compare(key, t.Smallest()) >= 0 && bytes.Compare(key, t.Largest()) <= 0 {
-				if !t.MayContain(key) {
-					stats.FilterSkips++
-					break
-				}
-				stats.Probed++
-				stats.FilterHits++
-				if cand, ok := t.Get(key, seq); ok {
-					out[i], found[i] = cand, true
-				}
-				break
-			}
-		}
+		stats.Probed += st.Probed
+		stats.FilterSkips += st.FilterSkips
+		stats.FilterHits += st.FilterHits
 	}
 	return stats
-}
-
-// Iterators returns iterators over every table (unsorted newest first, then
-// the sorted run) for merge reads and compaction.
-func (l *Level0) Iterators() []kv.Iterator {
-	unsorted, sorted := l.snapshot()
-	its := make([]kv.Iterator, 0, len(unsorted)+len(sorted))
-	for _, t := range unsorted {
-		its = append(its, t.NewIterator())
-	}
-	for _, t := range sorted {
-		its = append(its, t.NewIterator())
-	}
-	return its
 }
 
 // CompactionStats reports what an internal compaction accomplished.
@@ -284,7 +197,7 @@ type CompactionStats struct {
 // newest-version dedup. Returns the stats; if level-0 holds fewer than one
 // table the call is a no-op.
 func (l *Level0) CompactInternal(keepTombstones bool, bounds []uint64) (CompactionStats, error) {
-	unsorted, sorted := l.snapshot()
+	unsorted, sorted := l.unsorted, l.sorted
 	if len(unsorted)+len(sorted) == 0 {
 		return CompactionStats{}, nil
 	}
@@ -358,22 +271,7 @@ func (l *Level0) CompactInternal(keepTombstones bool, bounds []uint64) (Compacti
 	}
 
 	// Swap table sets, then release inputs.
-	l.mu.Lock()
-	// New unsorted tables may have arrived during the merge; keep only those
-	// that were not part of our snapshot.
-	keep := l.unsorted[:0]
-	inSnapshot := make(map[*pmtable.Table]bool, len(unsorted))
-	for _, t := range unsorted {
-		inSnapshot[t] = true
-	}
-	for _, t := range l.unsorted {
-		if !inSnapshot[t] {
-			keep = append(keep, t)
-		}
-	}
-	l.unsorted = keep
-	l.sorted = newSorted
-	l.mu.Unlock()
+	l.unsorted, l.sorted = nil, newSorted
 
 	for _, t := range unsorted {
 		l.retire(t)
@@ -394,10 +292,8 @@ func (l *Level0) CompactInternal(keepTombstones bool, bounds []uint64) (Compacti
 // persisted their contents to SSD) and releases their PM space. It returns
 // the bytes freed.
 func (l *Level0) Evict() int64 {
-	l.mu.Lock()
 	unsorted, sorted := l.unsorted, l.sorted
 	l.unsorted, l.sorted = nil, nil
-	l.mu.Unlock()
 	var freed int64
 	for _, t := range unsorted {
 		freed += t.SizeBytes()
@@ -410,15 +306,8 @@ func (l *Level0) Evict() int64 {
 	return freed
 }
 
-// ReplaceAll atomically installs a new table set (used by recovery).
+// ReplaceAll installs a new table set (used by recovery).
 func (l *Level0) ReplaceAll(unsorted, sorted []*pmtable.Table) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.unsorted = unsorted
 	l.sorted = sorted
-}
-
-// Tables returns the current (unsorted, sorted) sets for manifest snapshots.
-func (l *Level0) Tables() (unsorted, sorted []*pmtable.Table) {
-	return l.snapshot()
 }

@@ -80,15 +80,15 @@ func TestInternalCompactionReducesProbes(t *testing.T) {
 		}
 		flushBatch(t, l, dev, entries)
 	}
-	if l.UnsortedCount() != 8 {
-		t.Fatalf("unsorted = %d", l.UnsortedCount())
+	if unsorted, _ := l.Tables(); len(unsorted) != 8 {
+		t.Fatalf("unsorted = %d", len(unsorted))
 	}
 	_, _, before := l.Get([]byte("key-025"), kv.MaxSeq)
 	stats, err := l.CompactInternal(true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.UnsortedCount() != 0 {
+	if unsorted, _ := l.Tables(); len(unsorted) != 0 {
 		t.Fatal("unsorted tables must be absorbed")
 	}
 	e, ok, after := l.Get([]byte("key-025"), kv.MaxSeq)
@@ -154,11 +154,11 @@ func TestCompactionSplitsIntoTargetSizedTables(t *testing.T) {
 	if _, err := l.CompactInternal(true, nil); err != nil {
 		t.Fatal(err)
 	}
-	if l.SortedCount() < 2 {
-		t.Fatalf("expected multiple sorted tables, got %d", l.SortedCount())
+	_, sorted := l.Tables()
+	if len(sorted) < 2 {
+		t.Fatalf("expected multiple sorted tables, got %d", len(sorted))
 	}
 	// Sorted run must be non-overlapping and ascending.
-	_, sorted := l.Tables()
 	for i := 1; i < len(sorted); i++ {
 		if bytes.Compare(sorted[i-1].Largest(), sorted[i].Smallest()) >= 0 {
 			t.Fatalf("sorted run overlaps at %d", i)
@@ -227,8 +227,8 @@ func TestEvict(t *testing.T) {
 	if _, ok, _ := l.Get([]byte("k"), kv.MaxSeq); ok {
 		t.Fatal("evicted data must be gone")
 	}
-	if l.SizeBytes() != 0 || l.EntryCount() != 0 {
-		t.Fatal("accounting must be zero after evict")
+	if unsorted, sorted := l.Tables(); len(unsorted)+len(sorted) != 0 {
+		t.Fatal("level must be empty after evict")
 	}
 }
 

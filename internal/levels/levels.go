@@ -6,58 +6,22 @@
 //     amplification and read cost of deep level hierarchies).
 //   - Leveled: a conventional multi-level hierarchy (overlapping L0, leveled
 //     L1..Ln with a x10 fanout) — the RocksDB-emulation baseline.
+//
+// Run and Leveled are the maintenance-side containers; the probe functions
+// (Covering, Get, GetBatch) work on the immutable table slices they publish.
 package levels
 
 import (
 	"bytes"
-	"sync"
+	"slices"
 
 	"pmblade/internal/kv"
 	"pmblade/internal/sstable"
 )
 
-// Run is a sorted, non-overlapping sequence of SSTables, ascending by key
-// range. Methods are safe for concurrent use.
-type Run struct {
-	mu     sync.RWMutex
-	tables []*sstable.Table
-}
-
-// NewRun returns an empty run.
-func NewRun() *Run { return &Run{} }
-
-// Tables snapshots the run.
-func (r *Run) Tables() []*sstable.Table {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]*sstable.Table(nil), r.tables...)
-}
-
-// Len reports the number of tables.
-func (r *Run) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.tables)
-}
-
-// SizeBytes reports the run's SSD footprint.
-func (r *Run) SizeBytes() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var t int64
-	for _, tb := range r.tables {
-		t += tb.SizeBytes()
-	}
-	return t
-}
-
-// Get searches the (at most one) table overlapping key. The table is
-// reference-held during the read so a concurrent compaction cannot delete
-// its file underneath (Figure 7(b) reads during compaction).
-func (r *Run) Get(key []byte, seq uint64) (kv.Entry, bool, error) {
-	r.mu.RLock()
-	tables := r.tables
-	// Binary search for the table whose range covers key.
+// Covering returns the table of a sorted, non-overlapping sequence whose key
+// range contains key, or nil.
+func Covering(tables []*sstable.Table, key []byte) *sstable.Table {
 	lo, hi := 0, len(tables)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -67,94 +31,97 @@ func (r *Run) Get(key []byte, seq uint64) (kv.Entry, bool, error) {
 			hi = mid
 		}
 	}
-	var t *sstable.Table
 	if lo < len(tables) && bytes.Compare(key, tables[lo].Smallest()) >= 0 {
-		t = tables[lo]
-		t.Ref()
+		return tables[lo]
 	}
-	r.mu.RUnlock()
+	return nil
+}
+
+// Get searches the (at most one) table of a sorted, non-overlapping sequence
+// that covers key. The caller keeps the tables referenced.
+func Get(tables []*sstable.Table, key []byte, seq uint64) (kv.Entry, bool, error) {
+	t := Covering(tables, key)
 	if t == nil {
 		return kv.Entry{}, false, nil
 	}
-	defer t.Unref()
 	return t.Get(key, seq)
 }
 
-// GetBatch resolves several keys against the run in one pass: each key's
-// covering table is located by binary search, the distinct covering tables
-// are reference-held once, and every table resolves its keys through
-// Table.GetBatch, which probes Bloom filters first and coalesces adjacent
-// block reads into single device reads. out and found are parallel to keys;
-// positions already marked found are skipped. It reports the block reads
-// saved by coalescing.
-func (r *Run) GetBatch(keys [][]byte, seq uint64, out []kv.Entry, found []bool) (coalesced int, err error) {
-	r.mu.RLock()
-	tables := r.tables
-	var held []*sstable.Table
-	lastHeld := -1
+// GetBatch resolves several keys against a sorted, non-overlapping sequence
+// in one pass: every table covering at least one unresolved key resolves its
+// keys through Table.GetBatch, which probes Bloom filters first and coalesces
+// adjacent block reads into single device reads. out and found are parallel
+// to keys; positions already marked found are skipped. It reports the block
+// reads saved by coalescing. The caller keeps the tables referenced.
+func GetBatch(tables []*sstable.Table, keys [][]byte, seq uint64, out []kv.Entry, found []bool) (coalesced int, err error) {
+	var covering []*sstable.Table
 	for i, key := range keys {
 		if found[i] {
 			continue
 		}
-		lo, hi := 0, len(tables)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if bytes.Compare(tables[mid].Largest(), key) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
+		t := Covering(tables, key)
+		// Keys commonly arrive sorted, so covering tables repeat in a run;
+		// checking the last one first dedups without a set for that case.
+		if t == nil || (len(covering) > 0 && covering[len(covering)-1] == t) {
+			continue
+		}
+		already := false
+		for _, c := range covering {
+			if c == t {
+				already = true
+				break
 			}
 		}
-		if lo < len(tables) && bytes.Compare(key, tables[lo].Smallest()) >= 0 && lo != lastHeld {
-			// Keys commonly arrive sorted, so covering tables repeat in a
-			// run; the lastHeld check dedups without a set for that case.
-			already := false
-			for _, t := range held {
-				if t == tables[lo] {
-					already = true
-					break
-				}
-			}
-			if !already {
-				tables[lo].Ref()
-				held = append(held, tables[lo])
-			}
-			lastHeld = lo
+		if !already {
+			covering = append(covering, t)
 		}
 	}
-	r.mu.RUnlock()
-	for _, t := range held {
+	for _, t := range covering {
 		// Each table sees the full batch: its fence keys skip foreign keys.
 		n, gerr := t.GetBatch(keys, seq, out, found)
 		coalesced += n
 		if gerr != nil {
-			err = gerr
-			break
+			return coalesced, gerr
 		}
 	}
-	for _, t := range held {
-		t.Unref()
-	}
-	return coalesced, err
+	return coalesced, nil
 }
 
-// RefTables snapshots the run with a reference on every table; the caller
-// must Unref each when done (long reads such as scans use this).
-func (r *Run) RefTables() []*sstable.Table {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := append([]*sstable.Table(nil), r.tables...)
-	for _, t := range out {
-		t.Ref()
+// Run is a sorted, non-overlapping sequence of SSTables, ascending by key
+// range, as its maintainer sees it. It carries no lock: the engine mutates it
+// only under the partition's maintenance lock and publishes Tables() to
+// readers inside an immutable read state. Replace installs a fresh slice, so
+// a slice handed out by Tables is never edited afterwards.
+type Run struct {
+	tables []*sstable.Table
+}
+
+// NewRun returns an empty run.
+func NewRun() *Run { return &Run{} }
+
+// Tables returns the run's tables; callers must not edit the slice.
+func (r *Run) Tables() []*sstable.Table { return r.tables }
+
+// Len reports the number of tables.
+func (r *Run) Len() int { return len(r.tables) }
+
+// SizeBytes reports the run's SSD footprint.
+func (r *Run) SizeBytes() int64 {
+	var t int64
+	for _, tb := range r.tables {
+		t += tb.SizeBytes()
 	}
-	return out
+	return t
+}
+
+// Get is the package-level Get over the run's current tables.
+func (r *Run) Get(key []byte, seq uint64) (kv.Entry, bool, error) {
+	return Get(r.tables, key, seq)
 }
 
 // Overlapping returns the tables intersecting [lo, hi] (inclusive user-key
 // bounds); nil bounds mean unbounded.
 func (r *Run) Overlapping(lo, hi []byte) []*sstable.Table {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []*sstable.Table
 	for _, t := range r.tables {
 		if lo != nil && bytes.Compare(t.Largest(), lo) < 0 {
@@ -168,39 +135,18 @@ func (r *Run) Overlapping(lo, hi []byte) []*sstable.Table {
 	return out
 }
 
-// Replace atomically substitutes the tables in `old` with `new_` (which must
-// be sorted and non-overlapping with the remainder). Old tables are NOT
-// deleted from the device — the caller owns their lifecycle so readers can
-// drain first.
+// Replace substitutes the tables in `old` with `new_` (which must be sorted
+// and non-overlapping with the remainder). Old tables are NOT deleted from
+// the device — the caller owns their lifecycle so readers can drain first.
 func (r *Run) Replace(old, new_ []*sstable.Table) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	inOld := make(map[*sstable.Table]bool, len(old))
-	for _, t := range old {
-		inOld[t] = true
-	}
-	var merged []*sstable.Table
-	for _, t := range r.tables {
-		if !inOld[t] {
-			merged = append(merged, t)
-		}
-	}
-	merged = append(merged, new_...)
+	merged := append(without(r.tables, old), new_...)
 	sortTables(merged)
 	r.tables = merged
 }
 
-// Iterators returns one iterator per table (they are non-overlapping, so a
-// merge over them is equivalent to concatenation; using the merging iterator
-// keeps the code uniform).
-func (r *Run) Iterators() []kv.Iterator {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]kv.Iterator, 0, len(r.tables))
-	for _, t := range r.tables {
-		out = append(out, t.NewIterator())
-	}
-	return out
+// without returns a fresh slice holding ts minus the tables in drop.
+func without(ts, drop []*sstable.Table) []*sstable.Table {
+	return slices.DeleteFunc(slices.Clone(ts), func(t *sstable.Table) bool { return slices.Contains(drop, t) })
 }
 
 func sortTables(ts []*sstable.Table) {
@@ -211,11 +157,12 @@ func sortTables(ts []*sstable.Table) {
 	}
 }
 
-// Leveled is a conventional leveled LSM hierarchy on SSD: level 0 holds
-// overlapping tables in flush order (newest first); levels >= 1 are sorted
-// runs with a Fanout size ratio. It backs the RocksDB-emulation baseline.
+// Leveled is an SSD hierarchy: level 0 holds overlapping tables in flush
+// order (newest first); levels >= 1 are sorted runs. The RocksDB-emulation
+// baseline grows it by the Fanout size ratio; the PM-Blade modes keep a
+// single run (and, with level-0 on PM, an always-empty level 0). Like Run it
+// carries no lock and installs fresh slices on every mutation.
 type Leveled struct {
-	mu sync.RWMutex
 	// l0 is newest-first and may overlap.
 	l0 []*sstable.Table
 	// runs[i] is level i+1.
@@ -244,150 +191,49 @@ func NewLeveled(l0Trigger int, l1Target int64, fanout int64) *Leveled {
 
 // AddL0 installs a freshly flushed table as the newest L0 table.
 func (l *Leveled) AddL0(t *sstable.Table) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.l0 = append([]*sstable.Table{t}, l.l0...)
 }
 
-// L0Len reports the L0 table count (write-stall / compaction trigger).
-func (l *Leveled) L0Len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.l0)
-}
+// L0Tables returns level 0 (newest first); callers must not edit the slice.
+func (l *Leveled) L0Tables() []*sstable.Table { return l.l0 }
 
-// L0Tables snapshots level 0 (newest first).
-func (l *Leveled) L0Tables() []*sstable.Table {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]*sstable.Table(nil), l.l0...)
-}
-
-// Levels reports the number of non-empty levels below L0.
-func (l *Leveled) Levels() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return len(l.runs)
-}
+// Levels reports the number of levels below L0.
+func (l *Leveled) Levels() int { return len(l.runs) }
 
 // Run returns level n (1-based); it is created empty on first access.
 func (l *Leveled) Run(n int) *Run {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	for len(l.runs) < n {
 		l.runs = append(l.runs, NewRun())
 	}
 	return l.runs[n-1]
 }
 
-// SizeBytes reports the hierarchy's total SSD footprint.
-func (l *Leveled) SizeBytes() int64 {
-	l.mu.RLock()
-	l0 := append([]*sstable.Table(nil), l.l0...)
-	runs := append([]*Run(nil), l.runs...)
-	l.mu.RUnlock()
-	var t int64
-	for _, tb := range l0 {
-		t += tb.SizeBytes()
-	}
-	for _, r := range runs {
-		t += r.SizeBytes()
-	}
-	return t
-}
-
-// RefL0 snapshots level 0 with references held; callers Unref when done.
-func (l *Leveled) RefL0() []*sstable.Table {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := append([]*sstable.Table(nil), l.l0...)
-	for _, t := range out {
-		t.Ref()
+// RunTables returns the tables of every level below L0, shallowest first.
+func (l *Leveled) RunTables() [][]*sstable.Table {
+	out := make([][]*sstable.Table, len(l.runs))
+	for i, r := range l.runs {
+		out[i] = r.tables
 	}
 	return out
-}
-
-// Get searches L0 newest-first, then each deeper level.
-func (l *Leveled) Get(key []byte, seq uint64) (kv.Entry, bool, error) {
-	l0 := l.RefL0()
-	defer func() {
-		for _, t := range l0 {
-			t.Unref()
-		}
-	}()
-	l.mu.RLock()
-	runs := append([]*Run(nil), l.runs...)
-	l.mu.RUnlock()
-
-	var best kv.Entry
-	found := false
-	for _, t := range l0 {
-		if bytes.Compare(key, t.Smallest()) < 0 || bytes.Compare(key, t.Largest()) > 0 {
-			continue
-		}
-		e, ok, err := t.Get(key, seq)
-		if err != nil {
-			return kv.Entry{}, false, err
-		}
-		if ok && (!found || e.Seq > best.Seq) {
-			best, found = e, true
-		}
-	}
-	if found {
-		return best, true, nil
-	}
-	for _, r := range runs {
-		e, ok, err := r.Get(key, seq)
-		if err != nil {
-			return kv.Entry{}, false, err
-		}
-		if ok {
-			return e, true, nil
-		}
-	}
-	return kv.Entry{}, false, nil
 }
 
 // RemoveL0 removes the given tables from level 0 (after compaction).
 func (l *Leveled) RemoveL0(ts []*sstable.Table) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	drop := make(map[*sstable.Table]bool, len(ts))
-	for _, t := range ts {
-		drop[t] = true
-	}
-	keep := l.l0[:0]
-	for _, t := range l.l0 {
-		if !drop[t] {
-			keep = append(keep, t)
-		}
-	}
-	l.l0 = keep
+	l.l0 = without(l.l0, ts)
 }
 
-// Iterators returns iterators over every table, L0 newest-first then deeper
-// levels, for full scans.
-func (l *Leveled) Iterators() []kv.Iterator {
-	l.mu.RLock()
-	l0 := append([]*sstable.Table(nil), l.l0...)
-	runs := append([]*Run(nil), l.runs...)
-	l.mu.RUnlock()
-	var out []kv.Iterator
-	for _, t := range l0 {
-		out = append(out, t.NewIterator())
+// Remove detaches t from whichever level holds it (quarantine).
+func (l *Leveled) Remove(t *sstable.Table) {
+	l.RemoveL0([]*sstable.Table{t})
+	for _, r := range l.runs {
+		r.Replace([]*sstable.Table{t}, nil)
 	}
-	for _, r := range runs {
-		out = append(out, r.Iterators()...)
-	}
-	return out
 }
 
 // PickCompaction chooses the next leveled compaction: L0 if it crossed its
 // trigger, otherwise the shallowest level over its size target. It returns
 // the source level (0 for L0) and ok=false when nothing needs compaction.
 func (l *Leveled) PickCompaction() (level int, ok bool) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
 	if len(l.l0) >= l.L0TriggerLen {
 		return 0, true
 	}

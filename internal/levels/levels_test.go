@@ -113,29 +113,81 @@ func TestRunReplaceSwapsAtomically(t *testing.T) {
 func TestLeveledL0NewestFirst(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
 	l := NewLeveled(4, 1<<20, 10)
-	l.AddL0(buildSST(t, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("old"), Seq: 1}}))
-	l.AddL0(buildSST(t, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("new"), Seq: 2}}))
-	e, ok, err := l.Get([]byte("k"), kv.MaxSeq)
-	if err != nil || !ok || string(e.Value) != "new" {
-		t.Fatalf("Get = %v %v %v", e, ok, err)
+	older := buildSST(t, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("old"), Seq: 1}})
+	newer := buildSST(t, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("new"), Seq: 2}})
+	l.AddL0(older)
+	before := l.L0Tables()
+	l.AddL0(newer)
+	if l0 := l.L0Tables(); len(l0) != 2 || l0[0] != newer || l0[1] != older {
+		t.Fatalf("L0 = %v, want newest first", l0)
 	}
-	if l.L0Len() != 2 {
-		t.Fatalf("L0Len = %d", l.L0Len())
+	if len(before) != 1 || before[0] != older {
+		t.Fatal("AddL0 edited a slice it had already handed out")
 	}
 }
 
-func TestLeveledGetFallsThroughLevels(t *testing.T) {
+func TestRunTablesFallThroughLevels(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
 	l := NewLeveled(4, 1<<20, 10)
 	l.Run(1).Replace(nil, []*sstable.Table{buildSST(t, dev, rangeEntries(0, 50, 100))})
 	l.Run(2).Replace(nil, []*sstable.Table{buildSST(t, dev, rangeEntries(50, 100, 0))})
-	e, ok, _ := l.Get([]byte("key-00010"), kv.MaxSeq)
-	if !ok || e.Seq < 100 {
+	runs := l.RunTables()
+	if len(runs) != 2 {
+		t.Fatalf("RunTables = %d levels", len(runs))
+	}
+	if e, ok, _ := Get(runs[0], []byte("key-00010"), kv.MaxSeq); !ok || e.Seq < 100 {
 		t.Fatalf("L1 key: %v %v", e, ok)
 	}
-	e, ok, _ = l.Get([]byte("key-00060"), kv.MaxSeq)
-	if !ok || e.Seq >= 100 {
+	if _, ok, _ := Get(runs[0], []byte("key-00060"), kv.MaxSeq); ok {
+		t.Fatal("L1 must not hold an L2 key")
+	}
+	if e, ok, _ := Get(runs[1], []byte("key-00060"), kv.MaxSeq); !ok || e.Seq >= 100 {
 		t.Fatalf("L2 key: %v %v", e, ok)
+	}
+}
+
+func TestGetBatchMatchesGet(t *testing.T) {
+	dev := ssd.New(ssd.FastProfile)
+	tables := []*sstable.Table{
+		buildSST(t, dev, rangeEntries(0, 100, 0)),
+		buildSST(t, dev, rangeEntries(100, 200, 0)),
+		buildSST(t, dev, rangeEntries(300, 400, 0)),
+	}
+	var keys [][]byte
+	for _, i := range []int{5, 150, 7, 250, 399, 400} {
+		keys = append(keys, []byte(fmt.Sprintf("key-%05d", i)))
+	}
+	out := make([]kv.Entry, len(keys))
+	found := make([]bool, len(keys))
+	found[2] = true // already resolved upstream: must be left alone
+	if _, err := GetBatch(tables, keys, kv.MaxSeq, out, found); err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if i == 2 {
+			if out[i].Value != nil {
+				t.Fatal("GetBatch overwrote a key already marked found")
+			}
+			continue
+		}
+		e, ok, _ := Get(tables, k, kv.MaxSeq)
+		if found[i] != ok || string(out[i].Value) != string(e.Value) {
+			t.Fatalf("GetBatch(%s) = %q %v, Get = %q %v", k, out[i].Value, found[i], e.Value, ok)
+		}
+	}
+}
+
+func TestLeveledRemoveDetachesFromAnyLevel(t *testing.T) {
+	dev := ssd.New(ssd.FastProfile)
+	l := NewLeveled(4, 1<<20, 10)
+	inL0 := buildSST(t, dev, rangeEntries(0, 10, 100))
+	inL2 := buildSST(t, dev, rangeEntries(50, 100, 0))
+	l.AddL0(inL0)
+	l.Run(2).Replace(nil, []*sstable.Table{inL2})
+	l.Remove(inL0)
+	l.Remove(inL2)
+	if len(l.L0Tables()) != 0 || l.Run(2).Len() != 0 {
+		t.Fatal("Remove left the table attached")
 	}
 }
 
@@ -168,23 +220,22 @@ func TestLeveledRemoveL0(t *testing.T) {
 	l.AddL0(t1)
 	l.AddL0(t2)
 	l.RemoveL0([]*sstable.Table{t1})
-	if l.L0Len() != 1 {
-		t.Fatalf("L0Len = %d", l.L0Len())
+	if len(l.L0Tables()) != 1 {
+		t.Fatalf("L0 len = %d", len(l.L0Tables()))
 	}
 	if l.L0Tables()[0] != t2 {
 		t.Fatal("wrong table removed")
 	}
 }
 
-func TestSizeBytes(t *testing.T) {
+func TestRunSizeBytes(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
-	l := NewLeveled(4, 1<<20, 10)
-	if l.SizeBytes() != 0 {
+	r := NewRun()
+	if r.SizeBytes() != 0 {
 		t.Fatal("empty size")
 	}
-	l.AddL0(buildSST(t, dev, rangeEntries(0, 100, 0)))
-	l.Run(1).Replace(nil, []*sstable.Table{buildSST(t, dev, rangeEntries(100, 200, 0))})
-	if l.SizeBytes() <= 0 {
+	r.Replace(nil, []*sstable.Table{buildSST(t, dev, rangeEntries(100, 200, 0))})
+	if r.SizeBytes() <= 0 {
 		t.Fatal("size should be positive")
 	}
 }

@@ -404,7 +404,9 @@ func (db *DB) columnCompactOnce() (bool, error) {
 	// Merge the column with the overlapping part of the SSD run.
 	lo := colEntries[0].Key
 	colHi := colEntries[len(colEntries)-1].Key
+	db.mu.Lock()
 	overlap := db.run.Overlapping(lo, colHi)
+	db.mu.Unlock()
 	colIt := kv.NewSliceIterator(colEntries)
 	colIt.SeekToFirst()
 	sources := []kv.Iterator{colIt}
@@ -487,6 +489,14 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 	rows := make([]*rowTable, 0, len(db.receiver.rows)+len(db.compactor.rows))
 	rows = append(rows, db.receiver.rows...)
 	rows = append(rows, db.compactor.rows...)
+	// The run carries no lock of its own: pick the covering table under
+	// db.mu and hold a reference so a column compaction cannot delete its
+	// file mid-read.
+	runTable := levels.Covering(db.run.Tables(), key)
+	if runTable != nil {
+		runTable.Ref()
+		defer runTable.Unref()
+	}
 	db.mu.Unlock()
 
 	if e, ok := mem.Get(key, kv.MaxSeq); ok {
@@ -518,7 +528,10 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 		}
 		return append([]byte(nil), best.Value...), true, nil
 	}
-	e, ok, err := db.run.Get(key, kv.MaxSeq)
+	if runTable == nil {
+		return nil, false, nil
+	}
+	e, ok, err := runTable.Get(key, kv.MaxSeq)
 	if err != nil || !ok || e.Kind == kv.KindDelete {
 		return nil, false, err
 	}

@@ -98,19 +98,23 @@ func (m *Memtable) Add(e kv.Entry) {
 	m.count.Add(1)
 }
 
-// findGE returns the first node with internal key >= ik.
+// findGE returns the first node with internal key >= ik. It returns the very
+// pointer the level-0 walk compared: loading x.next[0] again could observe a
+// node a concurrent Add has since linked in front of it, which sorts before
+// ik.
 func (m *Memtable) findGE(ik []byte) *node {
 	x := m.head
+	var nxt *node
 	for level := int(m.height.Load()) - 1; level >= 0; level-- {
 		for {
-			nxt := x.next[level].Load()
+			nxt = x.next[level].Load()
 			if nxt == nil || kv.CompareInternalKeys(nxt.ik, ik) >= 0 {
 				break
 			}
 			x = nxt
 		}
 	}
-	return x.next[0].Load()
+	return nxt
 }
 
 // Get returns the newest version of key visible at snapshot seq. ok reports
