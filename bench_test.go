@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"pmblade/internal/clock"
+	"pmblade/internal/device"
 	"pmblade/internal/experiments"
 	"pmblade/internal/pmem"
 	"pmblade/internal/ssd"
@@ -333,6 +334,59 @@ func BenchmarkEngineMultiGet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+}
+
+// BenchmarkEngineMultiGetSSDCold is the case BenchmarkEngineMultiGet never
+// reaches (its 10 000 records fit the block cache): 16 uniform keys per batch
+// over a run of at least 8 tables on the NVMe profile, with a block cache a
+// twentieth of the data, so nearly every key costs a device read and ns/key
+// is set by how the batch's reads wait for the device — one behind the other,
+// or together. reads/op says how many there were.
+func BenchmarkEngineMultiGetSSDCold(b *testing.B) {
+	const n = 20000
+	const batch = 16
+	cfg := FastOptions().resolve()
+	cfg.SSDProfile = ssd.NVMeProfile // PM stays zero-latency: the load is not what is measured
+	cfg.SSTableBytes = 512 << 10
+	cfg.BlockCacheBytes = 256 << 10
+	db, err := OpenEngine(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { db.Close() })
+	val := make([]byte, 256)
+	for i := 0; i < n; i++ {
+		db.Put([]byte(fmt.Sprintf("key-%06d", i)), val)
+	}
+	if err := db.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if tables := len(db.Engine().RotTargets()); tables < 8 {
+		b.Fatalf("the run has %d tables, want at least 8", tables)
+	}
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]byte, batch)
+	reads := db.Engine().SSDDevice().Stats().ReadOps(device.CauseClientRead)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range keys {
+			keys[j] = []byte(fmt.Sprintf("key-%06d", rng.Intn(n)))
+		}
+		res, err := db.MultiGet(keys)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, r := range res {
+			if r.Err != nil || !r.Found {
+				b.Fatalf("MultiGet(%s): found=%v err=%v", keys[j], r.Found, r.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
+	b.ReportMetric(float64(db.Engine().SSDDevice().Stats().ReadOps(device.CauseClientRead)-reads)/float64(b.N), "reads/op")
 }
 
 // BenchmarkEngineScan10 measures short range scans against SSD-resident data:

@@ -123,7 +123,7 @@ func (it *Iterator) openPartition(pi int, from []byte) {
 // with the iterator.
 func (db *DB) openSources(p *partition, from []byte, seq uint64) (*kv.DedupIterator, *readState) {
 	s := p.acquire()
-	v := db.viewOf(s, true)
+	v := db.viewOf(s)
 	if v != nil {
 		db.metrics.RangeViewHits.Add(1)
 	} else {

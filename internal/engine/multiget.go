@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"pmblade/internal/kv"
@@ -23,8 +24,9 @@ type GetResult struct {
 // positionally identical to len(keys) sequential Get calls. Keys are grouped
 // by partition with one routing pass; each partition acquires its read state
 // once for the whole group, probes fence keys and Bloom filters before
-// touching entry data, and coalesces SSD block reads so keys co-located in a
-// block (or in adjacent blocks) share one device read.
+// touching entry data, and fetches the SSD blocks the group still needs as
+// one device batch: keys co-located in a block (or in adjacent blocks) share
+// one read, and the reads wait at the device together, not behind each other.
 // Partitions resolve in parallel with bounded fan-out through the scheduler
 // pool. Per-key failures (corruption, quarantined ranges) surface in each
 // GetResult's Err — mirroring the error the equivalent Get would return —
@@ -138,8 +140,7 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 		}
 	}
 
-	// 2. Level-0: PM tables, then SSD tables newest first (found keys shadow
-	// older tables).
+	// 2. PM level-0 (found keys shadow older tables).
 	markNew := func(t Tier) {
 		for j := range subFound {
 			if subFound[j] && subTiers[j] == TierMiss {
@@ -152,22 +153,20 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 	db.metrics.FilterHits.Add(int64(stats.FilterHits))
 	db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
 	markNew(TierPM)
-	for _, t := range s.ssdL0 {
-		coalesced, err := t.GetBatch(subKeys, seq, subEntries, subFound)
-		db.metrics.MultiGetCoalescedReads.Add(int64(coalesced))
-		if err != nil {
-			return err
-		}
-	}
 
-	// 3. The SSD runs. When the stable half already has a range view, the
-	// remaining keys resolve through shared forward-only view cursors:
-	// sorted keys landing in the same segment reuse positioned cursors and
-	// loaded blocks, coalescing across tables. No view is built here —
-	// MultiGet is a point-read path and must not pay an O(partition)
-	// construction. Anything the view could serve beyond the runs was already
-	// settled in stage 2 (tier attribution below is therefore still TierSSD).
-	if v := db.viewOf(s, false); v == nil || !viewGetBatch(v, subKeys, seq, subEntries, subFound) {
+	// 3. SSD, for the keys PM did not settle: level-0 tables newest first (one
+	// may shadow the next, so each is a batch of its own), then the runs. Each
+	// batch locates its keys' blocks without I/O and submits the missing ones
+	// to the device together; how many are served at once is the device's
+	// Parallelism, shared with the other partitions of this MultiGet.
+	if slices.Contains(subFound, false) {
+		for _, t := range s.ssdL0 {
+			coalesced, err := t.GetBatch(subKeys, seq, subEntries, subFound)
+			db.metrics.MultiGetCoalescedReads.Add(int64(coalesced))
+			if err != nil {
+				return err
+			}
+		}
 		for _, run := range s.runs {
 			coalesced, err := levels.GetBatch(run, subKeys, seq, subEntries, subFound)
 			db.metrics.MultiGetCoalescedReads.Add(int64(coalesced))

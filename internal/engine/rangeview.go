@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"sort"
 
 	"pmblade/internal/clock"
 	"pmblade/internal/kv"
@@ -47,15 +46,15 @@ func (s runViewSource) DataBytes() int64 {
 
 // viewOf returns the REMIX-style range view over s's stable half, or nil when
 // there is none: the half is empty (a view would only add merge plumbing),
-// the build failed, another reader is building it right now, or build is
-// false and no one has built it yet. The view needs no reference of its own —
-// s keeps its tables alive. A nil result sends the caller down the plain
-// merge, which serves the same state unchanged.
-func (db *DB) viewOf(s *readState, build bool) *rangeindex.View {
+// the build failed, or another reader is building it right now. The view
+// needs no reference of its own — s keeps its tables alive. A nil result
+// sends the caller down the plain merge, which serves the same state
+// unchanged.
+func (db *DB) viewOf(s *readState) *rangeindex.View {
 	if db.plainMerge {
 		return nil
 	}
-	if v := s.view.Load(); v != nil || !build {
+	if v := s.view.Load(); v != nil {
 		return v
 	}
 	var srcs []rangeindex.Source
@@ -116,57 +115,6 @@ func (a *scanArena) copy(b []byte) []byte {
 	off := len(a.buf)
 	a.buf = append(a.buf, b...)
 	return a.buf[off : off+len(b) : off+len(b)]
-}
-
-// viewGetBatch resolves the still-unfound keys of a MultiGet sub-batch
-// through one set of shared view cursors: keys are visited in sorted order
-// and the cursors only move forward, so keys landing in the same or adjacent
-// segments reuse positioned cursors and already-loaded blocks — the
-// range-adjacent analogue of GetBatch's per-table block coalescing, except
-// it also spans tables. Reports ok=false when the view proved inconsistent
-// mid-walk; the caller redoes the remaining keys through the plain path
-// (keys already marked found keep their results — GetBatch skips them).
-func viewGetBatch(v *rangeindex.View, subKeys [][]byte, seq uint64, subEntries []kv.Entry, subFound []bool) (ok bool) {
-	order := make([]int, 0, len(subKeys))
-	for j := range subKeys {
-		if !subFound[j] {
-			order = append(order, j)
-		}
-	}
-	if len(order) == 0 {
-		return true
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return bytes.Compare(subKeys[order[a]], subKeys[order[b]]) < 0
-	})
-	it := v.NewIter()
-	for n, j := range order {
-		key := subKeys[j]
-		if n == 0 {
-			it.SeekGE(key)
-		} else {
-			it.AdvanceTo(key)
-		}
-		// Skip versions newer than the snapshot; the first remaining entry of
-		// the key is the newest visible one.
-		for it.Valid() && it.Entry().Seq > seq && bytes.Equal(it.Entry().Key, key) {
-			it.Next()
-		}
-		if it.Err() != nil {
-			return false
-		}
-		if !it.Valid() {
-			continue
-		}
-		if e := it.Entry(); bytes.Equal(e.Key, key) {
-			// The entry's Key may alias a reusable cursor buffer; store the
-			// caller's key instead. Value aliases table/block memory that
-			// outlives the cursor, same as the plain GetBatch path.
-			subEntries[j] = kv.Entry{Key: key, Value: e.Value, Seq: e.Seq, Kind: e.Kind}
-			subFound[j] = true
-		}
-	}
-	return it.Err() == nil
 }
 
 // scanView is scanPartition's fast path over state s and the view v of its

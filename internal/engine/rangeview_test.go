@@ -372,51 +372,3 @@ func TestScanDuringViewInstall(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
-
-// TestMultiGetViewPath: after a scan installs a view, MultiGet's stage-3
-// lookups ride shared view cursors; results must equal per-key Gets.
-func TestMultiGetViewPath(t *testing.T) {
-	db, err := Open(fastConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	const n = 1500
-	for i := 0; i < n; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("key-%05d", i)), []byte(fmt.Sprintf("val-%05d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.MajorCompactAll(); err != nil {
-		t.Fatal(err)
-	}
-	scanAll(t, db) // installs the view
-
-	var keys [][]byte
-	for i := 0; i < n; i += 13 {
-		keys = append(keys, []byte(fmt.Sprintf("key-%05d", i)))
-	}
-	keys = append(keys, []byte("missing-key"), []byte("key-00001"))
-	res, err := db.MultiGet(keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, k := range keys {
-		v, ok, err := db.Get(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res[i].Err != nil {
-			t.Fatalf("MultiGet(%s): %v", k, res[i].Err)
-		}
-		if res[i].Found != ok {
-			t.Fatalf("MultiGet(%s): found=%v, Get found=%v", k, res[i].Found, ok)
-		}
-		if ok && !bytes.Equal(res[i].Value, v) {
-			t.Fatalf("MultiGet(%s) = %s, Get = %s", k, res[i].Value, v)
-		}
-	}
-}

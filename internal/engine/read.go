@@ -175,7 +175,7 @@ func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint
 	s := p.acquire()
 	defer s.release()
 	p.reads.Add(1)
-	if v := db.viewOf(s, true); v != nil {
+	if v := db.viewOf(s); v != nil {
 		if res, ok := scanView(s, v, start, end, limit, seq, out); ok {
 			db.metrics.RangeViewHits.Add(1)
 			return res

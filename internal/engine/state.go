@@ -140,7 +140,7 @@ func (db *DB) installTables(p *partition, flushed *memtable.Memtable, rebuild bo
 	p.mu.Unlock()
 	if rebuild && s.stableHalf != old.stableHalf && old.view.Load() != nil {
 		cur := p.acquire()
-		db.viewOf(cur, true)
+		db.viewOf(cur)
 		cur.release()
 	}
 }

@@ -47,44 +47,20 @@ func Get(tables []*sstable.Table, key []byte, seq uint64) (kv.Entry, bool, error
 	return t.Get(key, seq)
 }
 
-// GetBatch resolves several keys against a sorted, non-overlapping sequence
-// in one pass: every table covering at least one unresolved key resolves its
-// keys through Table.GetBatch, which probes Bloom filters first and coalesces
-// adjacent block reads into single device reads. out and found are parallel
-// to keys; positions already marked found are skipped. It reports the block
-// reads saved by coalescing. The caller keeps the tables referenced.
+// GetBatch resolves several keys against a sorted, non-overlapping sequence:
+// each unresolved key is aimed at the one table covering it and
+// sstable.GetBatch does the rest, so the blocks the batch needs from all the
+// covering tables are outstanding at the device together. out and found are
+// parallel to keys; positions already marked found are skipped. It reports
+// the block reads saved by coalescing. The caller keeps the tables referenced.
 func GetBatch(tables []*sstable.Table, keys [][]byte, seq uint64, out []kv.Entry, found []bool) (coalesced int, err error) {
-	var covering []*sstable.Table
+	covering := make([]*sstable.Table, len(keys))
 	for i, key := range keys {
-		if found[i] {
-			continue
-		}
-		t := Covering(tables, key)
-		// Keys commonly arrive sorted, so covering tables repeat in a run;
-		// checking the last one first dedups without a set for that case.
-		if t == nil || (len(covering) > 0 && covering[len(covering)-1] == t) {
-			continue
-		}
-		already := false
-		for _, c := range covering {
-			if c == t {
-				already = true
-				break
-			}
-		}
-		if !already {
-			covering = append(covering, t)
+		if !found[i] {
+			covering[i] = Covering(tables, key)
 		}
 	}
-	for _, t := range covering {
-		// Each table sees the full batch: its fence keys skip foreign keys.
-		n, gerr := t.GetBatch(keys, seq, out, found)
-		coalesced += n
-		if gerr != nil {
-			return coalesced, gerr
-		}
-	}
-	return coalesced, nil
+	return sstable.GetBatch(covering, keys, seq, out, found)
 }
 
 // Run is a sorted, non-overlapping sequence of SSTables, ascending by key

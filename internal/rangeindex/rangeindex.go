@@ -311,34 +311,3 @@ func (it *Iter) SeekGE(key []byte) {
 		it.Next()
 	}
 }
-
-// AdvanceTo positions at the first entry with user key >= key like SeekGE,
-// but for a key at or after the current position: when key falls inside the
-// segment the iterator is already in, the cursors walk forward from where
-// they stand — consecutive lookups over nearby keys then share cursor state
-// and block buffers instead of re-seeking every source. The iterator must be
-// positioned (a prior SeekGE/SeekToFirst); once exhausted it stays
-// exhausted, which is correct for ascending keys.
-func (it *Iter) AdvanceTo(key []byte) {
-	if it.err != nil || it.pos >= len(it.v.sels) {
-		return
-	}
-	lo, hi := 0, len(it.v.anchors)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(it.v.anchors[mid].key, key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	a := lo - 1
-	if a >= 0 && it.v.anchors[a].pos > it.pos {
-		// The target segment starts past the current position: one O(1)
-		// re-anchor instead of walking the gap entry by entry.
-		it.restore(&it.v.anchors[a])
-	}
-	for it.Valid() && bytes.Compare(it.Entry().Key, key) < 0 {
-		it.Next()
-	}
-}

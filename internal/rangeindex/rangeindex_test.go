@@ -162,38 +162,6 @@ func TestSeekGE(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	srcs := buildSources(3, 50)
-	v, err := Build(1, srcs, 8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mergeRef(srcs)
-	// Ascending probes: AdvanceTo must land exactly where SeekGE would.
-	it := v.NewIter()
-	ref := v.NewIter()
-	first := true
-	for i := 0; i < len(want); i += 3 {
-		key := want[i].Key
-		if first {
-			it.SeekGE(key)
-			first = false
-		} else {
-			it.AdvanceTo(key)
-		}
-		ref.SeekGE(key)
-		if it.Valid() != ref.Valid() {
-			t.Fatalf("AdvanceTo(%q): valid=%v, SeekGE valid=%v", key, it.Valid(), ref.Valid())
-		}
-		if it.Valid() {
-			g, w := it.Entry(), ref.Entry()
-			if !bytes.Equal(g.Key, w.Key) || g.Seq != w.Seq {
-				t.Fatalf("AdvanceTo(%q): got %s@%d, want %s@%d", key, g.Key, g.Seq, w.Key, w.Seq)
-			}
-		}
-	}
-}
-
 func TestEmptyAndSingleSource(t *testing.T) {
 	v, err := Build(3, nil, 16, nil)
 	if err != nil {

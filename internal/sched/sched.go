@@ -284,30 +284,40 @@ func (p *Pool) CloseBackground() {
 	}
 }
 
-// Fan runs fn(0..n-1) to completion under the pool's execution model — the
-// bounded fan-out used by parallel client scans, MultiGet, and the
-// concurrent-victim eviction pipeline: concurrency is capped by the pool's
-// worker/coroutine budget, so a wide fan-out cannot spawn unbounded
-// goroutines or starve compaction of CPU slots. Fan tasks may themselves
-// call Run (each Run call sets up its own slots and goroutines), which is
-// how an evicted victim's staged compaction subtasks nest inside the
-// per-victim fan-out.
+// Fan runs fn(0..n-1) to completion on at most workers × k goroutines (the
+// caller's among them) — the bounded fan-out of parallel client scans,
+// MultiGet, and the concurrent-victim eviction pipeline, so a wide fan-out
+// cannot spawn unbounded goroutines. It is the same in every mode: fn gets no
+// Ctx, so there are no stages to schedule, and client reads issued from it
+// do not count toward q_comp, which the admission policy treats as
+// compaction I/O. fn may itself call Run (each Run sets up its own slots and
+// goroutines), which is how an evicted victim's staged compaction subtasks
+// nest inside the per-victim fan-out.
 func (p *Pool) Fan(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
 	if n == 1 {
 		fn(0)
 		return
 	}
-	tasks := make([]Task, n)
-	for i := range tasks {
-		i := i
-		// Not staged through ctx.Read: client reads must not count toward
-		// q_comp, which the admission policy treats as compaction I/O.
-		tasks[i] = func(*Ctx) { fn(i) }
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
 	}
-	p.Run(tasks)
+	var wg sync.WaitGroup
+	for g := min(n, p.workers*p.k); g > 1; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // Run executes tasks to completion under the pool's model.

@@ -305,3 +305,44 @@ func TestFanTasksMayNestRun(t *testing.T) {
 		})
 	}
 }
+
+// TestFanBoundedAndComplete: every index runs exactly once, and never more
+// than workers × k of them at a time, in every mode. The bound is checked on
+// a count of running tasks; a barrier holds the first wave inside fn until
+// it is full, so the count is reached by construction, not by timing.
+func TestFanBoundedAndComplete(t *testing.T) {
+	for _, mode := range []Mode{ModeThread, ModeCoroutine, ModePMBlade} {
+		p := NewPool(mode, 2, 4, nil) // k = 2: four goroutines at most
+		const n, bound = 23, 4
+		var ran [n]atomic.Int32
+		var running, peak atomic.Int32
+		var wave sync.WaitGroup
+		wave.Add(bound)
+		var arrived atomic.Int32
+		p.Fan(n, func(i int) {
+			r := running.Add(1)
+			for m := peak.Load(); r > m && !peak.CompareAndSwap(m, r); m = peak.Load() {
+			}
+			if arrived.Add(1) <= bound {
+				wave.Done()
+				wave.Wait()
+			}
+			ran[i].Add(1)
+			running.Add(-1)
+		})
+		for i := range ran {
+			if got := ran[i].Load(); got != 1 {
+				t.Fatalf("%v: fn(%d) ran %d times", mode, i, got)
+			}
+		}
+		if got := peak.Load(); got != bound {
+			t.Fatalf("%v: %d tasks ran at once, want exactly the bound %d", mode, got, bound)
+		}
+	}
+	ran := 0
+	NewPool(ModePMBlade, 2, 4, nil).Fan(0, func(int) { ran++ })
+	NewPool(ModePMBlade, 2, 4, nil).Fan(1, func(int) { ran++ })
+	if ran != 1 {
+		t.Fatalf("Fan(0) + Fan(1) ran fn %d times, want 1", ran)
+	}
+}

@@ -8,6 +8,10 @@
 // memory. Byte counters are attributed per cause for write-amplification
 // accounting.
 //
+// A caller that needs several blocks at once hands them to MapBatch, which
+// keeps them all outstanding at the device together: the only way a single
+// client fills more than one of the Parallelism slots.
+//
 // Durability model (faultkit): Append extends a file's volatile contents;
 // Sync advances its durable length. A power cut (injected via SetFault)
 // loses the unsynced tail — CrashImage materialises the post-crash device,
@@ -406,6 +410,46 @@ func (d *Device) MapAt(id FileID, off int64, n int, cause device.Cause) ([]byte,
 	d.perform(false, pages(n)*PageSize)
 	d.stats.CountRead(cause, n)
 	return view, nil
+}
+
+// MapReq is one read of a MapBatch: the range to map and, once MapBatch has
+// returned, the view or the error MapAt gives for it.
+type MapReq struct {
+	File FileID
+	Off  int64
+	Len  int
+
+	Data []byte
+	Err  error
+}
+
+// MapBatch submits every request at once and returns when all have completed
+// — the simulated counterpart of filling an NVMe submission queue instead of
+// issuing one read and waiting for it. Each request is an ordinary MapAt: it
+// queues for a parallelism slot of its own, is charged its own service time
+// and counted and timed on its own, so a batch costs the device exactly what
+// the same reads cost one after another; only the caller's waiting overlaps,
+// up to Parallelism requests at a time. A failing request fails alone. A
+// single request, and any batch on a profile that charges no read time, runs
+// on the caller's goroutine.
+func (d *Device) MapBatch(reqs []MapReq, cause device.Cause) {
+	mapOne := func(r *MapReq) { r.Data, r.Err = d.MapAt(r.File, r.Off, r.Len, cause) }
+	if len(reqs) < 2 || d.serviceTime(false, PageSize) <= 0 {
+		for i := range reqs {
+			mapOne(&reqs[i])
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range reqs[1:] {
+		wg.Add(1)
+		go func(r *MapReq) {
+			defer wg.Done()
+			mapOne(r)
+		}(&reqs[1+i])
+	}
+	mapOne(&reqs[0])
+	wg.Wait()
 }
 
 // Truncate shrinks a file to size bytes (crash-tail simulation and log

@@ -188,3 +188,106 @@ func TestTruncateErrorPropagation(t *testing.T) {
 		t.Fatalf("truncate of missing file: %v", err)
 	}
 }
+
+// batchFile returns a device with profile p (which charges reads only, so
+// writing the file costs nothing) holding one file of n pages; page i is
+// filled with byte(i).
+func batchFile(t *testing.T, p Profile, n int) (*Device, FileID) {
+	t.Helper()
+	d := New(p)
+	f := d.Create()
+	data := make([]byte, n*PageSize)
+	for i := range data {
+		data[i] = byte(i / PageSize)
+	}
+	if _, err := d.Append(f, data, device.CauseMajor); err != nil {
+		t.Fatal(err)
+	}
+	return d, f
+}
+
+// TestMapBatchEqualsMapAts: a batch returns the bytes, and charges the
+// counters, of the same reads issued one by one.
+func TestMapBatchEqualsMapAts(t *testing.T) {
+	p := Profile{ReadLatency: 50 * time.Microsecond, ReadBandwidth: 1 << 30, Parallelism: 4}
+	one, f := batchFile(t, p, 16)
+	all, _ := batchFile(t, p, 16)
+	reqs := make([]MapReq, 0, 9)
+	for i := 0; i < 9; i++ {
+		// Mixed sizes, unaligned, two of them the same range.
+		reqs = append(reqs, MapReq{File: f, Off: int64(i%8) * (PageSize + 100), Len: 300 + i*PageSize/2})
+	}
+	all.MapBatch(reqs, device.CauseClientRead)
+	for i, r := range reqs {
+		want, err := one.MapAt(r.File, r.Off, r.Len, device.CauseClientRead)
+		if err != nil || r.Err != nil {
+			t.Fatalf("req %d: MapAt err %v, MapBatch err %v", i, err, r.Err)
+		}
+		if !bytes.Equal(r.Data, want) {
+			t.Fatalf("req %d: MapBatch bytes differ from MapAt", i)
+		}
+	}
+	a, b := all.Stats(), one.Stats()
+	if a.ReadOps(device.CauseClientRead) != b.ReadOps(device.CauseClientRead) ||
+		a.ReadBytes(device.CauseClientRead) != b.ReadBytes(device.CauseClientRead) ||
+		a.TotalReadBytes() != b.TotalReadBytes() || a.BusyTime() != b.BusyTime() {
+		t.Fatalf("batch charged ops=%d bytes=%d busy=%v, one by one ops=%d bytes=%d busy=%v",
+			a.ReadOps(device.CauseClientRead), a.TotalReadBytes(), a.BusyTime(),
+			b.ReadOps(device.CauseClientRead), b.TotalReadBytes(), b.BusyTime())
+	}
+	if all.IOLatency().Count() != one.IOLatency().Count() {
+		t.Fatalf("latency samples: batch %d, one by one %d", all.IOLatency().Count(), one.IOLatency().Count())
+	}
+	if qd := all.QueueDepth(); qd != 0 {
+		t.Fatalf("queue depth %d after the batch returned", qd)
+	}
+}
+
+// TestMapBatchOverlapsWaiting: eight 10 ms reads on eight slots take about
+// one service time, not eight. The bound is four service times — a 4x margin
+// either way, so scheduling noise cannot decide the test.
+func TestMapBatchOverlapsWaiting(t *testing.T) {
+	const lat = 10 * time.Millisecond
+	d, f := batchFile(t, Profile{ReadLatency: lat, Parallelism: 8}, 8)
+	reqs := make([]MapReq, 8)
+	for i := range reqs {
+		reqs[i] = MapReq{File: f, Off: int64(i) * PageSize, Len: PageSize}
+	}
+	start := time.Now()
+	d.MapBatch(reqs, device.CauseClientRead)
+	wall := time.Since(start)
+	if busy := d.Stats().BusyTime(); busy != 8*lat {
+		t.Fatalf("charged %v, want %v: overlapping must not change what is charged", busy, 8*lat)
+	}
+	if wall < lat || wall > 4*lat {
+		t.Fatalf("batch of 8 x %v took %v, want about %v (one by one: %v)", lat, wall, lat, 8*lat)
+	}
+}
+
+// TestMapBatchErrorsAreIndividual: a bad request fails alone, and all the
+// others have completed when MapBatch returns — inline (no read latency) and
+// with one goroutine per request.
+func TestMapBatchErrorsAreIndividual(t *testing.T) {
+	for _, p := range []Profile{{Parallelism: 2}, {ReadLatency: 20 * time.Microsecond, Parallelism: 2}} {
+		d, f := batchFile(t, p, 4)
+		reqs := []MapReq{
+			{File: f, Off: 0, Len: PageSize},
+			{File: f, Off: 3 * PageSize, Len: 2 * PageSize}, // runs off the end
+			{File: f + 99, Off: 0, Len: 1},                  // no such file
+			{File: f, Off: 2 * PageSize, Len: PageSize},
+		}
+		d.MapBatch(reqs, device.CauseScrub)
+		if reqs[1].Err == nil || reqs[1].Data != nil || !errors.Is(reqs[2].Err, ErrNotFound) {
+			t.Fatalf("bad requests: %v, %v", reqs[1].Err, reqs[2].Err)
+		}
+		for _, i := range []int{0, 3} {
+			if reqs[i].Err != nil || len(reqs[i].Data) != PageSize || reqs[i].Data[0] != byte(reqs[i].Off/PageSize) {
+				t.Fatalf("good request %d: err %v, %d bytes", i, reqs[i].Err, len(reqs[i].Data))
+			}
+		}
+		if ops := d.Stats().ReadOps(device.CauseScrub); ops != 2 {
+			t.Fatalf("read ops = %d, want the 2 good requests", ops)
+		}
+	}
+	New(FastProfile).MapBatch(nil, device.CauseClientRead) // empty batch: nothing to do
+}

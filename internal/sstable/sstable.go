@@ -7,11 +7,12 @@ package sstable
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -691,120 +692,177 @@ func (t *Table) seekBlock(probe []byte) int {
 	return lo
 }
 
-// batchProbe tracks one key of a GetBatch through its candidate blocks.
+// batchProbe tracks one key of a batch lookup through its candidate blocks.
 type batchProbe struct {
-	idx int // position in the caller's keys slice
-	bi  int // candidate block
+	t    *Table
+	idx  int    // position in the caller's keys slice
+	bi   int    // candidate block of t
+	body []byte // block bi, once fetched
 }
 
-// GetBatch resolves several keys against this table in one pass: bloom and
-// fence checks first, then candidate blocks are resolved for every surviving
-// key, cache misses for adjacent blocks are coalesced into a single device
-// ReadAt, and each block is searched once for all keys it may hold.
-//
-// out and found are parallel to keys; entries already marked found are
-// skipped. Like Get, returned Values alias block memory. It reports how many
-// block reads were saved by coalescing (shared blocks and merged spans).
+// sameBlock reports whether two probes want the same block.
+func (p batchProbe) sameBlock(q batchProbe) bool { return p.t == q.t && p.bi == q.bi }
+
+// locate is the first step of a batch lookup and does no I/O: fence keys,
+// then the Bloom filter, then the index seek. It appends a probe for the one
+// block of t that can hold the newest version of key visible at seq.
+func (t *Table) locate(probes []batchProbe, idx int, key []byte, seq uint64, s *getScratch) []batchProbe {
+	if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
+		return probes
+	}
+	if t.filter != nil && !t.filter.MayContain(key) {
+		return probes
+	}
+	s.probe = kv.AppendInternalKey(s.probe[:0], key, seq, kv.KindDelete)
+	if bi := t.seekBlock(s.probe); bi < len(t.index) {
+		probes = append(probes, batchProbe{t: t, idx: idx, bi: bi})
+	}
+	return probes
+}
+
+// GetBatch resolves several keys against this table in one pass; see the
+// package-level GetBatch, which it is with every key aimed at t.
 func (t *Table) GetBatch(keys [][]byte, seq uint64, out []kv.Entry, found []bool) (coalesced int, err error) {
 	s := scratchPool.Get().(*getScratch)
 	defer scratchPool.Put(s)
-	var pending []batchProbe
+	var probes []batchProbe
 	for i, key := range keys {
-		if found[i] {
-			continue
-		}
-		if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
-			continue
-		}
-		if t.filter != nil && !t.filter.MayContain(key) {
-			continue
-		}
-		s.probe = kv.AppendInternalKey(s.probe[:0], key, seq, kv.KindDelete)
-		if bi := t.seekBlock(s.probe); bi < len(t.index) {
-			pending = append(pending, batchProbe{idx: i, bi: bi})
+		if !found[i] {
+			probes = t.locate(probes, i, key, seq, s)
 		}
 	}
-	for len(pending) > 0 {
-		sort.Slice(pending, func(a, b int) bool { return pending[a].bi < pending[b].bi })
-		bodies, saved, rerr := t.readBlockSpans(pending)
-		if rerr != nil {
-			return coalesced, rerr
+	return resolve(probes, keys, seq, out, found, s)
+}
+
+// GetBatch looks keys[i] up in tables[i] — for a sorted run, the table
+// covering the key; nil skips the key; all on one device — in three steps: locate every key's
+// candidate block without I/O, fetch all those blocks of all the tables with
+// one device batch (cached blocks dropped, duplicates shared, file-adjacent
+// misses merged into one read), then search each block for its keys.
+//
+// out and found are parallel to keys; positions already marked found are
+// skipped. Like Get, returned Values alias block memory. It reports how many
+// block reads coalescing saved (shared blocks and merged spans). On error
+// out and found may hold the keys resolved before it.
+func GetBatch(tables []*Table, keys [][]byte, seq uint64, out []kv.Entry, found []bool) (coalesced int, err error) {
+	s := scratchPool.Get().(*getScratch)
+	defer scratchPool.Put(s)
+	var probes []batchProbe
+	for i, t := range tables {
+		if t != nil && !found[i] {
+			probes = t.locate(probes, i, keys[i], seq, s)
 		}
+	}
+	return resolve(probes, keys, seq, out, found, s)
+}
+
+// resolve fetches and searches the probes' blocks. A key whose versions run
+// past the end of its block (foundContinue) goes round again with the next
+// block, so a round's reads are all submitted together and the rare spill
+// costs one more round.
+func resolve(probes []batchProbe, keys [][]byte, seq uint64, out []kv.Entry, found []bool, s *getScratch) (coalesced int, err error) {
+	for len(probes) > 0 {
+		saved, ferr := fetchBlocks(probes)
 		coalesced += saved
-		var next []batchProbe
-		for _, p := range pending {
-			e, status, ferr := findInBlock(bodies[p.bi], keys[p.idx], seq, s)
+		if ferr != nil {
+			return coalesced, ferr
+		}
+		next := probes[:0]
+		for _, p := range probes {
+			e, status, ferr := findInBlock(p.body, keys[p.idx], seq, s)
 			if ferr != nil {
-				return coalesced, corruptAt(t.file, t.index[p.bi].handle, ferr)
+				return coalesced, corruptAt(p.t.file, p.t.index[p.bi].handle, ferr)
 			}
 			switch status {
 			case foundHit:
 				out[p.idx] = e
 				found[p.idx] = true
 			case foundContinue:
-				if p.bi+1 < len(t.index) {
-					next = append(next, batchProbe{idx: p.idx, bi: p.bi + 1})
+				if p.bi+1 < len(p.t.index) {
+					p.bi++
+					next = append(next, p)
 				}
 			}
 			// foundPast: key is absent from this table.
 		}
-		pending = next
+		probes = next
 	}
 	return coalesced, nil
 }
 
-// readBlockSpans fetches every distinct block the probes need. Cached blocks
-// are served from the cache; misses are merged into maximal spans of
-// file-adjacent blocks, each fetched with one device ReadAt, decoded and
-// inserted into the cache. probes must be sorted by block index. It reports
-// how many per-block reads were avoided (duplicate blocks plus span merges).
-func (t *Table) readBlockSpans(probes []batchProbe) (map[int][]byte, int, error) {
-	bodies := make(map[int][]byte, len(probes))
-	var missing []int // distinct cache-missing block indices, ascending
-	for _, p := range probes {
-		if _, ok := bodies[p.bi]; ok {
-			continue
+// fetchBlocks sorts probes by file and block and gives each its decoded
+// block. Cached blocks come from the cache; every other distinct block is
+// read once, file-adjacent ones merged into a single span, and all spans go
+// to the device in one MapBatch, so they wait in its queue together rather
+// than behind each other. Each block read is CRC-verified and cached. All
+// reads have completed when fetchBlocks returns, and the error reported is
+// that of the first failing span in (file, offset) order, whichever
+// completed first. saved counts the per-block reads avoided: duplicate
+// blocks plus span merges.
+func fetchBlocks(probes []batchProbe) (saved int, err error) {
+	slices.SortFunc(probes, func(a, b batchProbe) int {
+		if a.t != b.t {
+			return cmp.Compare(a.t.file, b.t.file)
 		}
-		if t.cache != nil {
-			if blk, ok := t.cache.get(t.file, t.index[p.bi].handle.off); ok {
-				bodies[p.bi] = blk
+		return cmp.Compare(a.bi, b.bi)
+	})
+	// A span is one device read: the cache-missing blocks first..last of one
+	// table, wanted by the probes starting at position at.
+	type span struct{ at, first, last int }
+	var spans []span
+	for k, p := range probes {
+		if k > 0 && p.sameBlock(probes[k-1]) {
+			saved++
+			continue // filled in from its predecessor below
+		}
+		if p.t.cache != nil {
+			if blk, ok := p.t.cache.get(p.t.file, p.t.index[p.bi].handle.off); ok {
+				probes[k].body = blk
 				continue
 			}
 		}
-		if n := len(missing); n > 0 && missing[n-1] == p.bi {
+		if n := len(spans); n > 0 && probes[spans[n-1].at].t == p.t && spans[n-1].last+1 == p.bi {
+			spans[n-1].last = p.bi
+			saved++
 			continue
 		}
-		bodies[p.bi] = nil // reserve so duplicates don't re-queue
-		missing = append(missing, p.bi)
+		spans = append(spans, span{at: k, first: p.bi, last: p.bi})
 	}
-	saved := len(probes) - len(bodies)
-	for lo := 0; lo < len(missing); {
-		hi := lo
-		for hi+1 < len(missing) && missing[hi+1] == missing[hi]+1 {
-			hi++
+	if len(spans) > 0 {
+		reqs := make([]ssd.MapReq, len(spans))
+		for i, sp := range spans {
+			t := probes[sp.at].t
+			lo, hi := t.index[sp.first].handle, t.index[sp.last].handle
+			reqs[i] = ssd.MapReq{File: t.file, Off: lo.off, Len: int(hi.off + hi.len - lo.off)}
 		}
-		first, last := missing[lo], missing[hi]
-		start := t.index[first].handle.off
-		span := t.index[last].handle.off + t.index[last].handle.len - start
-		raw, err := t.dev.MapAt(t.file, start, int(span), device.CauseClientRead)
-		if err != nil {
-			return nil, saved, err
-		}
-		for bi := first; bi <= last; bi++ {
-			h := t.index[bi].handle
-			body, err := decodeRawBlock(raw[h.off-start : h.off-start+h.len])
-			if err != nil {
-				return nil, saved, corruptAt(t.file, h, err)
+		probes[0].t.dev.MapBatch(reqs, device.CauseClientRead)
+		for i, sp := range spans {
+			if reqs[i].Err != nil {
+				return saved, reqs[i].Err
 			}
-			bodies[bi] = body
-			if t.cache != nil {
-				t.cache.put(t.file, h.off, body)
+			t, k := probes[sp.at].t, sp.at
+			for bi := sp.first; bi <= sp.last; bi++ {
+				h := t.index[bi].handle
+				body, derr := decodeRawBlock(reqs[i].Data[h.off-reqs[i].Off:][:h.len])
+				if derr != nil {
+					return saved, corruptAt(t.file, h, derr)
+				}
+				if t.cache != nil {
+					t.cache.put(t.file, h.off, body)
+				}
+				for probes[k].bi != bi {
+					k++ // duplicates of the previous block
+				}
+				probes[k].body = body
 			}
 		}
-		saved += hi - lo // blocks piggybacked on this span's single ReadAt
-		lo = hi + 1
 	}
-	return bodies, saved, nil
+	for k := 1; k < len(probes); k++ {
+		if probes[k].sameBlock(probes[k-1]) {
+			probes[k].body = probes[k-1].body
+		}
+	}
+	return saved, nil
 }
 
 // findStatus reports the outcome of an in-block search.
