@@ -14,6 +14,25 @@
 // Data lives in ordinary heap memory; "persistence" is modeled by tracking
 // flushed extents so tests can assert crash-consistency protocols, not by
 // surviving real process crashes.
+//
+// # What one charged access models
+//
+// Optane media is read a LineSize (256-byte) line at a time (Yang et al.): a
+// load that misses the CPU caches costs Profile.ReadLatency whether it wants
+// one byte of the line or all of it, and further loads from the same line
+// are CPU-cache hits. ChargeAccess is that one line fetch. Alloc returns
+// LineSize-aligned regions, so a reader walking a View decides what to
+// charge from offsets alone: one ChargeAccess per distinct line a lookup
+// touches in a structure it probes at random (pmtable's index levels, the
+// array formats' offset arrays), and one per landing on data it then reads
+// sequentially (an entry group, a record) — the sequential bytes ride the
+// device's prefetch and are not charged again.
+//
+// What it does not model: a CPU cache that outlives one lookup (every lookup
+// starts cold, the worst case for a hot table), the device's internal
+// read-buffer hits across lookups, bandwidth contention between threads, and
+// the cost of the bytes themselves on View/ChargeAccess (only ReadAt and
+// WriteAt charge per byte).
 package pmem
 
 import (
@@ -67,6 +86,10 @@ var CXLProfile = Profile{
 	WriteBandwidth: 16_000 << 20,
 }
 
+// LineSize is the device's access granule in bytes: what one charged access
+// fetches, and the alignment of every region Alloc returns.
+const LineSize = 256
+
 // ErrOutOfSpace is returned by Alloc when the arena is full.
 var ErrOutOfSpace = errors.New("pmem: out of space")
 
@@ -82,8 +105,8 @@ type Device struct {
 
 	mu      sync.Mutex
 	arena   []byte
-	next    int64 // bump-allocation cursor
-	freed   int64 // bytes released (space accounting only; arena is not reused)
+	next    int64 // bump-allocation cursor, always a multiple of LineSize
+	freed   int64 // whole lines released (space accounting only; arena is not reused)
 	regions map[Addr]int64
 	// doomed, when >= 0, caps the flush high-water mark forever: a Dropped
 	// fault landed at that offset, so bytes at and beyond it are lost at the
@@ -124,7 +147,7 @@ func (d *Device) Stats() *device.Stats { return d.stats }
 // Capacity reports the configured capacity in bytes.
 func (d *Device) Capacity() int64 { return d.cap }
 
-// Used reports live allocated bytes (allocated minus freed).
+// Used reports live allocated bytes (allocated minus freed), in whole lines.
 func (d *Device) Used() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -134,8 +157,12 @@ func (d *Device) Used() int64 {
 // Free reports remaining allocatable bytes.
 func (d *Device) Free() int64 { return d.cap - d.Used() }
 
-// Alloc reserves n bytes and returns the region's address. It fails with
-// ErrOutOfSpace when live data would exceed capacity.
+// lines rounds n up to whole lines.
+func lines(n int64) int64 { return (n + LineSize - 1) &^ (LineSize - 1) }
+
+// Alloc reserves n bytes and returns the region's LineSize-aligned address.
+// A region occupies whole lines; it fails with ErrOutOfSpace when live lines
+// would exceed capacity.
 func (d *Device) Alloc(n int) (Addr, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("pmem: negative allocation %d", n)
@@ -145,12 +172,12 @@ func (d *Device) Alloc(n int) (Addr, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.next-d.freed+int64(n) > d.cap {
+	if d.next-d.freed+lines(int64(n)) > d.cap {
 		return 0, ErrOutOfSpace
 	}
 	addr := Addr(d.next)
 	// Grow the backing arena lazily in 1 MiB steps so tiny tests stay tiny.
-	need := d.next + int64(n)
+	need := d.next + lines(int64(n))
 	if int64(len(d.arena)) < need {
 		grow := int64(len(d.arena))
 		if grow < 1<<20 {
@@ -191,7 +218,7 @@ func (d *Device) Release(addr Addr) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if n, ok := d.regions[addr]; ok {
-		d.freed += n
+		d.freed += lines(n)
 		delete(d.regions, addr)
 	}
 }
@@ -308,9 +335,9 @@ func (d *Device) ReadAt(addr Addr, off int64, p []byte, cause device.Cause) erro
 }
 
 // View returns a zero-copy read-only view of [addr+off, addr+off+n). The
-// caller must not retain it across a Release of the region. A single device
-// read latency is charged; byte-addressable readers use View for binary
-// search without block I/O.
+// caller must not retain it across a Release of the region. One access is
+// charged for obtaining the view; readers that then probe it charge their
+// own line fetches with ChargeAccess.
 func (d *Device) View(addr Addr, off, n int64, cause device.Cause) ([]byte, error) {
 	d.mu.Lock()
 	base := int64(addr) + off
@@ -320,13 +347,14 @@ func (d *Device) View(addr Addr, off, n int64, cause device.Cause) ([]byte, erro
 	}
 	v := d.arena[base : base+n : base+n]
 	d.mu.Unlock()
-	d.chargeRead(0) // access latency only; bytes charged by ChargeReadBytes
+	d.chargeRead(0)
 	d.stats.CountRead(cause, int(n))
 	return v, nil
 }
 
-// ChargeAccess injects one device access latency without transferring bytes;
-// readers walking a View charge per probe to keep the model honest.
+// ChargeAccess injects one device access — the fetch of one LineSize line —
+// without transferring bytes. Readers walking a View call it once per
+// distinct line a lookup touches (see the package doc).
 func (d *Device) ChargeAccess() { d.chargeRead(0) }
 
 // Flush marks everything written so far as persistent (clwb + sfence in the

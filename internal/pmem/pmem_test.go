@@ -27,7 +27,7 @@ func TestAllocWriteRead(t *testing.T) {
 }
 
 func TestAllocOutOfSpace(t *testing.T) {
-	d := New(1000, FastProfile)
+	d := New(1024, FastProfile) // 800 bytes occupy four of its four lines
 	if _, err := d.Alloc(800); err != nil {
 		t.Fatal(err)
 	}
@@ -84,12 +84,12 @@ func TestBoundsChecks(t *testing.T) {
 		// out-of-arena access must fail.
 		t.Log("write beyond region allowed (arena not exceeded)")
 	}
-	big := New(100, FastProfile)
+	big := New(LineSize, FastProfile)
 	a2, err := big.Alloc(50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := big.ReadAt(a2, 60, make([]byte, 10), device.CauseClientRead); err == nil {
+	if err := big.ReadAt(a2, LineSize-5, make([]byte, 10), device.CauseClientRead); err == nil {
 		t.Fatal("read past arena must fail")
 	}
 	if err := big.WriteAt(a2, -1, []byte{1}, device.CauseFlush); err == nil {
@@ -151,5 +151,36 @@ func TestSizeOfRegion(t *testing.T) {
 	}
 	if d.Size(Addr(12345)) != -1 {
 		t.Fatal("unknown region should report -1")
+	}
+}
+
+// TestAllocLineAligned: every region starts on a line and occupies whole
+// lines, whatever sizes were allocated and released before it — readers
+// derive the line a byte sits in from its offset in the region alone.
+func TestAllocLineAligned(t *testing.T) {
+	d := New(1<<20, FastProfile)
+	var used int64
+	for i, n := range []int{1, 255, 256, 257, 26, 4096, 100_003, 7} {
+		addr, err := d.Alloc(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if addr%LineSize != 0 {
+			t.Errorf("Alloc #%d (%d bytes) = %d, not %d-aligned", i, n, addr, LineSize)
+		}
+		if d.Size(addr) != int64(n) {
+			t.Errorf("Size = %d want %d", d.Size(addr), n)
+		}
+		used += (int64(n) + LineSize - 1) / LineSize * LineSize
+		if d.Used() != used {
+			t.Errorf("after Alloc(%d): Used = %d want %d whole lines", n, d.Used(), used)
+		}
+		if i%3 == 1 {
+			d.Release(addr)
+			used -= (int64(n) + LineSize - 1) / LineSize * LineSize
+		}
+	}
+	if d.Used() != used {
+		t.Errorf("Used = %d want %d", d.Used(), used)
 	}
 }

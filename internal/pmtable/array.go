@@ -198,28 +198,27 @@ func (m *arrayMeta) slotFirstKey(i int, scratch []byte) ([]byte, []byte, error) 
 	return es[0].Key, scratch, nil
 }
 
-// arrayGet binary-searches the offsets array. Every probe costs two PM
-// accesses for the plain array (offset + record) — the cost the paper's
-// three-layer structure halves — plus decompression for the snappy variants.
-func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
-	if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
-		return kv.Entry{}, false
-	}
+// findSlot binary-searches the offsets array for the slot a scan for key
+// starts at: the one before the first slot whose first key is >= key.
+// Versions sort newest-first, so the newest version of key is the earliest
+// slot holding it, and a group starting before key may contain it. Every
+// probe reads an offset — one PM access per distinct line of the offsets
+// array — and then lands on the record it points at, one more: the second
+// access per probe that the paper's three-layer structure avoids. The snappy
+// variants add decompression.
+func (t *Table) findSlot(key []byte) (int, error) {
 	m := t.array
+	l := lookup{dev: t.dev}
 	var scratch []byte
-	// Find the first slot whose first key is >= key, then scan from the slot
-	// before it: versions sort newest-first, so the newest version of key is
-	// the earliest slot holding it, and a group starting before key may
-	// contain it.
 	lo, hi := 0, m.count
 	for lo < hi {
 		mid := (lo + hi) / 2
-		t.dev.ChargeAccess() // offset probe
-		t.dev.ChargeAccess() // record probe
+		l.touch(m.offOff + mid*4)
+		t.dev.ChargeAccess()
 		fk, s, err := m.slotFirstKey(mid, scratch)
 		scratch = s
 		if err != nil {
-			return kv.Entry{}, false
+			return 0, err
 		}
 		if bytes.Compare(fk, key) < 0 {
 			lo = mid + 1
@@ -227,10 +226,20 @@ func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
 			hi = mid
 		}
 	}
-	start := lo - 1
-	if start < 0 {
-		start = 0
+	return max(lo-1, 0), nil
+}
+
+// arrayGet returns the newest version of key visible at seq.
+func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
+	if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
+		return kv.Entry{}, false
 	}
+	m := t.array
+	start, err := t.findSlot(key)
+	if err != nil {
+		return kv.Entry{}, false
+	}
+	var scratch []byte
 	var best kv.Entry
 	found := false
 	for i := start; i < m.count; i++ {
@@ -246,12 +255,7 @@ func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
 				return best, found
 			}
 			if c == 0 && e.Seq <= seq && (!found || e.Seq > best.Seq) {
-				best = kv.Entry{
-					Key:   append([]byte(nil), e.Key...),
-					Value: append([]byte(nil), e.Value...),
-					Seq:   e.Seq,
-					Kind:  e.Kind,
-				}
+				best = kv.Entry{Key: key, Value: append([]byte(nil), e.Value...), Seq: e.Seq, Kind: e.Kind}
 				found = true
 			}
 		}
@@ -376,28 +380,10 @@ func (it *arrayIterator) SetPos(pos uint64) {
 }
 
 func (it *arrayIterator) SeekGE(key []byte) {
-	// Binary search over slot first keys, then a short in-slot scan.
-	m := it.t.array
-	var scratch []byte
-	lo, hi := 0, m.count
-	for lo < hi {
-		mid := (lo + hi) / 2
-		it.t.dev.ChargeAccess()
-		fk, s, err := m.slotFirstKey(mid, scratch)
-		scratch = s
-		if err != nil {
-			it.ok = false
-			return
-		}
-		if bytes.Compare(fk, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	start := lo - 1
-	if start < 0 {
-		start = 0
+	start, err := it.t.findSlot(key)
+	if err != nil {
+		it.ok = false
+		return
 	}
 	it.slot = start - 1
 	it.pending = it.pending[:0]

@@ -6,11 +6,12 @@
 //     dictionary of extracted long key prefixes (e.g. the {tableID} encoding
 //     shared by every key of one database table); a prefix layer holds a
 //     fixed-length prefix of each group's first key plus the group's offset,
-//     enabling binary search with one PM access per probe; an entry layer
-//     holds groups of 8/16 prefix-stripped entries scanned sequentially.
+//     laid out as a static search tree of line-sized nodes so a search
+//     fetches one PM line per level; an entry layer holds groups of 8/16
+//     prefix-stripped entries scanned sequentially.
 //   - FormatArray: the plain structure from MatrixKV — a metadata array of
-//     offsets plus a data array of full entries; binary search costs two PM
-//     accesses per probe (offset, then key).
+//     offsets plus a data array of full entries; every binary-search step
+//     reads an offset and then lands on the record it points at.
 //   - FormatArraySnappy: the array structure with every entry compressed
 //     individually by the LZ block compressor (snappy stand-in).
 //   - FormatArraySnappyGroup: the array structure with groups of eight
@@ -18,6 +19,11 @@
 //
 // Tables are immutable once built. They live in a pmem.Device arena and can
 // be reopened from their address after a restart.
+//
+// All four formats pay the device by one rule (see package pmem): structures
+// probed at random — the prefix layer's nodes, the offset arrays — cost one
+// access per distinct line a lookup touches; landing on an entry group or a
+// record costs one access, and the bytes read sequentially from there none.
 package pmtable
 
 import (
@@ -63,13 +69,15 @@ func (f Format) String() string {
 }
 
 const (
-	magic      = 0x504d5442 // "PMTB"
-	headerSize = 4 + 1 + 1 + 4 + 4 + 8 + 8
+	magic = 0x504d5442 // "PMTB"
+	// layoutVersion is the image layout this package writes and the only one
+	// Open accepts; version 0 kept the prefix layer as a flat slot array.
+	layoutVersion = 1
 	// DefaultGroupSize is the number of entries per group in the prefix and
 	// group-compressed formats (the paper uses eight or sixteen).
 	DefaultGroupSize = 8
 	// prefixLen is the fixed length P of prefix-layer keys; fixed size makes
-	// the binary search stride constant (Section IV-A).
+	// the search stride constant (Section IV-A).
 	prefixLen = 24
 	// metaPrefixLen is the dictionary granularity of the meta layer: the
 	// leading bytes extracted as "superfluous coding information" such as
@@ -196,7 +204,7 @@ func (t *Table) Release() { t.dev.Release(t.addr) }
 
 // header layout:
 //
-//	magic u32 | format u8 | reserved u8 | count u32 | groupSize u32 |
+//	magic u32 | format u8 | layoutVersion u8 | count u32 | groupSize u32 |
 //	smallestLen u32 + largestLen u32 + filterLen u32 (trailer sections)
 //
 // The encoded image is: header | body | smallest | largest | filter, with
@@ -212,14 +220,12 @@ type header struct {
 
 func encodeHeader(dst []byte, h header) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, magic)
-	dst = append(dst, byte(h.format), 0)
+	dst = append(dst, byte(h.format), layoutVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, h.count)
 	dst = binary.LittleEndian.AppendUint32(dst, h.groupSize)
 	dst = binary.LittleEndian.AppendUint32(dst, h.smallLen)
 	dst = binary.LittleEndian.AppendUint32(dst, h.largeLen)
-	dst = binary.LittleEndian.AppendUint32(dst, h.filterLen)
-	_ = headerSize
-	return dst
+	return binary.LittleEndian.AppendUint32(dst, h.filterLen)
 }
 
 const encodedHeaderSize = 4 + 2 + 4 + 4 + 4 + 4 + 4
@@ -230,6 +236,9 @@ func decodeHeader(p []byte) (header, error) {
 	}
 	if binary.LittleEndian.Uint32(p[0:4]) != magic {
 		return header{}, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	}
+	if p[5] != layoutVersion {
+		return header{}, fmt.Errorf("%w: unknown layout version %d", ErrCorrupt, p[5])
 	}
 	return header{
 		format:    Format(p[4]),
@@ -385,19 +394,45 @@ func Open(dev *pmem.Device, addr pmem.Addr) (*Table, error) {
 	}
 	switch h.format {
 	case FormatPrefix:
-		t.prefix, err = openPrefixMeta(body, int(h.groupSize))
+		t.prefix, err = openPrefixMeta(body, int(h.groupSize), int(h.count))
 	case FormatArray, FormatArraySnappy, FormatArraySnappyGroup:
 		t.array, err = openArrayMeta(body, h.format, int(h.groupSize))
 	default:
 		err = fmt.Errorf("pmtable: unknown format %v", h.format)
 	}
 	if err != nil {
-		return nil, err
+		return nil, wrapCorrupt(addr, size, err)
 	}
 	return t, nil
 }
 
-// Get returns the newest version of key visible at snapshot seq.
+// lookup charges the device for the index lines one search touches: one
+// access per distinct pmem.LineSize line, because a line fetched once stays
+// in the CPU cache for the rest of the lookup. It remembers the last few
+// lines only; a search that wanders further pays again, as a small cache
+// would make it.
+type lookup struct {
+	dev  *pmem.Device
+	seen [8]int
+	n    int
+}
+
+// touch fetches the line holding body offset off unless the lookup already
+// has it. Regions are line-aligned, so image offsets decide the line.
+func (l *lookup) touch(off int) {
+	line := (encodedHeaderSize + off) / pmem.LineSize
+	for _, s := range l.seen[:min(l.n, len(l.seen))] {
+		if s == line {
+			return
+		}
+	}
+	l.seen[l.n%len(l.seen)] = line
+	l.n++
+	l.dev.ChargeAccess()
+}
+
+// Get returns the newest version of key visible at snapshot seq. The entry's
+// Key is the caller's key; its Value is a copy.
 func (t *Table) Get(key []byte, seq uint64) (kv.Entry, bool) {
 	switch t.format {
 	case FormatPrefix:

@@ -455,21 +455,63 @@ func TestOpenRejectsTruncatedBloomSection(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsInconsistentHeaderWithValidCRC corrupts the header's
-// smallestLen so the trailer no longer fits, then recomputes a matching CRC:
-// the checksum passes but the structural bounds check must still reject the
-// image (bodyLen would go negative).
+// TestOpenRejectsInconsistentHeaderWithValidCRC edits one structural field
+// of an intact image and recomputes a matching CRC: the checksum passes, so
+// the structural checks alone must reject the image — with a located
+// *CorruptionError and without panicking.
 func TestOpenRejectsInconsistentHeaderWithValidCRC(t *testing.T) {
 	dev := testDevice()
-	img := imageOf(t, dev, FormatArray)
-	bad := append([]byte(nil), img...)
-	// smallLen lives at header offset 14 (magic 4 + format 1 + pad 1 + count 4
-	// + groupSize 4).
-	binary.LittleEndian.PutUint32(bad[14:18], uint32(len(bad)))
-	binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], castagnoli))
-	addr := rebuildAt(t, dev, bad)
-	if _, err := Open(dev, addr); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("oversized smallLen with recomputed CRC: got err %v, want ErrCorrupt", err)
+	prefixImg := imageOf(t, dev, FormatPrefix) // 80 entries in groups of at most 8
+	// numGroups sits behind the meta layer: dictCount u8, then per dictionary
+	// entry a one-byte length and its bytes.
+	numGroupsOff := encodedHeaderSize + 1
+	for i := 0; i < int(prefixImg[encodedHeaderSize]); i++ {
+		numGroupsOff += 1 + int(prefixImg[numGroupsOff])
+	}
+	if got := binary.LittleEndian.Uint32(prefixImg[numGroupsOff:]); got < 10 || got > 80 {
+		t.Fatalf("numGroups field reads %d, want 10..80", got)
+	}
+	setNumGroups := func(n uint32) func([]byte) {
+		return func(img []byte) { binary.LittleEndian.PutUint32(img[numGroupsOff:], n) }
+	}
+	cases := []struct {
+		name string
+		img  []byte
+		edit func(img []byte)
+	}{
+		// smallLen lives at header offset 14 (magic 4 + format 1 + version 1 +
+		// count 4 + groupSize 4); oversized, bodyLen would go negative.
+		{"oversized smallLen", imageOf(t, dev, FormatArray), func(img []byte) {
+			binary.LittleEndian.PutUint32(img[14:18], uint32(len(img)))
+		}},
+		{"layout version 0", prefixImg, func(img []byte) { img[5] = 0 }},
+		{"layout version from the future", prefixImg, func(img []byte) { img[5] = layoutVersion + 1 }},
+		// Index geometry follows from numGroups; each of these makes it
+		// disagree with the header's entry count or with the body's size.
+		{"no groups", prefixImg, setNumGroups(0)},
+		{"fewer groups than hold the entries", prefixImg, setNumGroups(9)},
+		{"more groups than entries", prefixImg, setNumGroups(81)},
+		{"levels past the body", prefixImg, func(img []byte) {
+			// Consistent with the entry count, so only the geometry check
+			// can object: 4 000 000 groups need ~120 MB of index.
+			binary.LittleEndian.PutUint32(img[6:10], 4_000_000*8)
+			setNumGroups(4_000_000)(img)
+		}},
+		{"zero group size", prefixImg, func(img []byte) { binary.LittleEndian.PutUint32(img[10:14], 0) }},
+	}
+	for _, c := range cases {
+		bad := append([]byte(nil), c.img...)
+		c.edit(bad)
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], castagnoli))
+		addr := rebuildAt(t, dev, bad)
+		_, err := Open(dev, addr)
+		var ce *CorruptionError
+		if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s with recomputed CRC: got err %v, want a *CorruptionError", c.name, err)
+		} else if ce.Addr != addr {
+			t.Errorf("%s: error locates region %d, want %d", c.name, ce.Addr, addr)
+		}
+		dev.Release(addr)
 	}
 }
 

@@ -4,18 +4,25 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pmblade/internal/compress"
 	"pmblade/internal/kv"
+	"pmblade/internal/pmem"
 )
 
-// Prefix-format body layout:
+// Prefix-format body layout. The region is pmem.LineSize-aligned and the
+// body starts encodedHeaderSize bytes into the image; the pad puts the index
+// on a line boundary of the image, so every index node is exactly one line.
 //
 //	meta layer:   dictCount u8 | dict entries: len uvarint + bytes
-//	prefix layer: numGroups u32 | per group (fixed stride):
-//	                P-byte prefix of the group's first full key (zero padded)
-//	                entryOff u32 (offset into entry layer)
-//	                firstIdx u32 (index of the group's first entry)
+//	prefix layer: numGroups u32 | zero pad to the next line |
+//	              inner levels, root first: nodes of up to innerFanout
+//	                P-byte separators, zero padded to one line |
+//	              leaf level: nodes of up to leafFanout slots, zero padded
+//	                to one line; slot gi, in key order:
+//	                  P-byte prefix of group gi's first full key (zero padded)
+//	                  entryOff u32 (offset into entry layer)
 //	entry layer:  per group:
 //	                metaIdx u8 | count uvarint | sharedLen uvarint | shared
 //	                per entry: remLen uvarint | valLen uvarint |
@@ -23,19 +30,58 @@ import (
 //
 // Full key = dict[metaIdx] + shared + rem. The dictionary extracts long
 // leading prefixes shared by many keys ({tableID} encodings); the per-group
-// shared prefix removes what the dictionary missed; the fixed-stride prefix
-// layer is what binary search probes.
+// shared prefix removes what the dictionary missed.
+//
+// The prefix layer is a static search tree with no stored pointers. The
+// leaf level is the sorted array of group prefixes; separator j of the
+// level above a level is the first prefix of that level's node j, so node n
+// of a level holds the separators of nodes n*innerFanout... of the level
+// below. The whole geometry follows from numGroups (layout). A search
+// reads one node — one device line — per level.
+
+const (
+	slotSize    = prefixLen + 4             // prefix + entryOff u32
+	leafFanout  = pmem.LineSize / slotSize  // 9 slots to a line
+	innerFanout = pmem.LineSize / prefixLen // 10 separators to a line
+)
+
+// indexLevel is one inner level of the prefix layer.
+type indexLevel struct {
+	off    int // body offset of the level's first node
+	seps   int // separators in the level = nodes in the level below
+	stride int // groups covered by one separator
+}
 
 type prefixMeta struct {
 	body      []byte // zero-copy arena view
 	dict      [][]byte
-	groupSize int
 	numGroups int
-	pfxOff    int // offset of prefix layer in body
-	entryOff  int // offset of entry layer in body
+	inner     []indexLevel // root first
+	leafOff   int          // offset of the leaf level in body
+	entryOff  int          // offset of entry layer in body
 }
 
-const prefixStride = prefixLen + 8 // prefix + entryOff u32 + firstIdx u32
+// layout places the prefix layer of m.numGroups groups from body offset off
+// (just past the numGroups field): inner levels root first, then the leaf
+// level, then the entry layer. Builder and Open share it.
+func (m *prefixMeta) layout(off int) {
+	// Levels bottom-up: level k's separators are one per node of the level
+	// below, i.e. one per leafFanout*innerFanout^(k-1) groups.
+	leaves := ceilDiv(m.numGroups, leafFanout)
+	for nodes, stride := leaves, leafFanout; nodes > 1; stride *= innerFanout {
+		m.inner = append(m.inner, indexLevel{seps: nodes, stride: stride})
+		nodes = ceilDiv(nodes, innerFanout)
+	}
+	slices.Reverse(m.inner)
+	off += -(encodedHeaderSize + off) & (pmem.LineSize - 1)
+	for i := range m.inner {
+		m.inner[i].off = off
+		off += ceilDiv(m.inner[i].seps, innerFanout) * pmem.LineSize
+	}
+	m.leafOff, m.entryOff = off, off+leaves*pmem.LineSize
+}
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 func buildPrefixBody(entries []kv.Entry, groupSize int) ([]byte, error) {
 	// Meta layer: collect distinct metaPrefixLen-byte leading prefixes, in
@@ -117,32 +163,40 @@ func buildPrefixBody(entries []kv.Entry, groupSize int) ([]byte, error) {
 	}
 
 	// Assemble: meta | prefix layer | entry layer.
-	body := make([]byte, 0, len(entryLayer)+len(groups)*prefixStride+64)
-	body = append(body, byte(len(dict)))
+	meta := []byte{byte(len(dict))}
 	for _, d := range dict {
-		body = binary.AppendUvarint(body, uint64(len(d)))
-		body = append(body, d...)
+		meta = binary.AppendUvarint(meta, uint64(len(d)))
+		meta = append(meta, d...)
 	}
-	body = binary.LittleEndian.AppendUint32(body, uint32(len(groups)))
-	var pfx [prefixLen]byte
-	for gi, g := range groups {
-		for i := range pfx {
-			pfx[i] = 0
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(groups)))
+	m := prefixMeta{numGroups: len(groups)}
+	m.layout(len(meta))
+	// The index is written in place into zeroed bytes: the alignment pad,
+	// the tail of every node and the tail of a short key's prefix are zeros.
+	body := make([]byte, m.entryOff, m.entryOff+len(entryLayer))
+	copy(body, meta)
+	for _, lv := range m.inner {
+		for j := 0; j < lv.seps; j++ {
+			o := lv.off + j/innerFanout*pmem.LineSize + j%innerFanout*prefixLen
+			copy(body[o:o+prefixLen], entries[groups[j*lv.stride].first].Key)
 		}
-		copy(pfx[:], entries[g.first].Key)
-		body = append(body, pfx[:]...)
-		body = binary.LittleEndian.AppendUint32(body, uint32(groupOffs[gi]))
-		body = binary.LittleEndian.AppendUint32(body, uint32(g.first))
 	}
-	body = append(body, entryLayer...)
-	return body, nil
+	for gi, g := range groups {
+		o := m.slotOff(gi)
+		copy(body[o:o+prefixLen], entries[g.first].Key)
+		binary.LittleEndian.PutUint32(body[o+prefixLen:], uint32(groupOffs[gi]))
+	}
+	return append(body, entryLayer...), nil
 }
 
-func openPrefixMeta(body []byte, groupSize int) (*prefixMeta, error) {
+// openPrefixMeta decodes the meta layer and the prefix layer's geometry.
+// count is the header's entry count: a group holds between one and groupSize
+// entries, which bounds numGroups from both sides.
+func openPrefixMeta(body []byte, groupSize, count int) (*prefixMeta, error) {
 	if len(body) < 1 {
 		return nil, ErrCorrupt
 	}
-	m := &prefixMeta{body: body, groupSize: groupSize}
+	m := &prefixMeta{body: body}
 	dictCount := int(body[0])
 	off := 1
 	for i := 0; i < dictCount; i++ {
@@ -159,30 +213,30 @@ func openPrefixMeta(body []byte, groupSize int) (*prefixMeta, error) {
 	}
 	m.numGroups = int(binary.LittleEndian.Uint32(body[off:]))
 	off += 4
-	m.pfxOff = off
-	m.entryOff = off + m.numGroups*prefixStride
+	if groupSize < 1 || m.numGroups > count || m.numGroups < ceilDiv(count, groupSize) {
+		return nil, fmt.Errorf("%w: %d groups of at most %d cannot hold %d entries", ErrCorrupt, m.numGroups, groupSize, count)
+	}
+	m.layout(off)
 	if m.entryOff > len(body) {
-		return nil, fmt.Errorf("%w: prefix layer", ErrCorrupt)
+		return nil, fmt.Errorf("%w: prefix layer ends at %d, past the %d-byte body", ErrCorrupt, m.entryOff, len(body))
 	}
 	return m, nil
 }
 
+// slotOff returns the body offset of group gi's leaf slot.
+func (m *prefixMeta) slotOff(gi int) int {
+	return m.leafOff + gi/leafFanout*pmem.LineSize + gi%leafFanout*slotSize
+}
+
 // groupPrefix returns the fixed-length prefix of group gi.
 func (m *prefixMeta) groupPrefix(gi int) []byte {
-	o := m.pfxOff + gi*prefixStride
+	o := m.slotOff(gi)
 	return m.body[o : o+prefixLen]
 }
 
 // groupEntryOff returns the entry-layer offset of group gi.
 func (m *prefixMeta) groupEntryOff(gi int) int {
-	o := m.pfxOff + gi*prefixStride + prefixLen
-	return int(binary.LittleEndian.Uint32(m.body[o:]))
-}
-
-// groupFirstIdx returns the entry index of group gi's first entry.
-func (m *prefixMeta) groupFirstIdx(gi int) int {
-	o := m.pfxOff + gi*prefixStride + prefixLen + 4
-	return int(binary.LittleEndian.Uint32(m.body[o:]))
+	return int(binary.LittleEndian.Uint32(m.body[m.slotOff(gi)+prefixLen:]))
 }
 
 // fixedPrefix truncates or zero-pads key to prefixLen bytes for comparison
@@ -208,90 +262,103 @@ func (t *Table) firstKey(gi int, buf []byte) ([]byte, error) {
 	return append(buf[:0], e.Key...), nil
 }
 
-// findGroup locates the first group that could contain key. Because group
-// prefixes are truncated first keys and versions of a key sort newest-first,
-// the scan must start at the group *before* the first group whose first key
-// is >= key. The fixed-size prefix layer narrows the range with one PM
-// access per probe; when several groups share the key's truncated prefix, a
-// second binary search on their full first keys resolves the start group, so
-// lookups stay logarithmic even on long-shared-prefix keyspaces.
-func (t *Table) findGroup(key []byte) int {
-	m := t.prefix
-	target := fixedPrefix(key)
-	lo, hi := 0, m.numGroups // first group with prefix >= target
+// countBefore reports how many of the n stride-spaced prefixes at p sort
+// before target (or, with orEqual, at or before it). They are sorted, so it
+// is a binary search; all n sit in one line, already fetched.
+func countBefore(p []byte, stride, n int, target []byte, orEqual bool) int {
+	lo, hi := 0, n
 	for lo < hi {
 		mid := (lo + hi) / 2
-		t.dev.ChargeAccess()
-		if bytes.Compare(m.groupPrefix(mid), target[:]) < 0 {
+		c := bytes.Compare(p[mid*stride:mid*stride+prefixLen], target)
+		if c < 0 || (orEqual && c == 0) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	start := lo - 1
-	if start < 0 {
-		start = 0
+	return lo
+}
+
+// seek descends the prefix layer and reports how many groups have a prefix
+// before target (or, with orEqual, at or before it): at every level it takes
+// the last child whose separator qualifies, since that child's subtree holds
+// the last qualifying group. One line is fetched per level.
+func (m *prefixMeta) seek(l *lookup, target []byte, orEqual bool) int {
+	node := 0
+	for _, lv := range m.inner {
+		off := lv.off + node*pmem.LineSize
+		l.touch(off)
+		n := min(innerFanout, lv.seps-node*innerFanout)
+		node = node*innerFanout + max(countBefore(m.body[off:], prefixLen, n, target, orEqual)-1, 0)
 	}
-	// Range of groups whose truncated prefix equals the target's. Gallop so
-	// the common case (no duplicate prefixes) costs one extra probe.
-	eqHi := lo
-	if lo < m.numGroups {
-		t.dev.ChargeAccess()
-		if bytes.Equal(m.groupPrefix(lo), target[:]) {
-			step := 1
-			eqHi = lo + 1
-			for eqHi < m.numGroups {
-				next := eqHi + step
-				if next > m.numGroups {
-					next = m.numGroups
-				}
-				t.dev.ChargeAccess()
-				if !bytes.Equal(m.groupPrefix(next-1), target[:]) {
-					break
-				}
-				eqHi = next
-				step *= 2
-			}
-			// Binary refine within (eqHi-1, min(eqHi+step, n)].
-			h := eqHi + step
-			if h > m.numGroups {
-				h = m.numGroups
-			}
-			for eqHi < h {
-				mid := (eqHi + h) / 2
-				t.dev.ChargeAccess()
-				if bytes.Equal(m.groupPrefix(mid), target[:]) {
-					eqHi = mid + 1
-				} else {
-					h = mid
-				}
-			}
+	off := m.leafOff + node*pmem.LineSize
+	l.touch(off)
+	n := min(leafFanout, m.numGroups-node*leafFanout)
+	return node*leafFanout + countBefore(m.body[off:], slotSize, n, target, orEqual)
+}
+
+// findGroup returns the groups [start, end) that can hold key. Group prefixes
+// are truncated first keys and versions of a key sort newest-first, so the
+// scan starts at the group *before* the first group whose first key is >=
+// key; it ends before the first group whose prefix is past key's.
+//
+// One upper-bound descent finds end and, in the leaf line it read, almost
+// always the first group lo carrying key's own truncated prefix as well.
+// Only when that line opens on the prefix can the run of it reach back into
+// earlier lines; then the previous line is read too, for the slot of group
+// lo-1 that the scan needs anyway, and a lower-bound descent follows if the
+// run did start earlier. When several groups share the prefix, a binary
+// search on their full first keys resolves the start group, so lookups stay
+// logarithmic on long-shared-prefix keyspaces.
+func (t *Table) findGroup(key []byte) (start, end int) {
+	m := t.prefix
+	target := fixedPrefix(key)
+	l := lookup{dev: t.dev}
+	end = m.seek(&l, target[:], true)
+	if end == 0 {
+		return 0, 0
+	}
+	lineStart := (end - 1) / leafFanout * leafFanout
+	lo := end
+	for lo > lineStart && bytes.Equal(m.groupPrefix(lo-1), target[:]) {
+		lo--
+	}
+	if lo == lineStart && lo < end && lo > 0 {
+		// The line opens on key's prefix; the slot before it, one line
+		// back, says whether the run of that prefix started earlier.
+		l.touch(m.slotOff(lo - 1))
+		if bytes.Equal(m.groupPrefix(lo-1), target[:]) {
+			lo = m.seek(&l, target[:], false)
 		}
 	}
-	if eqHi > lo {
-		// First group in [lo, eqHi) whose full first key is >= key; the scan
-		// starts one group earlier because the newest versions of key may
-		// precede that boundary.
-		var buf []byte
-		a, b := lo, eqHi
-		for a < b {
-			mid := (a + b) / 2
-			fk, err := t.firstKey(mid, buf)
-			if err != nil {
-				return start
-			}
-			buf = fk
-			if bytes.Compare(fk, key) < 0 {
-				a = mid + 1
-			} else {
-				b = mid
-			}
+	start = max(lo-1, 0)
+	if end-lo < 2 {
+		// At most one group opens on key's prefix: comparing its full first
+		// key could only save the scan of group lo-1, and costs as much.
+		return start, end
+	}
+	// First group in [lo, end) whose full first key is >= key; the scan
+	// starts one group earlier because the newest versions of key may
+	// precede that boundary.
+	var buf []byte
+	a, b := lo, end
+	for a < b {
+		mid := (a + b) / 2
+		fk, err := t.firstKey(mid, buf)
+		if err != nil {
+			return start, end
 		}
-		if a > lo {
-			start = a - 1
+		buf = fk
+		if bytes.Compare(fk, key) < 0 {
+			a = mid + 1
+		} else {
+			b = mid
 		}
 	}
-	return start
+	if a > lo {
+		start = a - 1
+	}
+	return start, end
 }
 
 // groupDecoder sequentially decodes one group in the entry layer.
@@ -306,27 +373,27 @@ type groupDecoder struct {
 	lastErr error
 }
 
-func (m *prefixMeta) decodeGroup(gi int) (*groupDecoder, error) {
+func (m *prefixMeta) decodeGroup(gi int) (groupDecoder, error) {
 	off := m.entryOff + m.groupEntryOff(gi)
 	body := m.body
 	if off >= len(body) {
-		return nil, ErrCorrupt
+		return groupDecoder{}, ErrCorrupt
 	}
-	d := &groupDecoder{m: m}
+	d := groupDecoder{m: m}
 	mi := int(body[off])
 	off++
 	if mi >= len(m.dict) {
-		return nil, fmt.Errorf("%w: meta index %d", ErrCorrupt, mi)
+		return groupDecoder{}, fmt.Errorf("%w: meta index %d", ErrCorrupt, mi)
 	}
 	d.dictP = m.dict[mi]
 	cnt, n := binary.Uvarint(body[off:])
 	if n <= 0 {
-		return nil, ErrCorrupt
+		return groupDecoder{}, ErrCorrupt
 	}
 	off += n
 	sl, n := binary.Uvarint(body[off:])
 	if n <= 0 || off+n+int(sl) > len(body) {
-		return nil, ErrCorrupt
+		return groupDecoder{}, ErrCorrupt
 	}
 	off += n
 	d.shared = body[off : off+int(sl)]
@@ -374,19 +441,18 @@ func (d *groupDecoder) next() (e kv.Entry, ok bool) {
 	return kv.Entry{Key: d.keyBuf, Value: val, Seq: seq, Kind: kind}, true
 }
 
-// prefixGet performs the paper's lookup: binary search the prefix layer, then
-// scan groups sequentially. Returns the newest version with Seq <= seq.
+// prefixGet performs the paper's lookup: search the prefix layer, then scan
+// groups sequentially. Returns the newest version with Seq <= seq; entries
+// sort newest-first within a key, so that is the first one visible. The
+// returned Key is the caller's.
 func (t *Table) prefixGet(key []byte, seq uint64) (kv.Entry, bool) {
 	if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
 		return kv.Entry{}, false
 	}
-	m := t.prefix
-	gi := t.findGroup(key)
-	var best kv.Entry
-	found := false
-	for ; gi < m.numGroups; gi++ {
+	start, end := t.findGroup(key)
+	for gi := start; gi < end; gi++ {
 		t.dev.ChargeAccess() // one PM access to land on the group
-		d, err := m.decodeGroup(gi)
+		d, err := t.prefix.decodeGroup(gi)
 		if err != nil {
 			return kv.Entry{}, false
 		}
@@ -397,41 +463,21 @@ func (t *Table) prefixGet(key []byte, seq uint64) (kv.Entry, bool) {
 			}
 			c := bytes.Compare(e.Key, key)
 			if c > 0 {
-				return best, found
+				return kv.Entry{}, false
 			}
 			if c == 0 && e.Seq <= seq {
-				if !found || e.Seq > best.Seq {
-					best = kv.Entry{
-						Key:   append([]byte(nil), e.Key...),
-						Value: append([]byte(nil), e.Value...),
-						Seq:   e.Seq,
-						Kind:  e.Kind,
-					}
-					found = true
-				}
-			}
-		}
-		// If this group's last key was still < key, continue to the next
-		// group; otherwise we have passed key's position.
-		if found {
-			return best, true
-		}
-		// Peek: next group's prefix > key's prefix means key cannot follow.
-		if gi+1 < m.numGroups {
-			target := fixedPrefix(key)
-			if bytes.Compare(m.groupPrefix(gi+1), target[:]) > 0 {
-				return best, found
+				return kv.Entry{Key: key, Value: append([]byte(nil), e.Value...), Seq: e.Seq, Kind: e.Kind}, true
 			}
 		}
 	}
-	return best, found
+	return kv.Entry{}, false
 }
 
 // prefixIterator walks all groups in order.
 type prefixIterator struct {
 	t   *Table
 	gi  int
-	dec *groupDecoder
+	dec groupDecoder // of group gi; the zero decoder is exhausted
 	cur kv.Entry
 	ok  bool
 }
@@ -440,32 +486,42 @@ func (t *Table) newPrefixIterator() kv.Iterator {
 	return &prefixIterator{t: t, gi: -1}
 }
 
-func (it *prefixIterator) SeekToFirst() {
-	it.gi = -1
-	it.dec = nil
+func (it *prefixIterator) SeekToFirst() { it.seekGroup(0) }
+
+// seekGroup positions the iterator on the first entry of group gi.
+func (it *prefixIterator) seekGroup(gi int) {
+	it.gi = gi - 1
+	it.dec.count = 0
 	it.advance()
+}
+
+// enter lands on group gi, charging its one PM access. The decoder keeps
+// the previous group's key buffer.
+func (it *prefixIterator) enter(gi int) bool {
+	it.t.dev.ChargeAccess()
+	d, err := it.t.prefix.decodeGroup(gi)
+	if err != nil {
+		it.ok = false
+		return false
+	}
+	d.keyBuf = it.dec.keyBuf
+	it.gi, it.dec = gi, d
+	return true
 }
 
 func (it *prefixIterator) advance() {
 	for {
-		if it.dec != nil {
-			if e, ok := it.dec.next(); ok {
-				it.cur, it.ok = e, true
-				return
-			}
-		}
-		it.gi++
-		if it.gi >= it.t.prefix.numGroups {
-			it.ok = false
+		if e, ok := it.dec.next(); ok {
+			it.cur, it.ok = e, true
 			return
 		}
-		it.t.dev.ChargeAccess()
-		d, err := it.t.prefix.decodeGroup(it.gi)
-		if err != nil {
-			it.ok = false
+		if it.gi+1 >= it.t.prefix.numGroups {
+			it.gi, it.ok = it.t.prefix.numGroups, false
 			return
 		}
-		it.dec = d
+		if !it.enter(it.gi + 1) {
+			return
+		}
 	}
 }
 
@@ -495,20 +551,12 @@ func (it *prefixIterator) SetPos(pos uint64) {
 	}
 	gi := int(pos >> posGroupShift)
 	idx := int(pos & (1<<posGroupShift - 1))
-	if gi >= it.t.prefix.numGroups {
+	if gi >= it.t.prefix.numGroups || !it.enter(gi) {
 		it.ok = false
 		return
 	}
-	it.t.dev.ChargeAccess()
-	d, err := it.t.prefix.decodeGroup(gi)
-	if err != nil {
-		it.ok = false
-		return
-	}
-	it.gi = gi
-	it.dec = d
 	for i := 0; i <= idx; i++ {
-		e, ok := d.next()
+		e, ok := it.dec.next()
 		if !ok {
 			it.ok = false
 			return
@@ -519,10 +567,8 @@ func (it *prefixIterator) SetPos(pos uint64) {
 }
 
 func (it *prefixIterator) SeekGE(key []byte) {
-	gi := it.t.findGroup(key)
-	it.gi = gi - 1
-	it.dec = nil
-	it.advance()
+	start, _ := it.t.findGroup(key)
+	it.seekGroup(start)
 	for it.ok && bytes.Compare(it.cur.Key, key) < 0 {
 		it.advance()
 	}
