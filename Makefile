@@ -60,14 +60,15 @@ stress-compact:
 	$(GO) test -race -count=1 -run 'TestStressCompactEvict|TestEvictionDoesNotBlockPreservedPuts|TestEvictionVictimFaultIsolation|TestConcurrentEvictTriggersJoinOnePass' ./internal/engine
 
 # Snapshot-isolation stress: concurrent batch writers against snapshot
-# Scan/MultiGet readers (no torn batch, no vanished key) — 20 runs on real
-# scheduling, where the interleavings that used to tear show up, then 3 under
-# the race detector together with the visibility regression tests, iterator
-# pinning across flush + major compaction, and the memtable probe that
-# guards findGE against a concurrent insert.
+# Scan/MultiGet readers and plain Scans that walk two partitions (no torn
+# batch, no vanished key) — 20 runs on real scheduling, where the
+# interleavings that used to tear show up, then 3 under the race detector
+# together with the visibility regression tests, iterator pinning across
+# flush + major compaction, the one-partition-per-scan walk, and the memtable
+# probe that guards findGE against a concurrent insert.
 stress-snapshot:
 	$(GO) test -count=20 -run 'TestSnapshotNoTornBatches' ./internal/engine
-	$(GO) test -race -count=3 -run 'TestSnapshotNoTornBatches|TestSnapshotBasic|TestScanOverwriteAfterSnapshot|TestIteratorPinnedAcrossCompaction|TestReadStateOutlivesInstalls' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestSnapshotNoTornBatches|TestSnapshotBasic|TestScanOverwriteAfterSnapshot|TestIteratorPinnedAcrossCompaction|TestReadStateOutlivesInstalls|TestScanOpensOnlyPartitionsItReads' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestGetReturnsPublishedVersionUnderAppends' ./internal/memtable
 
 # Code-diet scoreboard: non-test Go lines per internal package, the number of

@@ -418,8 +418,8 @@ func BenchmarkEngineScan10(b *testing.B) {
 }
 
 // BenchmarkEngineIteratorSeekNext opens an iterator at a random key and
-// streams 100 entries — the pull-based counterpart of Scan100, exercising the
-// partition-hop and prefetch machinery.
+// streams 100 entries — the pull-based counterpart of Scan100. The store has
+// one partition, so no partition hop happens here.
 func BenchmarkEngineIteratorSeekNext(b *testing.B) {
 	const n = 20000
 	db := ssdResidentDB(b, n)
@@ -460,6 +460,54 @@ func BenchmarkEngineScan100(b *testing.B) {
 		if _, err := db.Scan([]byte(fmt.Sprintf("key-%06d", lo)), nil, 100); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkEngineScan50Partitioned is the scan every workload issues — start
+// key, no end, limit 50 — against PM-resident data on a range-partitioned
+// store, the shape the single-partition scan benchmarks cannot see: beside
+// ns/op and allocs/op it reports how many partitions a scan opened, which is
+// 1 plus the share of scans that cross a boundary however many partitions lie
+// to the right of the start key.
+func BenchmarkEngineScan50Partitioned(b *testing.B) {
+	for _, parts := range []int{4, 16} {
+		b.Run(fmt.Sprintf("parts=%d", parts), func(b *testing.B) {
+			const n = 16000
+			cfg := FastOptions().resolve()
+			cfg.PMProfile = pmem.OptaneProfile
+			for i := 1; i < parts; i++ {
+				cfg.PartitionBoundaries = append(cfg.PartitionBoundaries, []byte(fmt.Sprintf("key-%06d", i*n/parts)))
+			}
+			db, err := OpenEngine(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { db.Close() })
+			val := make([]byte, 256)
+			for i := 0; i < n; i++ {
+				db.Put([]byte(fmt.Sprintf("key-%06d", i)), val)
+			}
+			if err := db.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			// A sorted PM run per partition, so scans go through the range view
+			// as they do in the state a running store keeps.
+			if err := db.Engine().InternalCompactAll(); err != nil {
+				b.Fatal(err)
+			}
+			m := db.Engine().Metrics()
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			opens := m.RangeViewHits.Load() + m.RangeViewFallbacks.Load()
+			for i := 0; i < b.N; i++ {
+				lo := rng.Intn(n - 100)
+				if _, err := db.Scan([]byte(fmt.Sprintf("key-%06d", lo)), nil, 50); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m.RangeViewHits.Load()+m.RangeViewFallbacks.Load()-opens)/float64(b.N), "partitions/op")
+		})
 	}
 }
 

@@ -23,7 +23,6 @@ type Iterator struct {
 	pi       int
 	merged   *kv.DedupIterator
 	state    *readState // the open partition's state; merged reads its tables
-	prefetch *iterPrefetch
 	cur      ScanResult
 	valid    bool
 	closed   bool
@@ -31,21 +30,14 @@ type Iterator struct {
 	firstKey []byte
 }
 
-// iterPrefetch is the next partition's source stack being seeked in the
-// background while the current partition drains. At most one is in flight;
-// done closes when merged/state are safe to read.
-type iterPrefetch struct {
-	pi     int
-	done   chan struct{}
-	merged *kv.DedupIterator
-	state  *readState
-}
-
 // NewIterator opens an iterator over [start, end); nil bounds are unbounded.
-// Like Scan, it fails with ErrUnavailable when any intersecting partition
-// has a quarantined table overlapping the range: a streaming merge cannot
-// route around a corpse with Bloom precision, so serving results that the
-// quarantined data may shadow would be lying.
+// It fails with ErrUnavailable when any intersecting partition has a
+// quarantined table overlapping the range: a streaming merge cannot route
+// around a corpse with Bloom precision, so serving results that the
+// quarantined data may shadow would be lying. Scan's guard follows its walk
+// because a scan that reaches such a partition can still fail whole; a stream
+// cannot take back what it has yielded, so the whole range is checked at open
+// (and again at every hop, for a quarantine that lands mid-iteration).
 func (db *DB) NewIterator(start, end []byte) (*Iterator, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -88,10 +80,14 @@ func (db *DB) newIteratorAt(start, end []byte, seq uint64) (*Iterator, error) {
 	return it, nil
 }
 
-// openPartition switches to partition index pi, seeking its sources to from.
-// The quarantine guard is re-applied at every hop: a quarantine that lands
-// mid-iteration must stop the stream (Err reports ErrUnavailable) rather
-// than silently serve results the corpse may shadow.
+// openPartition switches to partition index pi: it acquires the partition's
+// state and seeks a merged, visibility-filtered, deduplicated iterator over it
+// to from (nil = first key) — the overlay plus the range view's
+// cursor-following iterator when the stable half has or can get one, else
+// every table. The next partition is opened when the current one is exhausted,
+// never ahead of need. The quarantine guard is re-applied at every hop: a
+// quarantine that lands mid-iteration must stop the stream (Err reports
+// ErrUnavailable) rather than silently serve results the corpse may shadow.
 func (it *Iterator) openPartition(pi int, from []byte) {
 	if it.state != nil {
 		it.state.release()
@@ -107,27 +103,12 @@ func (it *Iterator) openPartition(pi int, from []byte) {
 		it.err = ErrUnavailable
 		return
 	}
-	// Only hops (from == nil) ever find a prefetch; it was sought to first.
-	if pf := it.takePrefetch(pi); pf != nil {
-		it.merged, it.state = pf.merged, pf.state
-	} else {
-		it.merged, it.state = it.db.openSources(it.parts[pi], from, it.seq)
-	}
-	it.startPrefetch(pi + 1)
-}
-
-// openSources acquires p's state and seeks a merged, visibility-filtered,
-// deduplicated iterator over it to from (nil = first key): the overlay plus
-// the range view's cursor-following iterator when the stable half has or can
-// get one, else every table. The caller releases the returned state when done
-// with the iterator.
-func (db *DB) openSources(p *partition, from []byte, seq uint64) (*kv.DedupIterator, *readState) {
-	s := p.acquire()
-	v := db.viewOf(s)
+	s := it.parts[pi].acquire()
+	v := it.db.viewOf(s)
 	if v != nil {
-		db.metrics.RangeViewHits.Add(1)
+		it.db.metrics.RangeViewHits.Add(1)
 	} else {
-		db.metrics.RangeViewFallbacks.Add(1)
+		it.db.metrics.RangeViewFallbacks.Add(1)
 	}
 	its := s.sources(v)
 	for _, src := range its {
@@ -140,40 +121,8 @@ func (db *DB) openSources(p *partition, from []byte, seq uint64) (*kv.DedupItera
 	// Visibility before dedup (see scanPartition): otherwise a key whose
 	// newest version postdates the snapshot vanishes instead of resolving to
 	// its older visible version.
-	return kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), false), s
-}
-
-// startPrefetch begins seeking partition pi's sources in the background so
-// the cross-partition hop hides its first block reads behind the current
-// partition's drain. Cross-partition hops always start at the partition's
-// first key, so the prefetch seeks to first.
-func (it *Iterator) startPrefetch(pi int) {
-	if pi >= len(it.parts) {
-		return
-	}
-	pf := &iterPrefetch{pi: pi, done: make(chan struct{})}
-	it.prefetch = pf
-	p, db, seq := it.parts[pi], it.db, it.seq
-	go func() {
-		defer close(pf.done)
-		pf.merged, pf.state = db.openSources(p, nil, seq)
-	}()
-}
-
-// takePrefetch waits out and returns the in-flight prefetch if it targets
-// partition pi; a stale one is released and nil returned.
-func (it *Iterator) takePrefetch(pi int) *iterPrefetch {
-	pf := it.prefetch
-	if pf == nil {
-		return nil
-	}
-	it.prefetch = nil
-	<-pf.done
-	if pf.pi != pi {
-		pf.state.release()
-		return nil
-	}
-	return pf
+	it.merged = kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), it.seq), false)
+	it.state = s
 }
 
 // advance moves to the next live visible entry, crossing partitions.
@@ -241,10 +190,5 @@ func (it *Iterator) Close() {
 	if it.state != nil {
 		it.state.release()
 		it.state = nil
-	}
-	if pf := it.prefetch; pf != nil {
-		it.prefetch = nil
-		<-pf.done
-		pf.state.release()
 	}
 }

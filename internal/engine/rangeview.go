@@ -123,17 +123,19 @@ func (a *scanArena) copy(b []byte) []byte {
 // and only the mutable overlay goes through a merging iterator, in a 2-way
 // merge. Returns ok=false — with out restored to its input length — if the
 // view turned out inconsistent with its sources; the caller redoes the range
-// through the plain merge.
-func scanView(s *readState, v *rangeindex.View, start, end []byte, limit int, seq uint64, out []ScanResult) ([]ScanResult, bool) {
+// through the plain merge. budget is the number of entries this partition may
+// append (0 = unbounded) — what the scan still misses, not its limit — and
+// sizes the readahead, the arena and the result slice.
+func scanView(s *readState, v *rangeindex.View, start, end []byte, budget int, seq uint64, out []ScanResult) ([]ScanResult, bool) {
 	base := len(out)
 	vi := v.NewIter()
 	oits := s.overlay()
-	if limit > 0 {
+	if budget > 0 {
 		// Bounded scan: cap the sources' first readahead span to roughly what
 		// the scan will consume (slack for the seek's anchor walk and stale
 		// versions) instead of a full ScanReadahead window. Must precede the
 		// seek — the seek performs the first span read.
-		hint := limit + viewSegTarget
+		hint := budget + viewSegTarget
 		vi.HintEntries(hint)
 		for _, it := range oits {
 			if h, ok := it.(interface{ HintEntries(int) }); ok {
@@ -154,15 +156,15 @@ func scanView(s *readState, v *rangeindex.View, start, end []byte, limit int, se
 	}
 	ov := kv.NewMergingIteratorAt(oits...)
 	var arena scanArena
-	if limit > 0 && limit <= 4096 {
+	if budget > 0 && budget <= 4096 {
 		// Right-size the result copies: the view knows its sources' average
 		// entry footprint, so a bounded scan can fill one exact arena chunk
 		// and one exact result slice instead of growing both geometrically.
 		if avg := v.AvgEntryBytes(); avg > 0 {
-			arena.reserve(limit*avg + 512)
+			arena.reserve(budget*avg + 512)
 		}
-		if cap(out)-base < limit {
-			grown := make([]ScanResult, base, base+limit)
+		if cap(out)-base < budget {
+			grown := make([]ScanResult, base, base+budget)
 			copy(grown, out)
 			out = grown
 		}
@@ -216,7 +218,7 @@ func scanView(s *readState, v *rangeindex.View, start, end []byte, limit int, se
 			consumed = true
 			if e.Kind != kv.KindDelete {
 				out = append(out, ScanResult{Key: arena.copy(e.Key), Value: arena.copy(e.Value)})
-				if limit > 0 && len(out) >= limit {
+				if budget > 0 && len(out)-base >= budget {
 					break
 				}
 			}

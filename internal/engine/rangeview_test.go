@@ -228,45 +228,75 @@ func TestIteratorQuarantineMidIteration(t *testing.T) {
 	}
 }
 
-// TestTakePrefetchStaleRelease pins the stale-prefetch path: a prefetch
-// targeting a different partition than the one being opened must be drained,
-// released, and discarded.
-func TestTakePrefetchStaleRelease(t *testing.T) {
-	cfg := fastConfig()
-	cfg.PartitionBoundaries = [][]byte{[]byte("key-0200")}
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestScanOpensOnlyPartitionsItReads: a limit-bounded scan with no end opens
+// the partition that answers it — one, or two when it crosses a boundary —
+// and credits a read (the n_i^r of Eq. 1 / Eq. 3) to no other, on the view
+// and the plain-merge path alike.
+func TestScanOpensOnlyPartitionsItReads(t *testing.T) {
+	for _, parts := range []int{4, 16} {
+		for _, plain := range []bool{false, true} {
+			t.Run(fmt.Sprintf("parts=%d/plain=%v", parts, plain), func(t *testing.T) {
+				// Equal partitions of 100 keys each, all in the SSD run so every
+				// partition's stable half can carry a range view.
+				cfg := fastConfig()
+				for i := 1; i < parts; i++ {
+					cfg.PartitionBoundaries = append(cfg.PartitionBoundaries, []byte(fmt.Sprintf("key-%04d", i*100)))
+				}
+				db, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				fillSSD(t, db, parts*100)
+				db.plainMerge = plain
+				m := db.Metrics()
+				for pi := 0; pi < parts; pi++ {
+					// Offset 10 is answered inside partition pi; offset 80 needs 30
+					// entries of the next one (the last partition has none).
+					for _, off := range []int{10, 80} {
+						wantOpens := 1
+						if off == 80 && pi < parts-1 {
+							wantOpens = 2
+						}
+						var before []int64
+						for _, p := range db.partitions {
+							before = append(before, p.reads.Load())
+						}
+						hits, opens := m.RangeViewHits.Load(), m.RangeViewHits.Load()+m.RangeViewFallbacks.Load()
+						res, err := db.Scan([]byte(fmt.Sprintf("key-%04d", pi*100+off)), nil, 50)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := min(50, (parts-pi)*100-off); len(res) != want {
+							t.Fatalf("scan from partition %d offset %d: %d results, want %d", pi, off, len(res), want)
+						}
+						if got := m.RangeViewHits.Load() + m.RangeViewFallbacks.Load() - opens; got != int64(wantOpens) {
+							t.Fatalf("scan from partition %d offset %d opened %d partitions, want %d", pi, off, got, wantOpens)
+						}
+						if got := m.RangeViewHits.Load() - hits; !plain && got != int64(wantOpens) {
+							t.Fatalf("scan from partition %d offset %d: %d view hits, want %d", pi, off, got, wantOpens)
+						}
+						for qi, p := range db.partitions {
+							want := before[qi]
+							if qi >= pi && qi < pi+wantOpens {
+								want++
+							}
+							if got := p.reads.Load(); got != want {
+								t.Fatalf("scan from partition %d offset %d: partition %d reads = %d, want %d", pi, off, qi, got, want)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
-	defer db.Close()
-	fillSSD(t, db, 400)
-
-	it := &Iterator{db: db, seq: db.seq.Load(), parts: db.partitions}
-	it.startPrefetch(1)
-	if it.prefetch == nil {
-		t.Fatal("prefetch did not start")
-	}
-	stale := it.prefetch
-	if pf := it.takePrefetch(0); pf != nil { // wrong partition: stale
-		t.Fatal("stale prefetch was handed out")
-	}
-	if it.prefetch != nil {
-		t.Fatal("stale prefetch not cleared")
-	}
-	if n := stale.state.refs.Load(); n != 1 {
-		t.Fatalf("stale prefetch still holds its state: %d refs, want the publisher's 1", n)
-	}
-	// The matching case still works.
-	it.startPrefetch(1)
-	pf := it.takePrefetch(1)
-	if pf == nil || pf.merged == nil {
-		t.Fatal("matching prefetch rejected")
-	}
-	pf.state.release()
 }
 
-// TestScanLimitTruncationMultiPartition: the parallel fan-out scan with a
-// limit must return exactly the serial scan's prefix.
+// TestScanLimitTruncationMultiPartition: the ordered partition walk returns
+// exactly the full scan's slice for every start (inside the first, second and
+// last partition, on a boundary, inside a partition that is entirely
+// tombstones), every end (nil, on a boundary, cutting a partition) and every
+// limit (0 included), on the view and the plain-merge path.
 func TestScanLimitTruncationMultiPartition(t *testing.T) {
 	cfg := fastConfig()
 	cfg.PartitionBoundaries = [][]byte{[]byte("key-00500"), []byte("key-01000"), []byte("key-01500")}
@@ -283,20 +313,68 @@ func TestScanLimitTruncationMultiPartition(t *testing.T) {
 	if err := db.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	full := scanAll(t, db)
-	if len(full) != 2000 {
-		t.Fatalf("full scan: %d results", len(full))
+	if err := db.MajorCompactAll(); err != nil {
+		t.Fatal(err)
 	}
-	for _, limit := range []int{1, 499, 500, 501, 1250, 1999, 2000, 5000} {
-		got, err := db.Scan(nil, nil, limit)
-		if err != nil {
-			t.Fatal(err)
+	// The third partition becomes all tombstones and every seventh key of the
+	// others is overwritten, both in the overlay above the compacted run: the
+	// walk must pass through the dead partition and keep filling.
+	var model []ScanResult
+	for i := 0; i < 2000; i++ {
+		k, v := fmt.Sprintf("key-%05d", i), fmt.Sprintf("val-%05d", i)
+		switch {
+		case i >= 1000 && i < 1500:
+			if err := db.Delete([]byte(k)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		case i%7 == 0:
+			v = fmt.Sprintf("new-%05d", i)
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		want := full
-		if limit < len(full) {
-			want = full[:limit]
+		model = append(model, ScanResult{Key: []byte(k), Value: []byte(v)})
+	}
+
+	starts := []string{"", "key-00000", "key-00250", "key-00500", "key-00750", "key-00990", "key-01200", "key-01750", "key-01999", "zzz"}
+	ends := []string{"", "key-00300", "key-00500", "key-00760", "key-01250", "key-01600"}
+	limits := []int{0, 1, 10, 50, 249, 250, 251, 500, 501, 1250, 1500, 5000}
+	for _, plain := range []bool{false, true} {
+		db.plainMerge = plain
+		sameResults(t, fmt.Sprintf("plain=%v full scan", plain), scanAll(t, db), model)
+		for _, st := range starts {
+			for _, en := range ends {
+				var start, end []byte
+				want := model
+				if st != "" {
+					start = []byte(st)
+					for len(want) > 0 && bytes.Compare(want[0].Key, start) < 0 {
+						want = want[1:]
+					}
+				}
+				if en != "" {
+					end = []byte(en)
+					for len(want) > 0 && bytes.Compare(want[len(want)-1].Key, end) >= 0 {
+						want = want[:len(want)-1]
+					}
+				}
+				for _, limit := range limits {
+					got, err := db.Scan(start, end, limit)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w := want
+					if limit > 0 && limit < len(w) {
+						w = w[:limit]
+					}
+					sameResults(t, fmt.Sprintf("plain=%v scan [%q,%q) limit %d", plain, st, en, limit), got, w)
+				}
+			}
 		}
-		sameResults(t, fmt.Sprintf("limit %d", limit), got, want)
+		if !plain && db.Metrics().RangeViewHits.Load() == 0 {
+			t.Fatal("no scan was served through the range-index view")
+		}
 	}
 }
 

@@ -109,10 +109,12 @@ type ScanResult struct {
 }
 
 // Scan returns up to limit live entries with start <= key < end (nil end =
-// unbounded). It merges every tier of every intersecting partition; when the
-// range spans several partitions they are scanned in parallel with bounded
-// fan-out through the scheduler pool and the per-partition results are
-// concatenated in range order.
+// unbounded, limit 0 = unbounded). It is one ordered walk: start is routed to
+// its partition, that partition is scanned with the entries still missing as
+// its budget, and the walk steps to the next partition only while the result
+// is short of limit and the partition begins below end. A limit-bounded scan
+// therefore reads — and is charged to the cost model of — the partitions that
+// answer it, never the ones to their right.
 func (db *DB) Scan(start, end []byte, limit int) ([]ScanResult, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -123,60 +125,47 @@ func (db *DB) Scan(start, end []byte, limit int) ([]ScanResult, error) {
 }
 
 // scanAt is the explicit-sequence scan body shared by DB.Scan and
-// Snapshot.Scan. The caller must hold a registry pin on seq.
+// Snapshot.Scan. The caller must hold a registry pin on seq: the partitions
+// are read one after another, and only the pinned sequence makes the result
+// one point in time.
 func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, error) {
 	begin := time.Now()
-	parts := db.partitionsInRange(start, end)
-	// A scan cannot route around a quarantined table with Bloom precision the
-	// way point reads can: any overlap with a quarantined key range makes the
-	// result set untrustworthy, so the scan fails conservatively.
-	for _, p := range parts {
+	var out []ScanResult
+	for _, p := range db.partitions[db.route(start).id:] {
+		if limit > 0 && len(out) >= limit {
+			break
+		}
+		if end != nil && p.lo != nil && bytes.Compare(p.lo, end) >= 0 {
+			break
+		}
+		// A scan cannot route around a quarantined table with Bloom precision the
+		// way point reads can: a partition whose quarantined key range overlaps
+		// the scan's makes whatever it would contribute untrustworthy. The guard
+		// follows the walk — a partition the scan never reaches cannot shadow its
+		// result — and a scan that does reach one fails whole, never short.
 		if p.quarOverlaps(start, end) {
 			db.metrics.UnavailableReads.Add(1)
 			return nil, ErrUnavailable
 		}
-	}
-	var out []ScanResult
-	if len(parts) <= 1 {
-		for _, p := range parts {
-			out = db.scanPartition(p, start, end, limit, seq, out)
-		}
-	} else {
-		results := make([][]ScanResult, len(parts))
-		db.pool.Fan(len(parts), func(i int) {
-			// Each partition is capped at the global limit; the concatenation
-			// below truncates, so the result set equals the serial scan's.
-			results[i] = db.scanPartition(parts[i], start, end, limit, seq, nil)
-		})
-		for _, r := range results {
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-			out = append(out, r...)
-		}
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
-		}
+		// The budget is what is still missing, not limit: a hop into the next
+		// partition reserves and reads ahead for what it will return.
+		out = db.scanPartition(p, start, end, max(limit-len(out), 0), seq, out)
 	}
 	db.metrics.ScanLatency.Record(time.Since(begin))
 	return out, nil
 }
 
-// scanPartition appends partition p's visible entries in [start, end) to out,
-// stopping once out holds limit entries (limit 0 = unbounded). When the
-// state's stable half has (or can get) a range view, the stable tables stream
-// through its selector walk; otherwise — and whenever the view proves
-// inconsistent mid-scan — the plain merging-iterator path below serves the
-// same state unchanged.
-func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint64, out []ScanResult) []ScanResult {
-	if limit > 0 && len(out) >= limit {
-		return out
-	}
+// scanPartition appends up to budget of partition p's visible entries in
+// [start, end) to out (budget 0 = unbounded). When the state's stable half has
+// (or can get) a range view, the stable tables stream through its selector
+// walk; otherwise — and whenever the view proves inconsistent mid-scan — the
+// plain merging-iterator path below serves the same state unchanged.
+func (db *DB) scanPartition(p *partition, start, end []byte, budget int, seq uint64, out []ScanResult) []ScanResult {
 	s := p.acquire()
 	defer s.release()
 	p.reads.Add(1)
 	if v := db.viewOf(s); v != nil {
-		if res, ok := scanView(s, v, start, end, limit, seq, out); ok {
+		if res, ok := scanView(s, v, start, end, budget, seq, out); ok {
 			db.metrics.RangeViewHits.Add(1)
 			return res
 		}
@@ -184,9 +173,9 @@ func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint
 	db.metrics.RangeViewFallbacks.Add(1)
 	its := s.sources(nil)
 	for _, it := range its {
-		if limit > 0 {
+		if budget > 0 {
 			if h, ok := it.(interface{ HintEntries(int) }); ok {
-				h.HintEntries(limit + 32)
+				h.HintEntries(budget + 32)
 			}
 		}
 		if start != nil {
@@ -200,6 +189,7 @@ func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint
 	// dedup would keep the invisible newest version and the filter would
 	// then drop the key entirely instead of yielding its older visible one.
 	merged := kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), false)
+	base := len(out)
 	for ; merged.Valid(); merged.Next() {
 		e := merged.Entry()
 		if end != nil && bytes.Compare(e.Key, end) >= 0 {
@@ -211,7 +201,7 @@ func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint
 		// DedupIterator owns freshly allocated buffers per entry, so they can
 		// be handed to the caller without another copy.
 		out = append(out, ScanResult{Key: e.Key, Value: e.Value})
-		if limit > 0 && len(out) >= limit {
+		if budget > 0 && len(out)-base >= budget {
 			break
 		}
 	}

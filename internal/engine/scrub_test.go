@@ -36,9 +36,15 @@ func fillSSD(t *testing.T, db *DB, n int) map[string]string {
 // many tables were hit.
 func rotEverySST(t *testing.T, db *DB) int {
 	t.Helper()
+	return rotSSTs(t, db, -1)
+}
+
+// rotSSTs is rotEverySST restricted to one partition's tables (-1 = all).
+func rotSSTs(t *testing.T, db *DB, partition int) int {
+	t.Helper()
 	hit := 0
 	for _, tg := range db.RotTargets() {
-		if tg.Device != "ssd" {
+		if tg.Device != "ssd" || (partition >= 0 && tg.Partition != partition) {
 			continue
 		}
 		if _, err := db.SSDDevice().Rot(ssd.FileID(tg.ID), 0, tg.Limit); err != nil {
@@ -458,15 +464,19 @@ func TestBackgroundScrubLoop(t *testing.T) {
 }
 
 // TestScanUnavailableRange: scans overlapping a quarantined range fail
-// conservatively instead of returning a silently incomplete result set.
+// conservatively instead of returning a silently incomplete result set, and
+// the guard follows the partition walk — a scan that fills its limit (or ends)
+// before the quarantined partition is served, one that reaches it fails whole.
 func TestScanUnavailableRange(t *testing.T) {
-	db, err := Open(scrubConfig(fault.New(29)))
+	cfg := scrubConfig(fault.New(29))
+	cfg.PartitionBoundaries = [][]byte{[]byte("key-0100"), []byte("key-0200")}
+	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
 	fillSSD(t, db, 300)
-	if rotEverySST(t, db) == 0 {
+	if rotSSTs(t, db, 2) == 0 { // the last partition only
 		t.Fatal("no SSD tables to rot")
 	}
 	if _, err := db.ScrubOnce(); err != nil {
@@ -477,6 +487,19 @@ func TestScanUnavailableRange(t *testing.T) {
 	}
 	if _, err := db.Scan([]byte("key-0000"), []byte("key-0300"), 0); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("scan over quarantined range: err=%v, want ErrUnavailable", err)
+	}
+	// Answered before the walk reaches the quarantined partition: by the limit,
+	// or by an end bound inside the partition to its left.
+	if res, err := db.Scan([]byte("key-0000"), nil, 50); err != nil || len(res) != 50 {
+		t.Fatalf("scan filled by partition 0: %d results, err=%v", len(res), err)
+	}
+	if res, err := db.Scan([]byte("key-0050"), []byte("key-0150"), 0); err != nil || len(res) != 100 {
+		t.Fatalf("scan ending inside partition 1: %d results, err=%v", len(res), err)
+	}
+	// 50 entries short when partition 1 runs out: the scan reaches the
+	// quarantined partition and fails whole, never with the 50 it has.
+	if res, err := db.Scan([]byte("key-0150"), nil, 100); !errors.Is(err, ErrUnavailable) || res != nil {
+		t.Fatalf("scan reaching the quarantined partition: %d results, err=%v, want none and ErrUnavailable", len(res), err)
 	}
 	if err := db.RepairQuarantined(); err != nil {
 		t.Fatal(err)

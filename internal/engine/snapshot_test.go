@@ -256,7 +256,10 @@ func TestIteratorPinnedAcrossCompaction(t *testing.T) {
 // writers apply batches whose entries all carry the same payload tag; any
 // snapshot read (Scan or MultiGet) must observe each batch all-or-nothing.
 // Before the visible-seq watermark, per-entry seq allocation made half-
-// inserted batches readable. Run with -race for the full effect.
+// inserted batches readable. Plain db.Scan calls whose limit spans both
+// partitions read alongside: Scan reads its partitions one after another, so
+// only the sequence it pins keeps a batch that commits between the two reads
+// out of the second. Run with -race for the full effect.
 func TestSnapshotNoTornBatches(t *testing.T) {
 	cfg := fastConfig()
 	cfg.PartitionBoundaries = [][]byte{[]byte("key-000016")}
@@ -303,7 +306,7 @@ func TestSnapshotNoTornBatches(t *testing.T) {
 		}
 	}()
 
-	const readers = 4
+	const readers = 6 // two snapshot Scan, two snapshot MultiGet, two plain Scan
 	const roundsPerReader = 60
 	readerWG.Add(readers)
 	for r := 0; r < readers; r++ {
@@ -311,6 +314,31 @@ func TestSnapshotNoTornBatches(t *testing.T) {
 		go func() {
 			defer readerWG.Done()
 			for round := 0; round < roundsPerReader; round++ {
+				if r >= 4 {
+					// Plain scans crossing the boundary: every key, and the 8 keys
+					// on either side of it.
+					start, want := []byte(nil), nKeys
+					if r == 5 {
+						start, want = keys[8], 16
+					}
+					res, err := db.Scan(start, nil, want)
+					if err != nil {
+						t.Errorf("Scan: %v", err)
+						return
+					}
+					if len(res) != want {
+						t.Errorf("Scan returned %d keys, want %d", len(res), want)
+						return
+					}
+					for _, kv := range res {
+						if !bytes.Equal(kv.Value, res[0].Value) {
+							t.Errorf("torn batch in plain Scan: key %s has tag %q, key %s has %q",
+								kv.Key, kv.Value, res[0].Key, res[0].Value)
+							return
+						}
+					}
+					continue
+				}
 				s, err := db.NewSnapshot()
 				if err != nil {
 					t.Errorf("NewSnapshot: %v", err)

@@ -285,9 +285,9 @@ func (p *Pool) CloseBackground() {
 }
 
 // Fan runs fn(0..n-1) to completion on at most workers × k goroutines (the
-// caller's among them) — the bounded fan-out of parallel client scans,
-// MultiGet, and the concurrent-victim eviction pipeline, so a wide fan-out
-// cannot spawn unbounded goroutines. It is the same in every mode: fn gets no
+// caller's among them) — the bounded fan-out of MultiGet's partition groups
+// and the concurrent-victim eviction pipeline, so a wide fan-out cannot spawn
+// unbounded goroutines. It is the same in every mode: fn gets no
 // Ctx, so there are no stages to schedule, and client reads issued from it
 // do not count toward q_comp, which the admission policy treats as
 // compaction I/O. fn may itself call Run (each Run sets up its own slots and

@@ -142,7 +142,11 @@ func (db *DB) MultiGet(keys [][]byte) ([]engine.GetResult, error) { return db.en
 type KV = engine.ScanResult
 
 // Scan returns up to limit live pairs with start <= key < end; nil bounds
-// are unbounded, limit 0 is unlimited.
+// are unbounded, limit 0 is unlimited. It reads the range partitions in key
+// order from the one holding start and stops at the one that fills limit, so
+// a bounded scan costs what it returns; it fails with engine.ErrUnavailable,
+// never with a short result, if a partition it reaches has a quarantined
+// table over the range.
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	return db.eng.Scan(start, end, limit)
 }
