@@ -124,8 +124,9 @@ func suppressedPair(a, b *partition) {
 	a.maint.Unlock()
 }
 
-// compactToSSD stands in for the real runMajor: the function that performs
-// the compaction device I/O itself (rule 4's roots carry the directive).
+// compactToSSD stands in for the real compactToSSD: the one function that
+// performs the compaction device I/O itself (rule 4's roots carry the
+// directive).
 //
 //pmblade:compacts
 func (db *DB) compactToSSD(p *partition) { _ = p }

@@ -6,7 +6,7 @@
 // coroutines (S3 yields the CPU slot), and PM-Blade's flush coroutine
 // (S3 is asynchronous and admission-controlled, so S2 is never cut).
 //
-// A Splitter divides one logical compaction into key-range subtasks so the
+// RunRanges divides one logical compaction into key-range subtasks so the
 // scheduler can use multiple workers (Section V-C's compaction task
 // manager).
 //
@@ -335,6 +335,45 @@ func Run(ctx *sched.Ctx, sources []kv.Iterator, p Params) ([]*sstable.Table, err
 		return fail(err)
 	}
 	ctx.Drain()
+	return out, nil
+}
+
+// RunRanges is the compaction task manager of Section V-C: it cuts one
+// logical compaction into at most n contiguous key ranges at the boundary
+// keys of its input tables, runs one subtask per range on pool, and returns
+// the subtasks' output tables in key order. run executes the subtask for
+// [lo, hi) — a nil bound is open — normally Run over fresh sources seeked to
+// lo with Params.Hi = hi. If a subtask fails, the first error in range order
+// is returned and the tables its siblings finished are deleted: nothing
+// references a compaction output before the caller installs it, so leaving
+// them would strand their files on the device.
+func RunRanges(pool *sched.Pool, bounds [][]byte, n int, run func(ctx *sched.Ctx, lo, hi []byte) ([]*sstable.Table, error)) ([]*sstable.Table, error) {
+	his := append(SplitRange(bounds, n), nil) // range i ends at his[i]; the last is open
+	results := make([][]*sstable.Table, len(his))
+	errs := make([]error, len(his))
+	tasks := make([]sched.Task, len(his))
+	var lo []byte
+	for i, hi := range his {
+		start := lo
+		tasks[i] = func(ctx *sched.Ctx) { results[i], errs[i] = run(ctx, start, hi) }
+		lo = hi
+	}
+	pool.Run(tasks)
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		for _, ts := range results {
+			for _, t := range ts {
+				t.Delete()
+			}
+		}
+		return nil, err
+	}
+	var out []*sstable.Table
+	for _, ts := range results {
+		out = append(out, ts...)
+	}
 	return out, nil
 }
 

@@ -2,8 +2,10 @@ package compaction
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 
 	"pmblade/internal/device"
@@ -232,47 +234,35 @@ func TestParallelSubtasksProduceDisjointRuns(t *testing.T) {
 	for i := 0; i < 300; i += 25 {
 		bounds = append(bounds, []byte(fmt.Sprintf("key-%04d", i)))
 	}
-	splits := SplitRange(bounds, 4)
-	ranges := make([][2][]byte, 0, len(splits)+1)
-	var lo []byte
-	for _, s := range splits {
-		ranges = append(ranges, [2][]byte{lo, s})
-		lo = s
-	}
-	ranges = append(ranges, [2][]byte{lo, nil})
-
 	pool := sched.NewPool(sched.ModePMBlade, 2, 4, dev)
-	results := make([][]*sstable.Table, len(ranges))
-	errs := make([]error, len(ranges))
-	var tasks []sched.Task
-	for ri, rg := range ranges {
-		ri, rg := ri, rg
-		tasks = append(tasks, func(ctx *sched.Ctx) {
-			var sources []kv.Iterator
-			for _, r := range runs {
-				it := kv.NewSliceIterator(r)
-				if rg[0] == nil {
-					it.SeekToFirst()
-				} else {
-					it.SeekGE(rg[0])
-				}
-				sources = append(sources, it)
+	ranges := 0
+	subtask := func(ctx *sched.Ctx, lo, hi []byte) ([]*sstable.Table, error) {
+		var sources []kv.Iterator
+		for _, r := range runs {
+			it := kv.NewSliceIterator(r)
+			if lo == nil {
+				it.SeekToFirst()
+			} else {
+				it.SeekGE(lo)
 			}
-			results[ri], errs[ri] = Run(ctx, sources, Params{
-				Dev:   dev,
-				Cause: device.CauseMajor,
-				Hi:    rg[1],
-			})
-		})
-	}
-	pool.Run(tasks)
-	var all []kv.Entry
-	for ri := range results {
-		if errs[ri] != nil {
-			t.Fatal(errs[ri])
+			sources = append(sources, it)
 		}
-		all = append(all, entriesOf(t, results[ri])...)
+		return Run(ctx, sources, Params{Dev: dev, Cause: device.CauseMajor, Hi: hi})
 	}
+	var mu sync.Mutex
+	tables, err := RunRanges(pool, bounds, 4, func(ctx *sched.Ctx, lo, hi []byte) ([]*sstable.Table, error) {
+		mu.Lock()
+		ranges++
+		mu.Unlock()
+		return subtask(ctx, lo, hi)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ranges != 4 {
+		t.Fatalf("%d range subtasks, want 4", ranges)
+	}
+	all := entriesOf(t, tables)
 	if len(all) != len(model) {
 		t.Fatalf("%d entries, want %d", len(all), len(model))
 	}
@@ -280,5 +270,22 @@ func TestParallelSubtasksProduceDisjointRuns(t *testing.T) {
 		if bytes.Compare(all[i-1].Key, all[i].Key) >= 0 {
 			t.Fatal("concatenated subtask outputs not globally sorted")
 		}
+	}
+
+	// One failed range fails the whole compaction, and the tables its
+	// siblings finished leave the device with it.
+	used := dev.UsedBytes()
+	boom := errors.New("boom")
+	tables, err = RunRanges(pool, bounds, 4, func(ctx *sched.Ctx, lo, hi []byte) ([]*sstable.Table, error) {
+		if lo != nil && hi != nil && bytes.Equal(lo, []byte("key-0150")) {
+			return nil, boom
+		}
+		return subtask(ctx, lo, hi)
+	})
+	if !errors.Is(err, boom) || tables != nil {
+		t.Fatalf("RunRanges = %d tables, %v; want none and the subtask's error", len(tables), err)
+	}
+	if got := dev.UsedBytes(); got != used {
+		t.Fatalf("failed compaction left %d bytes of sibling output on the device", got-used)
 	}
 }

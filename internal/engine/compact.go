@@ -7,12 +7,18 @@
 package engine
 
 import (
+	"bytes"
+	"errors"
+	"slices"
+
 	"pmblade/internal/clock"
 	"pmblade/internal/compaction"
 	"pmblade/internal/costmodel"
 	"pmblade/internal/device"
 	"pmblade/internal/kv"
+	"pmblade/internal/levels"
 	"pmblade/internal/pmem"
+	"pmblade/internal/pmtable"
 	"pmblade/internal/sched"
 	"pmblade/internal/sstable"
 )
@@ -27,12 +33,10 @@ func (db *DB) localCompactionStrategy(p *partition) error {
 	switch {
 	case db.cfg.RocksDB:
 		return db.runLeveledCompactions(p)
-	case !db.cfg.Level0OnPM:
-		// PMBlade-SSD: threshold strategy on the SSD level-0.
-		if len(s.ssdL0) >= db.cfg.L0TriggerTables {
-			return db.majorCompactSSDPartition(p)
-		}
-		return nil
+	case len(s.ssdL0) >= db.cfg.L0TriggerTables:
+		// PMBlade-SSD: threshold strategy on the SSD level-0, which stays
+		// empty while level-0 lives on PM.
+		return db.majorCompact(p, nil)
 	}
 
 	if db.cfg.InternalCompaction {
@@ -57,21 +61,20 @@ func (db *DB) globalCompactionCheck() error {
 	if db.cfg.RocksDB || !db.cfg.Level0OnPM {
 		return nil
 	}
+	var err error
 	if db.cfg.CostBased {
 		if db.cfg.Cost.NeedMajor(db.pm.Used()) {
-			return db.majorCompactEvict()
+			_, err = db.evictOnce(db.costVictims)
 		}
-		return nil
+	} else if db.pmTableCount() >= db.cfg.L0TriggerTables {
+		// Threshold strategy (PMBlade-PM): "when the number of PM tables
+		// reaches the threshold, the whole level-0 will be compacted to
+		// level-1" — a global wipe, which is exactly why the conventional
+		// strategy fails to retain warm data in PM (Figure 8(b)). The count
+		// here is a cheap pre-check; wipeVictims re-decides under majorMu.
+		_, err = db.evictOnce(db.wipeVictims)
 	}
-	// Threshold strategy (PMBlade-PM): "when the number of PM tables reaches
-	// the threshold, the whole level-0 will be compacted to level-1" — a
-	// global wipe, which is exactly why the conventional strategy fails to
-	// retain warm data in PM (Figure 8(b)). The count here is a cheap
-	// pre-check; wipeLevel0 re-decides under majorMu.
-	if db.pmTableCount() < db.cfg.L0TriggerTables {
-		return nil
-	}
-	return db.evictOnce(db.wipeLevel0)
+	return err
 }
 
 // pmTableCount counts the PM level-0 tables of every partition.
@@ -85,42 +88,40 @@ func (db *DB) pmTableCount() int {
 }
 
 // evictOnce is the cross-partition eviction singleflight: at most one
-// eviction pass (cost-based Eq. 3 or threshold wipe) runs at a time, and
-// concurrent triggers share a pass instead of queueing redundant ones
-// behind majorMu. decide runs the pass; evictOnce then installs the
-// deferred-retirement manifest exactly once — even when some victims
-// failed, so the surviving victims' installed runs become durable — and
-// charges the eviction wall-time metrics. Callers hold no locks.
+// eviction pass (cost-based Eq. 3 or threshold wipe) runs at a time, and a
+// trigger that finds one in flight waits for it and shares its error instead
+// of queueing a redundant pass behind majorMu. The owner of a pass runs
+// choose under majorMu — the victim decision is the ONLY thing that lock
+// covers — compacts the victims with no global lock held, then installs the
+// deferred-retirement manifest exactly once, even when some victims failed,
+// so the surviving victims' installed runs become durable and their PM comes
+// back. Callers hold no locks.
 //
-// A caller is guaranteed the result of a pass whose victim decision was
-// made AFTER the caller arrived. Joining a pass that was already in flight
-// is not enough — its decision may predate the state the caller needs
-// relieved (a writer that hit pmem.ErrOutOfSpace needs an eviction that saw
-// the exhausted PM, or its one flush retry fails and poisons bgErr) — so a
-// stale joiner waits the pass out and then runs or joins a second one. Any
-// pass in flight by then started after the first finished, hence after the
-// caller arrived, so one follow-up suffices.
-func (db *DB) evictOnce(decide func() error) error {
+// idle reports that this caller owned the pass and it had nothing to give:
+// no victim, and no retired PM table waiting on the manifest install. A
+// joiner never reports idle — the pass it waited for was decided before it
+// arrived and says nothing about the state it needs relieved.
+func (db *DB) evictOnce(choose func() []*partition) (idle bool, err error) {
 	st, started := db.joinOrStartEviction()
 	if !started {
 		<-st.done
-		if st.err != nil {
-			return st.err
-		}
-		if st, started = db.joinOrStartEviction(); !started {
-			<-st.done
-			return st.err
-		}
+		return false, st.err
 	}
 	sw := clock.NewStopwatch()
-	err := decide()
+	db.majorMu.Lock()
+	victims := choose()
+	db.majorMu.Unlock()
+	err = db.compactVictims(victims)
+	db.obsoleteMu.Lock()
+	idle = len(victims) == 0 && len(db.obsoletePM)+len(db.obsoleteRawPM) == 0
+	db.obsoleteMu.Unlock()
 	if merr := db.installAfterMajor(); err == nil {
 		err = merr
 	}
 	db.metrics.EvictionCount.Add(1)
 	db.metrics.EvictionWallNanos.Add(int64(sw.Elapsed()))
 	db.finishEviction(st, err)
-	return err
+	return idle, err
 }
 
 // joinOrStartEviction returns the in-flight eviction pass (started=false) or
@@ -146,16 +147,34 @@ func (db *DB) finishEviction(st *evictState, err error) {
 	close(st.done)
 }
 
-// wipeLevel0 is the conventional global wipe: if the table count is still
-// over the threshold, every partition is a victim.
-func (db *DB) wipeLevel0() error {
-	db.majorMu.Lock()
-	var victims []*partition
+// wipeVictims is the conventional global wipe's decision: if the table count
+// is still over the threshold, every partition is a victim. Runs under
+// majorMu (evictOnce).
+func (db *DB) wipeVictims() []*partition {
 	if db.pmTableCount() >= db.cfg.L0TriggerTables {
-		victims = db.partitions
+		return db.partitions
 	}
-	db.majorMu.Unlock()
-	return db.compactVictims(victims)
+	return nil
+}
+
+// costVictims is the cost-based decision: Eq. 3 selects the partition set Φ
+// to preserve, and every other partition's level-0 is compacted to SSD and
+// evicted from PM. The knapsack is the one computation that spans
+// partitions, which is why it runs under majorMu (evictOnce): observe every
+// partition, solve SelectPreserved, snapshot the victim set. The victims are
+// then compacted with no global lock held, so partitions in Φ keep flushing
+// and serving reads throughout.
+func (db *DB) costVictims() []*partition {
+	states := make([]costmodel.PartitionState, 0, len(db.partitions))
+	for _, p := range db.partitions {
+		states = append(states, db.partitionCostState(p))
+	}
+	preserved := db.cfg.Cost.SelectPreserved(states)
+	var victims []*partition
+	for _, id := range costmodel.Victims(states, preserved) {
+		victims = append(victims, db.partitions[id])
+	}
+	return victims
 }
 
 // installAfterMajor installs a manifest and frees the tables the preceding
@@ -208,17 +227,32 @@ func resetPartitionStats(p *partition) {
 	p.resetSeen()
 }
 
-// internalCompact runs an internal compaction for p. Tombstones survive
-// whenever the partition has data on SSD. If PM lacks the transient space
-// the compaction needs, the partition is major-compacted instead (which
-// frees PM rather than consuming it). Callers hold p.maint.
+// mayDropTombstones is the one place a compaction of p decides whether
+// deletion markers can go. They can only when nothing older than the
+// compaction's output is left for them to shadow: every SSD table from level
+// dest down is being rewritten by this very job (merged are its tables of
+// level dest), and p has no quarantine record — a corpse awaiting salvage
+// sits logically below everything, and a tombstone dropped above it lets
+// repair bring the deleted value back.
+func (p *partition) mayDropTombstones(dest int, merged []*sstable.Table) bool {
+	older := -len(merged)
+	for l := dest; l <= p.tree.Levels(); l++ {
+		older += p.tree.Run(l).Len()
+	}
+	return older == 0 && p.quar.Load() == nil
+}
+
+// internalCompact runs an internal compaction for p. Its output stays above
+// the whole SSD tier, so tombstones go only when that tier is empty (level 1
+// down: no SSD level-0 exists under a PM level-0). If PM lacks the transient
+// space the compaction needs, the partition is major-compacted instead
+// (which frees PM rather than consuming it). Callers hold p.maint.
 //
 //pmblade:compacts
 func (db *DB) internalCompact(p *partition) error {
-	keepTombstones := p.run().Len() > 0
-	_, err := p.l0.CompactInternal(keepTombstones, db.retentionBounds())
-	if err == pmem.ErrOutOfSpace {
-		return db.majorCompactPartition(p)
+	_, err := p.l0.CompactInternal(!p.mayDropTombstones(1, nil), db.retentionBounds())
+	if errors.Is(err, pmem.ErrOutOfSpace) {
+		return db.majorCompact(p, nil)
 	}
 	if err != nil {
 		return err
@@ -229,35 +263,6 @@ func (db *DB) internalCompact(p *partition) error {
 	return nil
 }
 
-// majorCompactEvict performs the cost-based major compaction: Eq. 3 selects
-// the partition set Φ to preserve; every other partition's level-0 is
-// compacted to SSD and evicted from PM. Concurrent callers join the
-// in-flight pass (see evictOnce). Callers must hold no maint lock.
-func (db *DB) majorCompactEvict() error {
-	return db.evictOnce(db.evictByCost)
-}
-
-// evictByCost is the decision half of the cost-based pass. The Eq. 3
-// knapsack is the one computation that spans partitions, and it is the ONLY
-// thing that happens under majorMu: observe every partition, solve
-// SelectPreserved, snapshot the victim set, release the lock. The victims
-// are then compacted with no global lock held, so partitions in Φ keep
-// flushing and serving reads throughout.
-func (db *DB) evictByCost() error {
-	db.majorMu.Lock()
-	states := make([]costmodel.PartitionState, 0, len(db.partitions))
-	for _, p := range db.partitions {
-		states = append(states, db.partitionCostState(p))
-	}
-	preserved := db.cfg.Cost.SelectPreserved(states)
-	var victims []*partition
-	for _, id := range costmodel.Victims(states, preserved) {
-		victims = append(victims, db.partitions[id])
-	}
-	db.majorMu.Unlock()
-	return db.compactVictims(victims)
-}
-
 // compactVictims compacts the snapshot victim set to SSD, each victim under
 // its own maint lock. Fan-out across victims is bounded by the scheduler
 // pool (and each victim's own compaction is staged as CauseMajor subtasks,
@@ -266,8 +271,8 @@ func (db *DB) evictByCost() error {
 // crash-point enumeration replays a workload and needs the identical
 // device-op sequence on every pass. The pass is failure-isolated: one
 // victim's error does not abort the rest, each victim's result is installed
-// per-partition inside majorCompactPartition, and the first error is
-// returned only after every victim has run. Callers hold no locks.
+// per-partition inside compactToSSD, and the first error is returned only
+// after every victim has run. Callers hold no locks.
 func (db *DB) compactVictims(victims []*partition) error {
 	if len(victims) == 0 {
 		return nil
@@ -278,7 +283,7 @@ func (db *DB) compactVictims(victims []*partition) error {
 		sw := clock.NewStopwatch()
 		p.maint.Lock()
 		db.metrics.EvictVictimsInFlight.Add(1)
-		errs[i] = db.majorCompactPartition(p)
+		errs[i] = db.majorCompact(p, nil)
 		db.metrics.EvictVictimsInFlight.Add(-1)
 		p.maint.Unlock()
 		db.metrics.VictimStallNanos.Add(int64(sw.Elapsed()))
@@ -309,186 +314,68 @@ func firstError(errs []error) error {
 	return nil
 }
 
-// majorCompactPartition compacts p's entire PM level-0 together with the
-// overlapping SSD run tables into a new run, using the coroutine pool with
-// range-split subtasks, then evicts level-0 from PM. Callers hold p.maint —
-// required, since Evict drops every level-0 table and must not race a
+// compactionReadahead is the device readahead of an SSD table feeding a
+// compaction: sequential input is fetched in spans of this size (S1).
+const compactionReadahead = 256 << 10
+
+// ssdJob describes one compaction into a partition's SSD tier. Everything
+// that writes SSTables below level 0 is compactToSSD run on a different
+// description (DESIGN.md §5.6 has the table): trigger, inputs and
+// granularity are parameters of one procedure, not separate programs.
+type ssdJob struct {
+	// from is the level the inputs leave; the outputs land in from+1. Level
+	// 0 is the PM level-0 and the SSD level-0 together — a mode fills one of
+	// them, the other is empty — and it always leaves whole.
+	from int
+	// inputs are the SSD tables leaving level from, newest first.
+	inputs []*sstable.Table
+	// merged are the tables of level from+1 rewritten together with them.
+	merged []*sstable.Table
+	// salvage (repair only) yields the entries of quarantined corpses whose
+	// block CRCs still verify. A salvage iterator cannot be reopened per
+	// range, so a job that carries any runs as a single range, which also
+	// keeps its skip counter attributable.
+	salvage []*sstable.Iterator
+	cause   device.Cause
+}
+
+// majorCompact moves p's whole level 0 into the sorted run, rewriting the
+// run (narrowing that is ROADMAP item 4), then evicts level-0 from PM.
+// PM-Blade's major compaction and PMBlade-SSD's are this same job — one of
+// the two level-0 containers is simply empty — and repair is this job plus
+// the salvage iterators of the partition's corpses. Callers hold p.maint —
+// required, since the install drops every level-0 table and must not race a
 // concurrent flush installing one.
-func (db *DB) majorCompactPartition(p *partition) error {
-	unsorted, sorted := p.l0.Tables()
-	if len(unsorted)+len(sorted) == 0 {
-		return nil
-	}
-	oldRun := p.run().Tables()
-
-	// Boundaries for the task splitter: table bounds from all inputs.
-	var bounds [][]byte
-	for _, t := range unsorted {
-		bounds = append(bounds, t.Smallest(), t.Largest())
-	}
-	for _, t := range sorted {
-		bounds = append(bounds, t.Smallest(), t.Largest())
-	}
-	for _, t := range oldRun {
-		bounds = append(bounds, t.Smallest(), t.Largest())
-	}
-
-	makeSources := func(lo []byte) []kv.Iterator {
-		var its []kv.Iterator
-		for _, t := range unsorted {
-			its = append(its, t.NewIterator())
-		}
-		for _, t := range sorted {
-			its = append(its, t.NewIterator())
-		}
-		for _, t := range oldRun {
-			its = append(its, t.NewCompactionIterator(256<<10))
-		}
-		for _, it := range its {
-			if lo == nil {
-				it.SeekToFirst()
-			} else {
-				it.SeekGE(lo)
-			}
-		}
-		return its
-	}
-
-	newTables, err := db.runMajor(makeSources, bounds)
-	if err != nil {
-		return err
-	}
-
-	// Install the new run, then retire inputs. Disposal is deferred until the
-	// next manifest install when a WAL is in use (see DB.retireSST).
-	p.run().Replace(oldRun, newTables)
-	p.l0.Evict()
-	db.installTables(p, nil, true)
-	for _, t := range oldRun {
-		db.retireSST(t)
-	}
-	db.metrics.MajorCount.Add(1)
-	resetPartitionStats(p)
-	return nil
+func (db *DB) majorCompact(p *partition, salvage []*sstable.Iterator) error {
+	return db.compactToSSD(p, ssdJob{
+		inputs:  p.tree.L0Tables(),
+		merged:  p.run().Tables(),
+		salvage: salvage,
+		cause:   device.CauseMajor,
+	})
 }
 
-// majorCompactSSDPartition is the PMBlade-SSD path: merge the SSD level-0
-// tables with the overlapping run tables.
-func (db *DB) majorCompactSSDPartition(p *partition) error {
-	l0 := p.tree.L0Tables()
-	if len(l0) == 0 {
-		return nil
+// leveledStep describes merging level into the next one: all of level 0, or
+// the first table of a deeper level (round-robin by key would be better;
+// first-table keeps it deterministic), with the tables of the next level
+// that their key range overlaps.
+func leveledStep(tree *levels.Leveled, level int) ssdJob {
+	j := ssdJob{from: level, inputs: tree.L0Tables(), cause: device.CauseLeveled}
+	if level > 0 {
+		src := tree.Run(level).Tables()
+		j.inputs = src[:min(1, len(src))]
 	}
-	oldRun := p.run().Tables()
-	var bounds [][]byte
-	for _, t := range l0 {
-		bounds = append(bounds, t.Smallest(), t.Largest())
-	}
-	for _, t := range oldRun {
-		bounds = append(bounds, t.Smallest(), t.Largest())
-	}
-	makeSources := func(lo []byte) []kv.Iterator {
-		var its []kv.Iterator
-		for _, t := range l0 {
-			its = append(its, t.NewCompactionIterator(256<<10))
+	var lo, hi []byte
+	for _, t := range j.inputs {
+		if lo == nil || bytes.Compare(t.Smallest(), lo) < 0 {
+			lo = t.Smallest()
 		}
-		for _, t := range oldRun {
-			its = append(its, t.NewCompactionIterator(256<<10))
-		}
-		for _, it := range its {
-			if lo == nil {
-				it.SeekToFirst()
-			} else {
-				it.SeekGE(lo)
-			}
-		}
-		return its
-	}
-	newTables, err := db.runMajor(makeSources, bounds)
-	if err != nil {
-		return err
-	}
-	p.run().Replace(oldRun, newTables)
-	p.tree.RemoveL0(l0)
-	db.installTables(p, nil, true)
-	for _, t := range l0 {
-		db.retireSST(t)
-	}
-	for _, t := range oldRun {
-		db.retireSST(t)
-	}
-	db.metrics.MajorCount.Add(1)
-	resetPartitionStats(p)
-	return nil
-}
-
-// discardTables deletes freshly built, never-installed compaction outputs
-// after a sibling subtask failed: no manifest references them and no cache
-// holds their blocks (AttachCache happens only on success), so the files can
-// be removed immediately even when deferred retirement is in effect.
-func discardTables(results [][]*sstable.Table) {
-	for i := range results {
-		for _, t := range results[i] {
-			t.Delete()
+		if hi == nil || bytes.Compare(t.Largest(), hi) > 0 {
+			hi = t.Largest()
 		}
 	}
-}
-
-// runMajor executes a major compaction through the scheduler pool, split
-// into range subtasks across workers (Section V-C). makeSources must return
-// fresh iterators positioned at lo.
-//
-//pmblade:compacts
-func (db *DB) runMajor(makeSources func(lo []byte) []kv.Iterator, bounds [][]byte) ([]*sstable.Table, error) {
-	nTasks := db.cfg.Workers * db.pool.K()
-	splits := compaction.SplitRange(bounds, nTasks)
-	// One retention snapshot for the whole compaction: subtasks cover
-	// disjoint key ranges, but every key's versions must be judged against
-	// the same boundary set.
-	retBounds := db.retentionBounds()
-
-	type rng struct{ lo, hi []byte }
-	var ranges []rng
-	var lo []byte
-	for _, s := range splits {
-		ranges = append(ranges, rng{lo, s})
-		lo = s
-	}
-	ranges = append(ranges, rng{lo, nil})
-
-	results := make([][]*sstable.Table, len(ranges))
-	errs := make([]error, len(ranges))
-	tasks := make([]sched.Task, 0, len(ranges))
-	for i, r := range ranges {
-		i, r := i, r
-		tasks = append(tasks, func(ctx *sched.Ctx) {
-			results[i], errs[i] = compaction.Run(ctx, makeSources(r.lo), compaction.Params{
-				Dev:              db.ssd,
-				Cause:            device.CauseMajor,
-				DropTombstones:   true, // the run is the bottom level
-				Boundaries:       retBounds,
-				TargetTableBytes: db.cfg.SSTableBytes,
-				Hi:               r.hi,
-				BreakOnWrite:     db.cfg.SchedMode != sched.ModePMBlade,
-				Compress:         db.cfg.BlockCompression,
-			})
-		})
-	}
-	db.pool.Run(tasks)
-	if err := firstError(errs); err != nil {
-		// One failed range subtask must not strand its siblings' finished
-		// tables on SSD forever.
-		discardTables(results)
-		return nil, err
-	}
-	var out []*sstable.Table
-	for i := range results {
-		for _, t := range results[i] {
-			t.AttachCache(db.cache)
-		}
-		out = append(out, results[i]...)
-	}
-	return out, nil
+	j.merged = tree.Run(level+1).Overlapping(lo, hi)
+	return j
 }
 
 // runLeveledCompactions drives the RocksDB-emulation hierarchy until no
@@ -499,133 +386,107 @@ func (db *DB) runLeveledCompactions(p *partition) error {
 		if !ok {
 			return nil
 		}
-		if err := db.compactLeveledOnce(p, level); err != nil {
+		if err := db.compactToSSD(p, leveledStep(p.tree, level)); err != nil {
 			return err
 		}
 	}
 }
 
-// compactLeveledOnce merges one level into the next.
+// compactToSSD executes j on p: one iterator per input, the key range cut
+// into subtasks for the scheduler pool (Section V-C), the outputs installed
+// in place of the inputs, the inputs retired. On error nothing is installed
+// — the inputs keep serving and RunRanges has already deleted whatever the
+// subtasks built. Callers hold p.maint.
 //
 //pmblade:compacts
-func (db *DB) compactLeveledOnce(p *partition, level int) error {
-	var inputs []*sstable.Table
-	var lo, hi []byte
-	if level == 0 {
-		inputs = p.tree.L0Tables()
-		for _, t := range inputs {
-			if lo == nil || string(t.Smallest()) < string(lo) {
-				lo = t.Smallest()
-			}
-			if hi == nil || string(t.Largest()) > string(hi) {
-				hi = t.Largest()
-			}
-		}
-	} else {
-		// Pick the first table of the over-target level (round-robin by key
-		// would be better; first-table keeps it deterministic).
-		src := p.tree.Run(level).Tables()
-		if len(src) == 0 {
-			return nil
-		}
-		inputs = src[:1]
-		lo, hi = inputs[0].Smallest(), inputs[0].Largest()
+func (db *DB) compactToSSD(p *partition, j ssdJob) error {
+	var pm []*pmtable.Table
+	if j.from == 0 {
+		unsorted, sorted := p.l0.Tables()
+		pm = append(slices.Clone(unsorted), sorted...)
 	}
-	next := p.tree.Run(level + 1)
-	overlap := next.Overlapping(lo, hi)
-	all := append(append([]*sstable.Table(nil), inputs...), overlap...)
-
-	// Bottom level drops tombstones.
-	bottom := level+1 >= p.tree.Levels() && len(p.tree.Run(level+1).Tables()) == len(overlap)
-	deeperEmpty := true
-	for l := level + 2; l <= p.tree.Levels(); l++ {
-		if p.tree.Run(l).Len() > 0 {
-			deeperEmpty = false
-			break
-		}
+	if len(pm)+len(j.inputs)+len(j.salvage) == 0 {
+		return nil
 	}
-	drop := bottom && deeperEmpty
+	ssts := append(slices.Clone(j.inputs), j.merged...)
 
+	// Table bounds of every input feed the task splitter.
 	var bounds [][]byte
-	for _, t := range all {
+	for _, t := range pm {
 		bounds = append(bounds, t.Smallest(), t.Largest())
 	}
-	makeSources := func(seekLo []byte) []kv.Iterator {
-		var its []kv.Iterator
-		for _, t := range all {
-			its = append(its, t.NewCompactionIterator(256<<10))
+	for _, t := range ssts {
+		bounds = append(bounds, t.Smallest(), t.Largest())
+	}
+	// Newest source first: PM unsorted, PM sorted, the tables leaving from,
+	// the destination's, and whatever the corpses still vouch for.
+	sources := func(lo []byte) []kv.Iterator {
+		its := make([]kv.Iterator, 0, len(pm)+len(ssts)+len(j.salvage))
+		for _, t := range pm {
+			its = append(its, t.NewIterator())
+		}
+		for _, t := range ssts {
+			its = append(its, t.NewCompactionIterator(compactionReadahead))
+		}
+		for _, s := range j.salvage {
+			its = append(its, s)
 		}
 		for _, it := range its {
-			if seekLo == nil {
+			if lo == nil {
 				it.SeekToFirst()
 			} else {
-				it.SeekGE(seekLo)
+				it.SeekGE(lo)
 			}
 		}
 		return its
 	}
-
 	nTasks := db.cfg.Workers * db.pool.K()
-	splits := compaction.SplitRange(bounds, nTasks)
-	retBounds := db.retentionBounds()
-	type rng struct{ lo, hi []byte }
-	var ranges []rng
-	var cur []byte
-	for _, s := range splits {
-		ranges = append(ranges, rng{cur, s})
-		cur = s
+	if len(j.salvage) > 0 {
+		nTasks = 1
 	}
-	ranges = append(ranges, rng{cur, nil})
-	results := make([][]*sstable.Table, len(ranges))
-	errs := make([]error, len(ranges))
-	var tasks []sched.Task
-	for i, r := range ranges {
-		i, r := i, r
-		tasks = append(tasks, func(ctx *sched.Ctx) {
-			results[i], errs[i] = compaction.Run(ctx, makeSources(r.lo), compaction.Params{
-				Dev:              db.ssd,
-				Cause:            device.CauseLeveled,
-				DropTombstones:   drop,
-				Boundaries:       retBounds,
-				TargetTableBytes: db.cfg.SSTableBytes,
-				Hi:               r.hi,
-				BreakOnWrite:     db.cfg.SchedMode != sched.ModePMBlade,
-				Compress:         db.cfg.BlockCompression,
-			})
-		})
+	params := compaction.Params{
+		Dev:            db.ssd,
+		Cause:          j.cause,
+		DropTombstones: p.mayDropTombstones(j.from+1, j.merged),
+		// One retention snapshot for the whole job: subtasks cover disjoint
+		// key ranges, but every key's versions must be judged against the
+		// same boundary set.
+		Boundaries:       db.retentionBounds(),
+		TargetTableBytes: db.cfg.SSTableBytes,
+		BreakOnWrite:     db.cfg.SchedMode != sched.ModePMBlade,
+		Compress:         db.cfg.BlockCompression,
 	}
-	db.pool.Run(tasks)
-	if err := firstError(errs); err != nil {
-		// Same leak as runMajor: drop the successful siblings' outputs.
-		discardTables(results)
+	out, err := compaction.RunRanges(db.pool, bounds, nTasks, func(ctx *sched.Ctx, lo, hi []byte) ([]*sstable.Table, error) {
+		rp := params
+		rp.Hi = hi
+		return compaction.Run(ctx, sources(lo), rp)
+	})
+	if err != nil {
 		return err
 	}
-	var outTables []*sstable.Table
-	for i := range results {
-		for _, t := range results[i] {
-			t.AttachCache(db.cache)
-		}
-		outTables = append(outTables, results[i]...)
+	for _, t := range out {
+		t.AttachCache(db.cache)
 	}
 
-	next.Replace(overlap, outTables)
-	if level == 0 {
-		p.tree.RemoveL0(inputs)
+	// Install the outputs, then retire the inputs. Disposal is deferred until
+	// the next manifest install when a WAL is in use (see DB.retireSST).
+	p.tree.Run(j.from+1).Replace(j.merged, out)
+	if j.from == 0 {
+		p.tree.RemoveL0(j.inputs)
+		p.l0.Evict()
 	} else {
-		p.tree.Run(level).Replace(inputs, nil)
+		p.tree.Run(j.from).Replace(j.inputs, nil)
 	}
 	db.installTables(p, nil, true)
-	for _, t := range all {
+	for _, t := range ssts {
 		db.retireSST(t)
 	}
+	for _, s := range j.salvage {
+		db.metrics.RepairBlocksSkipped.Add(int64(s.Skipped()))
+	}
 	db.metrics.MajorCount.Add(1)
+	resetPartitionStats(p)
 	return nil
-}
-
-// CompactNow forces maintenance: flush everything and run the strategy (used
-// by experiments that trigger compaction manually, like Tables IV and V).
-func (db *DB) CompactNow() error {
-	return db.FlushAll()
 }
 
 // InternalCompactAll forces an internal compaction on every partition
@@ -656,13 +517,10 @@ func (db *DB) MajorCompactAll() error {
 		p := db.partitions[i]
 		p.maint.Lock()
 		defer p.maint.Unlock()
-		switch {
-		case db.cfg.RocksDB:
+		if db.cfg.RocksDB {
 			errs[i] = db.runLeveledCompactions(p)
-		case db.cfg.Level0OnPM:
-			errs[i] = db.majorCompactPartition(p)
-		default:
-			errs[i] = db.majorCompactSSDPartition(p)
+		} else {
+			errs[i] = db.majorCompact(p, nil)
 		}
 	})
 	if err := firstError(errs); err != nil {

@@ -2,11 +2,17 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"regexp"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"pmblade/internal/pmem"
 )
 
 // TestConcurrentReadsDuringCompaction hammers Get/Scan from several
@@ -174,6 +180,47 @@ func TestWriteStallAccounting(t *testing.T) {
 	}
 }
 
+// TestPMTooSmallForOneFlushFailsPut: the eviction loop's terminal case. A PM
+// that cannot hold one flushed memtable even when empty never gains room by
+// evicting, so the writer must get an error that says so — not spin.
+func TestPMTooSmallForOneFlushFailsPut(t *testing.T) {
+	for _, syncFlush := range []bool{true, false} {
+		t.Run(fmt.Sprintf("SyncFlush=%v", syncFlush), func(t *testing.T) {
+			cfg := fastConfig()
+			cfg.SyncFlush = syncFlush
+			cfg.PMCapacity = 16 << 10 // MemtableBytes is 64 KiB
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			failed := make(chan error, 1)
+			go func() {
+				val := bytes.Repeat([]byte("v"), 1024)
+				for i := 0; i < 4000; i++ {
+					if err := db.Put(key6(i), val); err != nil {
+						failed <- err
+						return
+					}
+				}
+				failed <- nil
+			}()
+			select {
+			case err = <-failed:
+			case <-time.After(time.Minute):
+				t.Fatal("Put spins on a PM that can never hold its flush")
+			}
+			if !errors.Is(err, pmem.ErrOutOfSpace) {
+				t.Fatalf("Put error = %v, want pmem.ErrOutOfSpace", err)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "PMCapacity 16384") ||
+				!regexp.MustCompile(`flush \d+-byte memtable`).MatchString(msg) {
+				t.Fatalf("error does not name PMCapacity and the flush size: %v", err)
+			}
+		})
+	}
+}
+
 // TestPartitionStatsDrive verifies the per-partition stat counters feed the
 // cost model: reads bump n_r, repeat writes bump n_u, compaction resets.
 func TestPartitionStatsLifecycle(t *testing.T) {
@@ -192,7 +239,7 @@ func TestPartitionStatsLifecycle(t *testing.T) {
 	}
 	db.FlushAll()
 	p.maint.Lock()
-	err = db.majorCompactPartition(p)
+	err = db.majorCompact(p, nil)
 	p.maint.Unlock()
 	if err != nil {
 		t.Fatal(err)

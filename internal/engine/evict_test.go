@@ -18,7 +18,7 @@ import (
 // evictConfig builds a four-partition PM-Blade config whose knapsack will
 // preserve the small hot partition 0 and evict partitions 1-3 when an
 // eviction pass runs. The automatic triggers are parked so tests drive
-// majorCompactEvict explicitly.
+// evictByCost explicitly.
 func evictConfig() Config {
 	cfg := fastConfig()
 	cfg.PartitionBoundaries = [][]byte{[]byte("p1"), []byte("p2"), []byte("p3")}
@@ -30,6 +30,13 @@ func evictConfig() Config {
 	cfg.Cost.Ib, cfg.Cost.Ip = 1, 0.5 // irrelevant here, but non-zero
 	cfg.Cost.Is, cfg.Cost.Tp = 10, 0.5
 	return cfg
+}
+
+// evictByCost runs (or joins) one cost-based eviction pass, as the τ_m
+// trigger and a writer out of PM space do.
+func evictByCost(db *DB) error {
+	_, err := db.evictOnce(db.costVictims)
+	return err
 }
 
 // fillEvictionScenario loads a small hot partition 0 and three large cold
@@ -107,7 +114,7 @@ func TestEvictionDoesNotBlockPreservedPuts(t *testing.T) {
 	want := fillEvictionScenario(t, db, 400, 2048)
 
 	evictDone := make(chan error, 1)
-	go func() { evictDone <- db.majorCompactEvict() }()
+	go func() { evictDone <- evictByCost(db) }()
 
 	deadline := time.Now().Add(30 * time.Second)
 	for db.metrics.EvictVictimsInFlight.Load() == 0 {
@@ -162,13 +169,106 @@ func TestEvictionDoesNotBlockPreservedPuts(t *testing.T) {
 	}
 }
 
-// TestEvictionVictimFaultIsolation proves the failure isolation of the
-// victim pass: a permanent device fault in one victim's compaction must not
-// abort the other victims (their runs install and become durable via the
-// end-of-pass manifest), must leave the failed victim's level-0 serving
-// reads, and must leave a state a crash can recover from. A clean retry
-// then finishes the job.
+// TestEvictionVictimFaultIsolation proves "error → outputs discarded, inputs
+// still serve, clean retry finishes" for the one compaction body under every
+// description the modes give it, and then the failure isolation of a whole
+// victim pass.
 func TestEvictionVictimFaultIsolation(t *testing.T) {
+	for name, cfg := range allModeConfigs() {
+		t.Run("job/"+name, func(t *testing.T) { failedJobKeepsInputs(t, cfg) })
+	}
+	t.Run("pass", victimPassIsolatesFailure)
+}
+
+// failedJobKeepsInputs runs one major (or, in RocksDB mode, level-0 leveled)
+// job whose range subtasks hit a permanent SSD fault: the job returns the
+// fault, every key still reads from the inputs, the outputs its subtasks
+// finished are gone from the device, and the same job then succeeds.
+func failedJobKeepsInputs(t *testing.T, cfg Config) {
+	in := fault.New(11)
+	cfg.FaultInjector = in
+	cfg.SyncFlush = true
+	cfg.MemtableBytes = 4 << 20    // only FlushAll flushes: one table per round
+	cfg.SSTableBytes = 16 << 10    // several output tables per range subtask
+	cfg.InternalCompaction = false // park every automatic trigger but
+	cfg.L0TriggerTables = 1 << 20  // RocksDB mode's fixed level-0 count of 4
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	p := db.partitions[0]
+	job, cause := func() error { return db.majorCompact(p, nil) }, device.CauseMajor
+	if cfg.RocksDB {
+		job, cause = func() error { return db.compactToSSD(p, leveledStep(p.tree, 0)) }, device.CauseLeveled
+	}
+	locked := func() error {
+		p.maint.Lock()
+		defer p.maint.Unlock()
+		return job()
+	}
+
+	want := map[string]string{}
+	round := func(gen, n int) {
+		for i := 0; i < n; i++ {
+			k, v := fmt.Sprintf("key-%05d", i), fmt.Sprintf("gen%d-%0200d", gen, i)
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+		if err := db.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A destination with several tables, then two level-0 tables over it.
+	for gen := 0; gen < 4; gen++ {
+		round(gen, 600)
+	}
+	if err := db.MajorCompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	round(4, 600)
+	round(5, 300)
+	level0 := func() int {
+		s := p.state.Load()
+		return len(s.pmTables()) + len(s.ssdL0)
+	}
+	if run := p.state.Load().runs[0]; level0() != 2 || len(run) < 2 {
+		t.Fatalf("setup: %d level-0 tables over %d run tables, want 2 over >= 2", level0(), len(run))
+	}
+	if n := db.cfg.Workers * db.pool.K(); n < 2 {
+		t.Fatalf("setup: %d range subtasks, want >= 2", n)
+	}
+
+	used, majors := db.SSDDevice().UsedBytes(), db.Metrics().MajorCount.Load()
+	in.FailOp(fault.SSDAppend, cause, 2, fault.Decision{Err: fault.ErrPermanent})
+	if err := locked(); !errors.Is(err, fault.ErrPermanent) {
+		t.Fatalf("job error = %v, want the permanent fault", err)
+	}
+	checkAll(t, db, want)
+	if got := db.SSDDevice().UsedBytes(); got != used {
+		t.Fatalf("failed job left %d bytes of never-installed output on the SSD", got-used)
+	}
+	if level0() != 2 || db.Metrics().MajorCount.Load() != majors {
+		t.Fatalf("failed job changed the installed tables: %d level-0 tables, want 2", level0())
+	}
+
+	if err := locked(); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if level0() != 0 {
+		t.Fatalf("retry left %d level-0 tables", level0())
+	}
+	checkAll(t, db, want)
+}
+
+// victimPassIsolatesFailure: a permanent device fault in one victim's
+// compaction must not abort the other victims (their runs install and become
+// durable via the end-of-pass manifest), must leave the failed victim's
+// level-0 serving reads, and must leave a state a crash can recover from. A
+// clean retry then finishes the job.
+func victimPassIsolatesFailure(t *testing.T) {
 	in := fault.New(7)
 	cfg := evictConfig()
 	cfg.FaultInjector = in
@@ -182,7 +282,7 @@ func TestEvictionVictimFaultIsolation(t *testing.T) {
 	// Exactly one major-compaction append fails, permanently: one victim's
 	// compaction dies, whichever reaches the device first.
 	in.FailOp(fault.SSDAppend, device.CauseMajor, 1, fault.Decision{Err: fault.ErrPermanent})
-	err = db.majorCompactEvict()
+	err = evictByCost(db)
 	if !errors.Is(err, fault.ErrPermanent) {
 		t.Fatalf("eviction error = %v, want permanent fault", err)
 	}
@@ -214,7 +314,7 @@ func TestEvictionVictimFaultIsolation(t *testing.T) {
 	re.Close()
 
 	// The engine is not wedged: a clean pass evicts the remaining victim.
-	if err := db.majorCompactEvict(); err != nil {
+	if err := evictByCost(db); err != nil {
 		t.Fatalf("retry eviction: %v", err)
 	}
 	for i := 1; i <= 3; i++ {
@@ -228,7 +328,7 @@ func TestEvictionVictimFaultIsolation(t *testing.T) {
 	}
 }
 
-// TestConcurrentEvictTriggersJoinOnePass drives majorCompactEvict from many
+// TestConcurrentEvictTriggersJoinOnePass drives evictOnce from many
 // goroutines at once; the singleflight must run one pass and hand every
 // caller its result.
 func TestConcurrentEvictTriggersJoinOnePass(t *testing.T) {
@@ -248,7 +348,7 @@ func TestConcurrentEvictTriggersJoinOnePass(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = db.majorCompactEvict()
+			errs[i] = evictByCost(db)
 		}()
 	}
 	wg.Wait()
@@ -257,10 +357,9 @@ func TestConcurrentEvictTriggersJoinOnePass(t *testing.T) {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
-	// Each caller starts at most one pass (as initial owner or as a stale
-	// joiner's follow-up), so the singleflight bounds the pass count by the
-	// caller count; simultaneous triggers collapse well below that in
-	// practice.
+	// A caller either owns a pass or joins the one in flight, so the pass
+	// count is bounded by the caller count; simultaneous triggers collapse
+	// well below that in practice.
 	if got := db.Metrics().EvictionCount.Load(); got == 0 || got > callers {
 		t.Fatalf("EvictionCount = %d after %d concurrent triggers", got, callers)
 	}

@@ -42,7 +42,25 @@ func runModelTrial(t *testing.T, cfg Config, seed int64, ops int) bool {
 	model := map[string]string{}
 	key := func() []byte { return []byte(fmt.Sprintf("key-%04d", rng.Intn(300))) }
 
+	// One snapshot is opened at a seeded op and held to the end, across every
+	// later flush and compaction of every job kind: it must keep reading the
+	// model as it was frozen then.
+	snapAt := int(uint64(seed) % uint64(ops/2))
+	var snap *Snapshot
+	var frozen map[string]string
+
 	for i := 0; i < ops; i++ {
+		if i == snapAt {
+			if snap, err = db.NewSnapshot(); err != nil {
+				t.Error(err)
+				return false
+			}
+			defer snap.Close()
+			frozen = make(map[string]string, len(model))
+			for k, v := range model {
+				frozen[k] = v
+			}
+		}
 		switch op := rng.Intn(100); {
 		case op < 45: // put
 			k := key()
@@ -133,6 +151,34 @@ func runModelTrial(t *testing.T, cfg Config, seed int64, ops int) bool {
 	if len(res) != len(model) {
 		t.Errorf("seed %d final scan: %d keys want %d", seed, len(res), len(model))
 		return false
+	}
+	for i := 0; i < 300; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		got, ok, err := snap.Get([]byte(k))
+		want, exists := frozen[k]
+		if err != nil || ok != exists || string(got) != want {
+			t.Errorf("seed %d snapshot@op %d: Get(%s) = %q,%v,%v want %q,%v", seed, snapAt, k, got, ok, err, want, exists)
+			return false
+		}
+	}
+	res, err = snap.Scan(nil, nil, 0)
+	if err != nil {
+		t.Error(err)
+		return false
+	}
+	if len(res) != len(frozen) {
+		t.Errorf("seed %d snapshot@op %d: scan %d keys want %d", seed, snapAt, len(res), len(frozen))
+		return false
+	}
+	for j, r := range res {
+		if j > 0 && bytes.Compare(res[j-1].Key, r.Key) >= 0 {
+			t.Errorf("seed %d snapshot scan out of order at %s", seed, r.Key)
+			return false
+		}
+		if want, exists := frozen[string(r.Key)]; !exists || string(r.Value) != want {
+			t.Errorf("seed %d snapshot@op %d: scan %s = %q want %q,%v", seed, snapAt, r.Key, r.Value, want, exists)
+			return false
+		}
 	}
 	return true
 }

@@ -420,7 +420,9 @@ func TestScanDuringViewInstall(t *testing.T) {
 				return
 			}
 			if gen%2 == 0 {
-				if err := db.CompactNow(); err != nil {
+				// Nothing is left to flush: this runs the compaction
+				// strategy once more.
+				if err := db.FlushAll(); err != nil {
 					return
 				}
 			}

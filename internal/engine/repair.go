@@ -1,9 +1,9 @@
 // Self-healing repair (DESIGN.md §5.8): RepairQuarantined rebuilds every
 // partition that holds quarantined corpses. Salvage iterators walk each
 // openable SSD corpse and yield only the entries whose block CRCs still
-// verify; those entries join a full-partition merge with every live source
-// below the memtables, so sequence-number dedup keeps exactly the newest
-// surviving version of each key regardless of which table held it. PM
+// verify; those entries join the partition's major compaction — every live
+// source below the memtables — so sequence-number dedup keeps exactly the
+// newest surviving version of each key regardless of which table held it. PM
 // corpses contribute nothing — their single whole-image checksum cannot
 // vouch for any sub-range once it fails. The rebuilt run installs through
 // the ordinary compaction path and the corpses retire through the deferred
@@ -16,11 +16,7 @@ package engine
 import (
 	"fmt"
 
-	"pmblade/internal/compaction"
-	"pmblade/internal/device"
-	"pmblade/internal/kv"
 	"pmblade/internal/pmem"
-	"pmblade/internal/sched"
 	"pmblade/internal/ssd"
 	"pmblade/internal/sstable"
 )
@@ -75,11 +71,16 @@ func (db *DB) RepairQuarantined() error {
 			}
 		}
 		if !db.cfg.RocksDB && len(salvage) > 0 {
+			// A major compaction with the corpses as extra sources. It is
+			// judged like any other: versions an open snapshot still reads
+			// survive it, and its tombstones stay because p still has its
+			// quarantine records — salvage sources are partial, and keeping
+			// a deletion marker is always safe.
 			p.maint.Lock()
-			err := db.repairPartition(p, salvage)
+			err := db.majorCompact(p, salvage)
 			p.maint.Unlock()
 			if err != nil {
-				return err
+				return fmt.Errorf("engine: repair partition %d: %w", p.id, err)
 			}
 		}
 		db.finishRepair(p, prs)
@@ -88,74 +89,6 @@ func (db *DB) RepairQuarantined() error {
 	// One manifest install drops the quarantine records from the durable
 	// root and frees the retired corpses.
 	return db.installAfterMajor()
-}
-
-// repairPartition merges every live source of p below the memtables with the
-// salvage iterators into a fresh level-1 run. Tombstones are kept: salvage
-// sources are partial, and retaining a deletion marker is always safe.
-// Callers hold p.maint.
-//
-//pmblade:compacts
-func (db *DB) repairPartition(p *partition, salvage []*sstable.Iterator) error {
-	var its []kv.Iterator
-	unsorted, sorted := p.l0.Tables()
-	for _, t := range unsorted {
-		its = append(its, t.NewIterator())
-	}
-	for _, t := range sorted {
-		its = append(its, t.NewIterator())
-	}
-	l0ssd, oldRun := p.tree.L0Tables(), p.run().Tables()
-	for _, t := range l0ssd {
-		its = append(its, t.NewCompactionIterator(256<<10))
-	}
-	for _, t := range oldRun {
-		its = append(its, t.NewCompactionIterator(256<<10))
-	}
-	for _, s := range salvage {
-		its = append(its, s)
-	}
-	for _, it := range its {
-		it.SeekToFirst()
-	}
-
-	// One merge subtask over the full key range: repair is rare enough that
-	// range splitting buys nothing, and a single task keeps the salvage
-	// iterators' skip counters attributable.
-	var newTables []*sstable.Table
-	var rerr error
-	db.pool.Run([]sched.Task{func(ctx *sched.Ctx) {
-		newTables, rerr = compaction.Run(ctx, its, compaction.Params{
-			Dev:              db.ssd,
-			Cause:            device.CauseMajor,
-			DropTombstones:   false,
-			TargetTableBytes: db.cfg.SSTableBytes,
-			BreakOnWrite:     db.cfg.SchedMode != sched.ModePMBlade,
-			Compress:         db.cfg.BlockCompression,
-		})
-	}})
-	if rerr != nil {
-		return fmt.Errorf("engine: repair partition %d: %w", p.id, rerr)
-	}
-	for _, t := range newTables {
-		t.AttachCache(db.cache)
-	}
-	p.run().Replace(oldRun, newTables)
-	p.tree.RemoveL0(l0ssd)
-	p.l0.Evict()
-	db.installTables(p, nil, true)
-	for _, t := range oldRun {
-		db.retireSST(t)
-	}
-	for _, t := range l0ssd {
-		db.retireSST(t)
-	}
-	for _, s := range salvage {
-		db.metrics.RepairBlocksSkipped.Add(int64(s.Skipped()))
-	}
-	db.metrics.MajorCount.Add(1)
-	resetPartitionStats(p)
-	return nil
 }
 
 // finishRepair removes the repaired records from the quarantine registry and

@@ -508,3 +508,139 @@ func TestScanUnavailableRange(t *testing.T) {
 		t.Fatalf("scan after repair: %v", err)
 	}
 }
+
+// TestSnapshotHeldAcrossRepair: repair is a compaction like any other, so
+// the versions an open snapshot still reads survive it. Every key is
+// overwritten after the snapshot and both versions are compacted to SSD
+// before the rot; whatever repair salvages, it salvages for the snapshot too.
+func TestSnapshotHeldAcrossRepair(t *testing.T) {
+	db, err := Open(scrubConfig(fault.New(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	old := fillKeys(t, db, 300)
+	snap, err := db.NewSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	for k := range old {
+		if err := db.Put([]byte(k), []byte("new-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.MajorCompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range old {
+		if got, ok, err := snap.Get([]byte(k)); err != nil || !ok || string(got) != v {
+			t.Fatalf("before the rot: snapshot Get(%s) = %q,%v,%v want %q", k, got, ok, err, v)
+		}
+	}
+	if rotEverySST(t, db) == 0 {
+		t.Fatal("no SSD tables to rot")
+	}
+	if _, err := db.ScrubOnce(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RepairQuarantined(); err != nil {
+		t.Fatal(err)
+	}
+
+	liveNew, snapOld := 0, 0
+	for k, v := range old {
+		got, ok, err := db.Get([]byte(k))
+		if err != nil {
+			t.Fatalf("Get(%s) after repair: %v", k, err)
+		}
+		if ok && string(got) == "new-"+k {
+			liveNew++
+		}
+		got, ok, err = snap.Get([]byte(k))
+		switch {
+		case err != nil:
+			t.Fatalf("snapshot Get(%s) after repair: %v", k, err)
+		case ok && string(got) != v:
+			t.Fatalf("snapshot Get(%s) = %q after repair: a version written after the snapshot (want %q or not-found)", k, got, v)
+		case ok:
+			snapOld++
+		}
+	}
+	if liveNew == 0 {
+		t.Fatal("salvage recovered nothing")
+	}
+	if snapOld != liveNew {
+		t.Fatalf("repair kept %d of the snapshot's versions but salvaged %d current ones", snapOld, liveNew)
+	}
+}
+
+// TestDeleteUnderQuarantineStaysDeleted: no compaction of a partition may
+// drop a tombstone while the partition has a quarantine record — the corpse
+// waiting to be salvaged sits below every level, and repair would bring the
+// deleted values back.
+func TestDeleteUnderQuarantineStaysDeleted(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		ssdL0   bool
+		compact func(db *DB) error
+	}{
+		{"major/pmblade", false, (*DB).MajorCompactAll},
+		{"major/pmblade-ssd", true, (*DB).MajorCompactAll},
+		// The quarantine empties the run, so level-0 looks like the bottom.
+		{"internal/run-quarantined", false, (*DB).InternalCompactAll},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := scrubConfig(fault.New(32))
+			if tc.ssdL0 {
+				cfg.Level0OnPM = false
+				cfg.InternalCompaction = false
+			}
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			want := fillSSD(t, db, 300)
+			if rotEverySST(t, db) == 0 {
+				t.Fatal("no SSD tables to rot")
+			}
+			if _, err := db.ScrubOnce(); err != nil {
+				t.Fatal(err)
+			}
+			if len(db.QuarantineRecords()) == 0 || len(db.partitions[0].state.Load().ssts()) != 0 {
+				t.Fatal("setup: the whole SSD tier should be quarantined")
+			}
+			for k := range want {
+				if err := db.Delete([]byte(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.compact(db); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.RepairQuarantined(); err != nil {
+				t.Fatal(err)
+			}
+			back := 0
+			for k := range want {
+				_, ok, err := db.Get([]byte(k))
+				if err != nil {
+					t.Fatalf("Get(%s) after repair: %v", k, err)
+				}
+				if ok {
+					back++
+				}
+			}
+			if back != 0 {
+				t.Fatalf("%d of %d deleted keys came back after repair", back, len(want))
+			}
+		})
+	}
+}

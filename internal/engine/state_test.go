@@ -162,7 +162,7 @@ func TestReadStateOutlivesInstalls(t *testing.T) {
 					must(db.FlushAll())
 				}
 				p.maint.Lock()
-				err = db.compactLeveledOnce(p, 0)
+				err = db.compactToSSD(p, leveledStep(p.tree, 0))
 				p.maint.Unlock()
 				must(err)
 				must(db.installAfterMajor())

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"pmblade/internal/device"
@@ -230,26 +232,34 @@ func (db *DB) maintainPartition(p *partition) {
 }
 
 // flushAndMaintain flushes p's immutables and runs the local strategy under
-// p.maint. When PM runs out of space it releases the lock and evicts per
-// Eq. 3 — majorMu covers only the victim decision there, and a pass already
-// in flight is joined rather than queued behind (evictOnce) — then retries
-// once; the eviction wait is charged to the write-stall metric.
+// p.maint. PM running out of space is a stall, not a failure: the lock is
+// released, an eviction pass runs (evictOnce — majorMu covers only the
+// victim decision, and a pass already in flight is joined rather than queued
+// behind), the wait is charged to the write-stall metric, and the flush is
+// tried again, as often as it takes. The loop ends in an error only when a
+// pass this caller decided itself had nothing to give back — then no amount
+// of waiting makes room, and the configuration is at fault.
 func (db *DB) flushAndMaintain(p *partition) error {
-	for attempt := 0; ; attempt++ {
+	for {
 		p.maint.Lock()
 		err := db.flushImmutables(p)
 		if err == nil {
 			err = db.localCompactionStrategy(p)
 		}
 		p.maint.Unlock()
-		if err != pmem.ErrOutOfSpace || attempt > 0 {
+		if !errors.Is(err, pmem.ErrOutOfSpace) {
 			return err
 		}
 		stall := time.Now()
-		if err := db.majorCompactEvict(); err != nil {
-			return err
-		}
+		idle, everr := db.evictOnce(db.costVictims)
 		db.metrics.WriteStallNanos.Add(int64(time.Since(stall)))
+		if everr != nil {
+			return everr
+		}
+		if idle {
+			return fmt.Errorf("engine: PMCapacity %d is too small: %d bytes in use and eviction, which preserves up to Cost.TauT = %d, has nothing left to release: %w",
+				db.pm.Capacity(), db.pm.Used(), db.cfg.Cost.TauT, err)
+		}
 	}
 }
 
@@ -290,8 +300,8 @@ func (db *DB) flushImmutables(p *partition) error {
 // snapshots the boundary set is just the visibility watermark and only the
 // newest version of each key leaves DRAM (as RocksDB does absent snapshots);
 // while a snapshot is open, the versions it can still read survive the
-// flush. pmem.ErrOutOfSpace propagates to the caller, which evicts and
-// retries.
+// flush. pmem.ErrOutOfSpace propagates (wrapped with the flush size) to the
+// caller, which evicts and retries.
 //
 //pmblade:compacts
 func (db *DB) flushOne(p *partition, m *memtable.Memtable) error {
@@ -309,7 +319,7 @@ func (db *DB) flushOne(p *partition, m *memtable.Memtable) error {
 			return e
 		})
 		if err != nil {
-			return err
+			return fmt.Errorf("engine: flush %d-byte memtable to PM level-0: %w", m.ApproximateSize(), err)
 		}
 		p.l0.AddUnsorted(res.Table)
 	} else { // PMBlade-SSD and RocksDB modes: SSTable level-0

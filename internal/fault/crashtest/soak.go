@@ -9,6 +9,10 @@
 //     is either exactly correct or fails with ErrUnavailable, and MultiGet
 //     agrees with Get key-for-key (per-key blast radius);
 //   - the quarantine survives a clean restart through the manifest;
+//   - writes keep landing under quarantine: a seeded subset of the keys
+//     inside quarantined ranges is deleted and compacted to SSD before
+//     repair, and none of them may come back — a tombstone dropped above a
+//     corpse would let salvage resurrect the value;
 //   - RepairQuarantined drains the registry completely; afterwards every
 //     key reads without error, keys served correctly before repair stay
 //     exactly correct (zero lost acked writes when an intact source of the
@@ -75,6 +79,7 @@ type SoakReport struct {
 	Salvaged    int // unavailable keys restored to their newest acked value
 	Reverted    int // unavailable keys resolved to an older acked value
 	Lost        int // unavailable keys resolved to not-found
+	DeletedQ    int // keys deleted under quarantine (must stay not-found)
 	Failures    []string
 }
 
@@ -83,8 +88,8 @@ func (r *SoakReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "scrub-soak: seed=%d ops=%d targets=%d rots=%d (pm=%d ssd=%d) incidents=%d\n",
 		r.Seed, r.Ops, r.Targets, r.Rotted, r.RottedPM, r.RottedSSD, r.Incidents)
-	fmt.Fprintf(&b, "  keys: unavailable=%d salvaged=%d reverted=%d lost=%d failures=%d\n",
-		r.Unavailable, r.Salvaged, r.Reverted, r.Lost, len(r.Failures))
+	fmt.Fprintf(&b, "  keys: unavailable=%d deleted-under-quarantine=%d salvaged=%d reverted=%d lost=%d failures=%d\n",
+		r.Unavailable, r.DeletedQ, r.Salvaged, r.Reverted, r.Lost, len(r.Failures))
 	for _, f := range r.Failures {
 		fmt.Fprintf(&b, "  FAIL: %s\n    reproduce: pmblade-crash -scrub -seed %d -ops %d -rots %d\n",
 			f, r.Seed, r.Ops, r.Rotted)
@@ -481,6 +486,36 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		rep.failf("restart kept %d of %d quarantine records", after, before)
 	}
 
+	// Phase 5b: writes under quarantine. A seeded subset of the keys inside
+	// quarantined ranges is deleted, and the tombstones are flushed and major-
+	// compacted to SSD while the corpses still wait below them. A compaction
+	// that took the run for the bottom level would drop the tombstones here,
+	// and repair would salvage the deleted values back.
+	deletedQ := make(map[string]bool)
+	recs := re.QuarantineRecords()
+	for _, k := range keys {
+		quarantined := false
+		for _, r := range recs {
+			quarantined = quarantined || (k >= string(r.Smallest) && k <= string(r.Largest))
+		}
+		if !quarantined || rng.next()%3 != 0 {
+			continue
+		}
+		if err := re.Delete([]byte(k)); err != nil {
+			return nil, fmt.Errorf("soak delete under quarantine: %w", err)
+		}
+		record(k, nil)
+		deletedQ[k] = true
+	}
+	rep.DeletedQ = len(deletedQ)
+	if err := re.FlushAll(); err != nil {
+		return nil, fmt.Errorf("soak flush under quarantine: %w", err)
+	}
+	if err := re.MajorCompactAll(); err != nil {
+		return nil, fmt.Errorf("soak major compaction under quarantine: %w", err)
+	}
+	logf("deleted %d keys inside quarantined ranges, compacted to SSD", len(deletedQ))
+
 	// Phase 6: repair must drain the registry and restore full readability.
 	if err := re.RepairQuarantined(); err != nil {
 		return nil, fmt.Errorf("soak repair: %w", err)
@@ -491,6 +526,10 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	err = sweep(re, "post-repair", func(k string, got []byte, ok bool, gerr error) {
 		if gerr != nil {
 			rep.failf("post-repair Get(%s): %v (repair must restore readability)", k, gerr)
+			return
+		}
+		if deletedQ[k] && ok {
+			rep.failf("post-repair Get(%s) = %q: a key deleted under quarantine came back", k, got)
 			return
 		}
 		want := vals[k]
