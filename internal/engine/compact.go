@@ -118,7 +118,7 @@ func (db *DB) evictOnce(choose func() []*partition) (idle bool, err error) {
 	if merr := db.installAfterMajor(); err == nil {
 		err = merr
 	}
-	db.metrics.EvictionCount.Add(1)
+	db.metrics.EvictionCount.Add(1) // also the pass generation flushAndMaintain compares
 	db.metrics.EvictionWallNanos.Add(int64(sw.Elapsed()))
 	db.finishEviction(st, err)
 	return idle, err

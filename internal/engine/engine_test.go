@@ -372,6 +372,14 @@ func TestWriteAmpAccounting(t *testing.T) {
 		db.Put([]byte(fmt.Sprintf("key-%05d", i%200)), val) // updates
 	}
 	db.FlushAll()
+	if err := db.InternalCompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Build opens the image it wrote under its own cause: write traffic does
+	// not show up as client reads of the PM device.
+	if n := db.PMDevice().Stats().ReadOps(device.CauseClientRead); n != 0 {
+		t.Fatalf("flushes and internal compaction counted %d client-read ops on PM", n)
+	}
 	wa := db.WriteAmp()
 	if wa.UserBytes == 0 || wa.PMBytes == 0 {
 		t.Fatalf("write-amp counters empty: %+v", wa)

@@ -58,51 +58,30 @@ func (db *DB) multiGetAt(keys [][]byte, seq uint64) ([]GetResult, error) {
 		pid := db.route(key).id
 		groups[pid] = append(groups[pid], i)
 	}
-	var active []*partition
-	var activeIdx [][]int
+	active := make([]int, 0, len(groups)) // partitions that have keys
 	for pid, idxs := range groups {
 		if len(idxs) > 0 {
-			active = append(active, db.partitions[pid])
-			activeIdx = append(activeIdx, idxs)
+			active = append(active, pid)
 		}
 	}
 
-	entries := make([]kv.Entry, len(keys))
-	found := make([]bool, len(keys))
-	tiers := make([]Tier, len(keys))
-	errs := make([]error, len(active))
 	db.pool.Fan(len(active), func(g int) {
-		err := db.multiGetPartition(active[g], keys, activeIdx[g], seq, entries, found, tiers)
-		if err != nil && db.healCorruption(active[g], err) {
+		p, idxs := db.partitions[active[g]], groups[active[g]]
+		err := db.multiGetPartition(p, keys, idxs, seq, results)
+		if err != nil && db.healCorruption(p, err) {
 			// Self-healing: the corrupt table is quarantined; one retry against
 			// the remaining sources (multiGetPartition publishes results only
 			// on success, so the rerun starts from a clean slate).
-			err = db.multiGetPartition(active[g], keys, activeIdx[g], seq, entries, found, tiers)
+			err = db.multiGetPartition(p, keys, idxs, seq, results)
 		}
-		errs[g] = err
-	})
-
-	for g, p := range active {
-		if errs[g] != nil {
+		if err != nil {
 			// Blast radius: only the keys that actually needed this partition
 			// fail; the other partitions' results stand.
-			for _, i := range activeIdx[g] {
-				results[i] = GetResult{Err: errs[g]}
-			}
-			continue
-		}
-		for _, i := range activeIdx[g] {
-			db.metrics.CountRead(tiers[i])
-			switch {
-			case p.quarShadowed(keys[i], found[i], tiers[i]):
-				db.metrics.UnavailableReads.Add(1)
-				results[i] = GetResult{Err: ErrUnavailable}
-			case found[i] && entries[i].Kind != kv.KindDelete:
-				// Copy-out boundary: entry values may alias block cache memory.
-				results[i] = GetResult{Value: append([]byte(nil), entries[i].Value...), Found: true}
+			for _, i := range idxs {
+				results[i] = GetResult{Err: err}
 			}
 		}
-	}
+	})
 	db.metrics.MultiGetOps.Add(1)
 	db.metrics.MultiGetKeys.Add(int64(len(keys)))
 	db.metrics.MultiGetLatency.Record(time.Since(start))
@@ -110,9 +89,9 @@ func (db *DB) multiGetAt(keys [][]byte, seq uint64) ([]GetResult, error) {
 }
 
 // multiGetPartition resolves idxs (positions into keys) against partition p,
-// writing into the shared entries/found/tiers slices; positions are disjoint
-// across partitions, so concurrent group resolution needs no locking.
-func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uint64, entries []kv.Entry, found []bool, tiers []Tier) error {
+// writing into the shared results slice; positions are disjoint across
+// partitions, so concurrent group resolution needs no locking.
+func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uint64, results []GetResult) error {
 	// Sub-batch views aligned to this partition's keys.
 	subKeys := make([][]byte, len(idxs))
 	subEntries := make([]kv.Entry, len(idxs))
@@ -177,8 +156,19 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 	}
 	markNew(TierSSD)
 
+	// Publish, on success only. Copy-out boundary: the entries' values are
+	// views of memtable, PM-table and block-cache memory the state keeps
+	// alive, so each returned value is copied here, once, before the deferred
+	// release lets go of it.
 	for j, i := range idxs {
-		entries[i], found[i], tiers[i] = subEntries[j], subFound[j], subTiers[j]
+		db.metrics.CountRead(subTiers[j])
+		switch {
+		case p.quarShadowed(keys[i], subFound[j], subTiers[j]):
+			db.metrics.UnavailableReads.Add(1)
+			results[i] = GetResult{Err: ErrUnavailable}
+		case subFound[j] && subEntries[j].Kind != kv.KindDelete:
+			results[i] = GetResult{Value: append([]byte(nil), subEntries[j].Value...), Found: true}
+		}
 	}
 	p.reads.Add(int64(len(idxs)))
 	return nil

@@ -53,8 +53,9 @@ func (db *DB) getAt(key []byte, seq uint64) (value []byte, ok bool, err error) {
 }
 
 // get resolves key at a snapshot in p's current state, reporting the serving
-// tier. It returns tombstones to the caller (Kind). Copy-out boundary: lookups
-// alias cache/block memory, so the value is copied before the state — and
+// tier. It returns tombstones to the caller (Kind). Copy-out boundary: every
+// tier's lookup returns a view — of a memtable node, a PM-table image, a
+// cached block — so the value is copied here, once, before the state — and
 // with it the tables' references — is released.
 func (db *DB) get(p *partition, key []byte, seq uint64) (kv.Entry, bool, Tier, error) {
 	s := p.acquire()

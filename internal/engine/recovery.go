@@ -424,7 +424,7 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		openPMs := func(addrs []int64) ([]*pmtable.Table, error) {
 			var ts []*pmtable.Table
 			for _, a := range addrs {
-				t, err := pmtable.Open(pm, pmem.Addr(a))
+				t, err := pmtable.Open(pm, pmem.Addr(a), device.CauseUnknown)
 				if err != nil {
 					if db.recoverQuarantine("pm", uint64(a), i, err) {
 						continue

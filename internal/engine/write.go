@@ -237,10 +237,13 @@ func (db *DB) maintainPartition(p *partition) {
 // victim decision, and a pass already in flight is joined rather than queued
 // behind), the wait is charged to the write-stall metric, and the flush is
 // tried again, as often as it takes. The loop ends in an error only when a
-// pass this caller decided itself had nothing to give back — then no amount
-// of waiting makes room, and the configuration is at fault.
+// pass this caller decided itself had nothing to give back and no other pass
+// finished since the flush was tried (one that did may have made the room
+// this one then found nothing to add to) — then no amount of waiting makes
+// room, and the configuration is at fault.
 func (db *DB) flushAndMaintain(p *partition) error {
 	for {
+		passes := db.metrics.EvictionCount.Load()
 		p.maint.Lock()
 		err := db.flushImmutables(p)
 		if err == nil {
@@ -256,7 +259,7 @@ func (db *DB) flushAndMaintain(p *partition) error {
 		if everr != nil {
 			return everr
 		}
-		if idle {
+		if idle && db.metrics.EvictionCount.Load() == passes+1 {
 			return fmt.Errorf("engine: PMCapacity %d is too small: %d bytes in use and eviction, which preserves up to Cost.TauT = %d, has nothing left to release: %w",
 				db.pm.Capacity(), db.pm.Used(), db.cfg.Cost.TauT, err)
 		}

@@ -109,7 +109,8 @@ type GetStats struct {
 
 // Get searches the newest-first unsorted tables, then the sorted run. It
 // returns the newest version visible at seq, honoring tombstones (the caller
-// interprets Kind).
+// interprets Kind). The entry's Value is a view of the table that held it
+// (pmtable.Table.Get): copy it before letting go of the tables.
 func Get(unsorted, sorted []*pmtable.Table, key []byte, seq uint64) (e kv.Entry, ok bool, stats GetStats) {
 	// Unsorted tables must all be consulted newest-first: any of them may
 	// hold a newer version (this is level-0 read amplification). Fence keys

@@ -122,9 +122,11 @@ func (m *Memtable) findGE(ik []byte) *node {
 func (m *Memtable) Get(key []byte, seq uint64) (e kv.Entry, ok bool) {
 	// Seek to (key, seq, Delete): versions newer than seq sort strictly
 	// before this probe, and both a Delete and a Set at exactly seq sort at
-	// or after it, so findGE lands on the newest version visible at seq.
-	probe := kv.AppendInternalKey(nil, key, seq, kv.KindDelete)
-	n := m.findGE(probe)
+	// or after it, so findGE lands on the newest version visible at seq. The
+	// probe lives on the stack (findGE does not retain it); only a key too
+	// long for the buffer makes append allocate.
+	var buf [128]byte
+	n := m.findGE(kv.AppendInternalKey(buf[:0], key, seq, kv.KindDelete))
 	if n == nil {
 		return kv.Entry{}, false
 	}

@@ -23,7 +23,7 @@
 // are CPU-cache hits. ChargeAccess is that one line fetch. Alloc returns
 // LineSize-aligned regions, so a reader walking a View decides what to
 // charge from offsets alone: one ChargeAccess per distinct line a lookup
-// touches in a structure it probes at random (pmtable's index levels, the
+// touches in a structure it probes at random (pmtable's prefix layer, the
 // array formats' offset arrays), and one per landing on data it then reads
 // sequentially (an entry group, a record) — the sequential bytes ride the
 // device's prefetch and are not charged again.

@@ -229,22 +229,18 @@ func (t *Table) findSlot(key []byte) (int, error) {
 	return max(lo-1, 0), nil
 }
 
-// arrayGet returns the newest version of key visible at seq.
+// arrayGet returns the newest version of key visible at seq: entries sort
+// newest-first within a key, so that is the first one visible. It returns
+// from inside the slot that held it, so the value may alias scratch.
 func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
-	if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
-		return kv.Entry{}, false
-	}
-	m := t.array
 	start, err := t.findSlot(key)
 	if err != nil {
 		return kv.Entry{}, false
 	}
 	var scratch []byte
-	var best kv.Entry
-	found := false
-	for i := start; i < m.count; i++ {
+	for i := start; i < t.array.count; i++ {
 		t.dev.ChargeAccess()
-		es, s, err := m.slotEntries(i, scratch)
+		es, s, err := t.array.slotEntries(i, scratch)
 		scratch = s
 		if err != nil {
 			return kv.Entry{}, false
@@ -252,18 +248,14 @@ func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
 		for _, e := range es {
 			c := bytes.Compare(e.Key, key)
 			if c > 0 {
-				return best, found
+				return kv.Entry{}, false
 			}
-			if c == 0 && e.Seq <= seq && (!found || e.Seq > best.Seq) {
-				best = kv.Entry{Key: key, Value: append([]byte(nil), e.Value...), Seq: e.Seq, Kind: e.Kind}
-				found = true
+			if c == 0 && e.Seq <= seq {
+				return kv.Entry{Key: key, Value: e.Value, Seq: e.Seq, Kind: e.Kind}, true
 			}
-		}
-		if found {
-			return best, true
 		}
 	}
-	return best, found
+	return kv.Entry{}, false
 }
 
 // arrayIterator walks slots in order.

@@ -6,8 +6,8 @@
 //     dictionary of extracted long key prefixes (e.g. the {tableID} encoding
 //     shared by every key of one database table); a prefix layer holds a
 //     fixed-length prefix of each group's first key plus the group's offset,
-//     laid out as a static search tree of line-sized nodes so a search
-//     fetches one PM line per level; an entry layer holds groups of 8/16
+//     nine to a PM line, and a search picks its line from a DRAM copy of
+//     every line's first prefix; an entry layer holds groups of 8/16
 //     prefix-stripped entries scanned sequentially.
 //   - FormatArray: the plain structure from MatrixKV — a metadata array of
 //     offsets plus a data array of full entries; every binary-search step
@@ -21,12 +21,13 @@
 // be reopened from their address after a restart.
 //
 // All four formats pay the device by one rule (see package pmem): structures
-// probed at random — the prefix layer's nodes, the offset arrays — cost one
+// probed at random — the prefix layer's lines, the offset arrays — cost one
 // access per distinct line a lookup touches; landing on an entry group or a
 // record costs one access, and the bytes read sequentially from there none.
 package pmtable
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -71,8 +72,8 @@ func (f Format) String() string {
 const (
 	magic = 0x504d5442 // "PMTB"
 	// layoutVersion is the image layout this package writes and the only one
-	// Open accepts; version 0 kept the prefix layer as a flat slot array.
-	layoutVersion = 1
+	// Open accepts; version 1 stored a search tree above the prefix layer.
+	layoutVersion = 2
 	// DefaultGroupSize is the number of entries per group in the prefix and
 	// group-compressed formats (the paper uses eight or sixteen).
 	DefaultGroupSize = 8
@@ -325,7 +326,7 @@ func Build(dev *pmem.Device, entries []kv.Entry, format Format, groupSize int, c
 		return BuildResult{}, err
 	}
 
-	t, err := Open(dev, addr)
+	t, err := Open(dev, addr, cause)
 	if err != nil {
 		dev.Release(addr)
 		return BuildResult{}, err
@@ -337,13 +338,14 @@ func Build(dev *pmem.Device, entries []kv.Entry, format Format, groupSize int, c
 	return BuildResult{Table: t, RawBytes: raw, EncodedBytes: int64(len(img))}, nil
 }
 
-// Open reconstructs a table from its arena address (e.g. after restart).
+// Open reconstructs a table from its arena address (e.g. after restart). Its
+// reads of the image count under cause — Build's own, for a table just built.
 //
 // The whole-image checksum is verified before any byte of the image — header
 // included — is decoded: a torn or truncated table written by a crashed
 // process must be rejected here, not parsed (the crcbeforeuse analyzer
 // enforces this ordering).
-func Open(dev *pmem.Device, addr pmem.Addr) (*Table, error) {
+func Open(dev *pmem.Device, addr pmem.Addr, cause device.Cause) (*Table, error) {
 	size := dev.Size(addr)
 	if size < 0 {
 		return nil, fmt.Errorf("pmtable: unknown region %d", addr)
@@ -351,11 +353,11 @@ func Open(dev *pmem.Device, addr pmem.Addr) (*Table, error) {
 	if size < encodedHeaderSize+4 {
 		return nil, &CorruptionError{Addr: addr, Len: size, Detail: "image too small"}
 	}
-	img, err := dev.View(addr, 0, size-4, device.CauseClientRead)
+	img, err := dev.View(addr, 0, size-4, cause)
 	if err != nil {
 		return nil, err
 	}
-	crcBytes, err := dev.View(addr, size-4, 4, device.CauseClientRead)
+	crcBytes, err := dev.View(addr, size-4, 4, cause)
 	if err != nil {
 		return nil, err
 	}
@@ -378,7 +380,7 @@ func Open(dev *pmem.Device, addr pmem.Addr) (*Table, error) {
 	if bodyLen < 0 {
 		return nil, &CorruptionError{Addr: addr, Len: size, Detail: "inconsistent trailer lengths"}
 	}
-	trailer, err := dev.View(addr, encodedHeaderSize+bodyLen, tail, device.CauseClientRead)
+	trailer, err := dev.View(addr, encodedHeaderSize+bodyLen, tail, cause)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +390,7 @@ func Open(dev *pmem.Device, addr pmem.Addr) (*Table, error) {
 		t.filter = bloom.Decode(trailer[h.smallLen+h.largeLen:])
 	}
 
-	body, err := dev.View(addr, encodedHeaderSize, bodyLen, device.CauseClientRead)
+	body, err := dev.View(addr, encodedHeaderSize, bodyLen, cause)
 	if err != nil {
 		return nil, err
 	}
@@ -432,10 +434,14 @@ func (l *lookup) touch(off int) {
 }
 
 // Get returns the newest version of key visible at snapshot seq. The entry's
-// Key is the caller's key; its Value is a copy.
+// Key is the caller's key; its Value is a view — of the table image or, in
+// the compressed formats, of the call's own decompression buffer — valid
+// while the caller holds the table, and must be copied to outlive it.
 func (t *Table) Get(key []byte, seq uint64) (kv.Entry, bool) {
-	switch t.format {
-	case FormatPrefix:
+	switch {
+	case bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0:
+		return kv.Entry{}, false // answered from the fence keys, no access
+	case t.format == FormatPrefix:
 		return t.prefixGet(key, seq)
 	default:
 		return t.arrayGet(key, seq)

@@ -239,7 +239,7 @@ func TestOpenAfterRestart(t *testing.T) {
 		t.Fatal("built table should be persisted (flushed)")
 	}
 	// Re-open from the raw address, as recovery does.
-	tbl, err := Open(dev, addr)
+	tbl, err := Open(dev, addr, device.CauseUnknown)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,11 +334,11 @@ func TestOpenRejectsCorruptHeader(t *testing.T) {
 	if err := dev.WriteAt(addr, 0, junk, device.CauseFlush); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dev, addr); err == nil {
+	if _, err := Open(dev, addr, device.CauseUnknown); err == nil {
 		t.Fatal("garbage region must not open as a table")
 	}
 	// Unknown address.
-	if _, err := Open(dev, pmem.Addr(1<<40)); err == nil {
+	if _, err := Open(dev, pmem.Addr(1<<40), device.CauseUnknown); err == nil {
 		t.Fatal("unknown address must not open")
 	}
 }
@@ -363,7 +363,7 @@ func TestOpenRejectsTruncatedImage(t *testing.T) {
 	if err := dev.WriteAt(addr, 0, img, device.CauseFlush); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dev, addr); err == nil {
+	if _, err := Open(dev, addr, device.CauseUnknown); err == nil {
 		t.Fatal("truncated image must not open")
 	}
 }
@@ -428,7 +428,7 @@ func TestOpenRejectsTornTrailer(t *testing.T) {
 			torn := append([]byte(nil), img...)
 			torn[off] ^= 0x01
 			addr := rebuildAt(t, dev, torn)
-			if _, err := Open(dev, addr); !errors.Is(err, ErrCorrupt) {
+			if _, err := Open(dev, addr, device.CauseUnknown); !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%v: byte %d flipped: got err %v, want ErrCorrupt", format, off, err)
 			}
 			dev.Release(addr)
@@ -448,7 +448,7 @@ func TestOpenRejectsTruncatedBloomSection(t *testing.T) {
 			continue
 		}
 		addr := rebuildAt(t, dev, img[:len(img)-cut])
-		if _, err := Open(dev, addr); !errors.Is(err, ErrCorrupt) {
+		if _, err := Open(dev, addr, device.CauseUnknown); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("cut %d bytes: got err %v, want ErrCorrupt", cut, err)
 		}
 		dev.Release(addr)
@@ -471,6 +471,7 @@ func TestOpenRejectsInconsistentHeaderWithValidCRC(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(prefixImg[numGroupsOff:]); got < 10 || got > 80 {
 		t.Fatalf("numGroups field reads %d, want 10..80", got)
 	}
+	leafOff := (numGroupsOff + 4 + pmem.LineSize - 1) &^ (pmem.LineSize - 1) // image offset of the first slot
 	setNumGroups := func(n uint32) func([]byte) {
 		return func(img []byte) { binary.LittleEndian.PutUint32(img[numGroupsOff:], n) }
 	}
@@ -484,18 +485,29 @@ func TestOpenRejectsInconsistentHeaderWithValidCRC(t *testing.T) {
 		{"oversized smallLen", imageOf(t, dev, FormatArray), func(img []byte) {
 			binary.LittleEndian.PutUint32(img[14:18], uint32(len(img)))
 		}},
-		{"layout version 0", prefixImg, func(img []byte) { img[5] = 0 }},
+		{"layout version 1", prefixImg, func(img []byte) { img[5] = 1 }},
 		{"layout version from the future", prefixImg, func(img []byte) { img[5] = layoutVersion + 1 }},
 		// Index geometry follows from numGroups; each of these makes it
 		// disagree with the header's entry count or with the body's size.
 		{"no groups", prefixImg, setNumGroups(0)},
 		{"fewer groups than hold the entries", prefixImg, setNumGroups(9)},
 		{"more groups than entries", prefixImg, setNumGroups(81)},
-		{"levels past the body", prefixImg, func(img []byte) {
+		{"leaf level past the body", prefixImg, func(img []byte) {
 			// Consistent with the entry count, so only the geometry check
-			// can object: 4 000 000 groups need ~120 MB of index.
+			// can object: 4 000 000 groups need ~110 MB of slots.
 			binary.LittleEndian.PutUint32(img[6:10], 4_000_000*8)
 			setNumGroups(4_000_000)(img)
+		}},
+		// The slots themselves: a search trusts them to be sorted and to
+		// point into the entry layer.
+		{"two leaf slots swapped", prefixImg, func(img []byte) {
+			a, b := img[leafOff+2*slotSize:][:slotSize], img[leafOff+3*slotSize:][:slotSize]
+			tmp := append([]byte(nil), a...)
+			copy(a, b)
+			copy(b, tmp)
+		}},
+		{"entryOff past the body", prefixImg, func(img []byte) {
+			binary.LittleEndian.PutUint32(img[leafOff+4*slotSize+prefixLen:], uint32(len(img)))
 		}},
 		{"zero group size", prefixImg, func(img []byte) { binary.LittleEndian.PutUint32(img[10:14], 0) }},
 	}
@@ -504,7 +516,7 @@ func TestOpenRejectsInconsistentHeaderWithValidCRC(t *testing.T) {
 		c.edit(bad)
 		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], castagnoli))
 		addr := rebuildAt(t, dev, bad)
-		_, err := Open(dev, addr)
+		_, err := Open(dev, addr, device.CauseUnknown)
 		var ce *CorruptionError
 		if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s with recomputed CRC: got err %v, want a *CorruptionError", c.name, err)
@@ -524,7 +536,7 @@ func TestOpenVerifiesBeforeDecodingHeader(t *testing.T) {
 	bad := append([]byte(nil), img...)
 	binary.LittleEndian.PutUint32(bad[0:4], 0xDEADBEEF) // clobber magic, CRC now stale
 	addr := rebuildAt(t, dev, bad)
-	_, err := Open(dev, addr)
+	_, err := Open(dev, addr, device.CauseUnknown)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("got err %v, want ErrCorrupt", err)
 	}

@@ -4,25 +4,23 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"pmblade/internal/compress"
 	"pmblade/internal/kv"
 	"pmblade/internal/pmem"
 )
 
-// Prefix-format body layout. The region is pmem.LineSize-aligned and the
-// body starts encodedHeaderSize bytes into the image; the pad puts the index
-// on a line boundary of the image, so every index node is exactly one line.
+// Prefix-format body layout: the paper's three layers. The region is
+// pmem.LineSize-aligned and the body starts encodedHeaderSize bytes into the
+// image; the pad puts the prefix layer on a line boundary of the image, so
+// every nine slots are exactly one device line.
 //
 //	meta layer:   dictCount u8 | dict entries: len uvarint + bytes
 //	prefix layer: numGroups u32 | zero pad to the next line |
-//	              inner levels, root first: nodes of up to innerFanout
-//	                P-byte separators, zero padded to one line |
-//	              leaf level: nodes of up to leafFanout slots, zero padded
-//	                to one line; slot gi, in key order:
-//	                  P-byte prefix of group gi's first full key (zero padded)
-//	                  entryOff u32 (offset into entry layer)
+//	              lines of up to leafFanout slots, zero padded to one line;
+//	              slot gi, in key order:
+//	                P-byte prefix of group gi's first full key (zero padded)
+//	                entryOff u32 (offset into entry layer)
 //	entry layer:  per group:
 //	                metaIdx u8 | count uvarint | sharedLen uvarint | shared
 //	                per entry: remLen uvarint | valLen uvarint |
@@ -32,53 +30,30 @@ import (
 // leading prefixes shared by many keys ({tableID} encodings); the per-group
 // shared prefix removes what the dictionary missed.
 //
-// The prefix layer is a static search tree with no stored pointers. The
-// leaf level is the sorted array of group prefixes; separator j of the
-// level above a level is the first prefix of that level's node j, so node n
-// of a level holds the separators of nodes n*innerFanout... of the level
-// below. The whole geometry follows from numGroups (layout). A search
-// reads one node — one device line — per level.
+// The index above the prefix layer is not stored: Open copies the first
+// prefix of every line into one flat DRAM slice (fences), beside the other
+// search metadata. A search picks its line there and fetches only it from PM.
 
 const (
-	slotSize    = prefixLen + 4             // prefix + entryOff u32
-	leafFanout  = pmem.LineSize / slotSize  // 9 slots to a line
-	innerFanout = pmem.LineSize / prefixLen // 10 separators to a line
+	slotSize   = prefixLen + 4            // prefix + entryOff u32
+	leafFanout = pmem.LineSize / slotSize // 9 slots to a line
 )
-
-// indexLevel is one inner level of the prefix layer.
-type indexLevel struct {
-	off    int // body offset of the level's first node
-	seps   int // separators in the level = nodes in the level below
-	stride int // groups covered by one separator
-}
 
 type prefixMeta struct {
 	body      []byte // zero-copy arena view
 	dict      [][]byte
 	numGroups int
-	inner     []indexLevel // root first
-	leafOff   int          // offset of the leaf level in body
-	entryOff  int          // offset of entry layer in body
+	fences    []byte // DRAM: the first prefix of every prefix-layer line, prefixLen bytes each
+	leafOff   int    // offset of the prefix layer's first line in body
+	entryOff  int    // offset of entry layer in body
 }
 
-// layout places the prefix layer of m.numGroups groups from body offset off
-// (just past the numGroups field): inner levels root first, then the leaf
-// level, then the entry layer. Builder and Open share it.
+// layout places the prefix-layer lines of m.numGroups groups from body offset
+// off (just past the numGroups field), then the entry layer. Builder and Open
+// share it.
 func (m *prefixMeta) layout(off int) {
-	// Levels bottom-up: level k's separators are one per node of the level
-	// below, i.e. one per leafFanout*innerFanout^(k-1) groups.
-	leaves := ceilDiv(m.numGroups, leafFanout)
-	for nodes, stride := leaves, leafFanout; nodes > 1; stride *= innerFanout {
-		m.inner = append(m.inner, indexLevel{seps: nodes, stride: stride})
-		nodes = ceilDiv(nodes, innerFanout)
-	}
-	slices.Reverse(m.inner)
 	off += -(encodedHeaderSize + off) & (pmem.LineSize - 1)
-	for i := range m.inner {
-		m.inner[i].off = off
-		off += ceilDiv(m.inner[i].seps, innerFanout) * pmem.LineSize
-	}
-	m.leafOff, m.entryOff = off, off+leaves*pmem.LineSize
+	m.leafOff, m.entryOff = off, off+ceilDiv(m.numGroups, leafFanout)*pmem.LineSize
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -171,16 +146,10 @@ func buildPrefixBody(entries []kv.Entry, groupSize int) ([]byte, error) {
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(groups)))
 	m := prefixMeta{numGroups: len(groups)}
 	m.layout(len(meta))
-	// The index is written in place into zeroed bytes: the alignment pad,
-	// the tail of every node and the tail of a short key's prefix are zeros.
+	// The slots are written in place into zeroed bytes: the alignment pad,
+	// the tail of every line and the tail of a short key's prefix are zeros.
 	body := make([]byte, m.entryOff, m.entryOff+len(entryLayer))
 	copy(body, meta)
-	for _, lv := range m.inner {
-		for j := 0; j < lv.seps; j++ {
-			o := lv.off + j/innerFanout*pmem.LineSize + j%innerFanout*prefixLen
-			copy(body[o:o+prefixLen], entries[groups[j*lv.stride].first].Key)
-		}
-	}
 	for gi, g := range groups {
 		o := m.slotOff(gi)
 		copy(body[o:o+prefixLen], entries[g.first].Key)
@@ -189,9 +158,9 @@ func buildPrefixBody(entries []kv.Entry, groupSize int) ([]byte, error) {
 	return append(body, entryLayer...), nil
 }
 
-// openPrefixMeta decodes the meta layer and the prefix layer's geometry.
-// count is the header's entry count: a group holds between one and groupSize
-// entries, which bounds numGroups from both sides.
+// openPrefixMeta decodes the meta layer, checks the prefix layer and derives
+// the line fences from it. count is the header's entry count: a group holds
+// between one and groupSize entries, which bounds numGroups from both sides.
 func openPrefixMeta(body []byte, groupSize, count int) (*prefixMeta, error) {
 	if len(body) < 1 {
 		return nil, ErrCorrupt
@@ -220,6 +189,20 @@ func openPrefixMeta(body []byte, groupSize, count int) (*prefixMeta, error) {
 	if m.entryOff > len(body) {
 		return nil, fmt.Errorf("%w: prefix layer ends at %d, past the %d-byte body", ErrCorrupt, m.entryOff, len(body))
 	}
+	// A search trusts the slots to be sorted and to point at groups: check
+	// both here, once, or a bad slot becomes a lookup that silently misses.
+	m.fences = make([]byte, 0, ceilDiv(m.numGroups, leafFanout)*prefixLen)
+	for gi := 0; gi < m.numGroups; gi++ {
+		if gi%leafFanout == 0 {
+			m.fences = append(m.fences, m.groupPrefix(gi)...)
+		}
+		if gi > 0 && bytes.Compare(m.groupPrefix(gi-1), m.groupPrefix(gi)) > 0 {
+			return nil, fmt.Errorf("%w: prefix of group %d sorts before its predecessor's", ErrCorrupt, gi)
+		}
+		if o := m.groupEntryOff(gi); o >= len(body)-m.entryOff || gi > 0 && o <= m.groupEntryOff(gi-1) {
+			return nil, fmt.Errorf("%w: group %d at entry-layer offset %d", ErrCorrupt, gi, o)
+		}
+	}
 	return m, nil
 }
 
@@ -247,24 +230,49 @@ func fixedPrefix(key []byte) [prefixLen]byte {
 	return p
 }
 
-// firstKey reconstructs the full first key of group gi (dictionary prefix +
-// shared prefix + first entry remainder) into buf, charging one PM access.
-func (t *Table) firstKey(gi int, buf []byte) ([]byte, error) {
+// cutCompare orders part against the same-length head of key and returns
+// what of key lies behind it. A key shorter than part never compares equal.
+func cutCompare(part, key []byte) (rest []byte, c int) {
+	if len(key) < len(part) {
+		return nil, bytes.Compare(part, key)
+	}
+	return key[len(part):], bytes.Compare(part, key[:len(part)])
+}
+
+// compareHead orders the head every key of the group starts with (dictionary
+// prefix + shared prefix) against key's. On 0 the group's keys compare to key
+// as their remainders compare to rest; otherwise every one of them compares
+// as c does. Nothing is materialised.
+func (d *groupDecoder) compareHead(key []byte) (rest []byte, c int) {
+	if rest, c = cutCompare(d.dictP, key); c == 0 {
+		rest, c = cutCompare(d.shared, rest)
+	}
+	return rest, c
+}
+
+// compareFirstKey orders the full first key of group gi against key, charging
+// the one PM access of landing on the group.
+func (t *Table) compareFirstKey(gi int, key []byte) (int, error) {
 	t.dev.ChargeAccess()
 	d, err := t.prefix.decodeGroup(gi)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	e, ok := d.next()
+	rest, c := d.compareHead(key)
+	if c != 0 {
+		return c, nil
+	}
+	rem, _, _, ok := d.nextParts()
 	if !ok {
-		return nil, ErrCorrupt
+		return 0, ErrCorrupt
 	}
-	return append(buf[:0], e.Key...), nil
+	return bytes.Compare(rem, rest), nil
 }
 
 // countBefore reports how many of the n stride-spaced prefixes at p sort
 // before target (or, with orEqual, at or before it). They are sorted, so it
-// is a binary search; all n sit in one line, already fetched.
+// is a binary search; the caller has paid for the bytes — one line already
+// fetched, or the fences in DRAM.
 func countBefore(p []byte, stride, n int, target []byte, orEqual bool) int {
 	lo, hi := 0, n
 	for lo < hi {
@@ -279,22 +287,16 @@ func countBefore(p []byte, stride, n int, target []byte, orEqual bool) int {
 	return lo
 }
 
-// seek descends the prefix layer and reports how many groups have a prefix
-// before target (or, with orEqual, at or before it): at every level it takes
-// the last child whose separator qualifies, since that child's subtree holds
-// the last qualifying group. One line is fetched per level.
+// seek reports how many groups have a prefix before target (or, with orEqual,
+// at or before it). The fences pick the last line that opens on a qualifying
+// prefix — it holds the last qualifying group — without touching PM; that one
+// line is fetched and searched.
 func (m *prefixMeta) seek(l *lookup, target []byte, orEqual bool) int {
-	node := 0
-	for _, lv := range m.inner {
-		off := lv.off + node*pmem.LineSize
-		l.touch(off)
-		n := min(innerFanout, lv.seps-node*innerFanout)
-		node = node*innerFanout + max(countBefore(m.body[off:], prefixLen, n, target, orEqual)-1, 0)
-	}
-	off := m.leafOff + node*pmem.LineSize
+	line := max(countBefore(m.fences, prefixLen, len(m.fences)/prefixLen, target, orEqual)-1, 0)
+	off := m.leafOff + line*pmem.LineSize
 	l.touch(off)
-	n := min(leafFanout, m.numGroups-node*leafFanout)
-	return node*leafFanout + countBefore(m.body[off:], slotSize, n, target, orEqual)
+	n := min(leafFanout, m.numGroups-line*leafFanout)
+	return line*leafFanout + countBefore(m.body[off:], slotSize, n, target, orEqual)
 }
 
 // findGroup returns the groups [start, end) that can hold key. Group prefixes
@@ -302,14 +304,14 @@ func (m *prefixMeta) seek(l *lookup, target []byte, orEqual bool) int {
 // scan starts at the group *before* the first group whose first key is >=
 // key; it ends before the first group whose prefix is past key's.
 //
-// One upper-bound descent finds end and, in the leaf line it read, almost
-// always the first group lo carrying key's own truncated prefix as well.
-// Only when that line opens on the prefix can the run of it reach back into
-// earlier lines; then the previous line is read too, for the slot of group
-// lo-1 that the scan needs anyway, and a lower-bound descent follows if the
-// run did start earlier. When several groups share the prefix, a binary
-// search on their full first keys resolves the start group, so lookups stay
-// logarithmic on long-shared-prefix keyspaces.
+// One upper-bound seek finds end and, in the line it read, almost always the
+// first group lo carrying key's own truncated prefix as well. Only when that
+// line opens on the prefix can the run of it reach back into earlier lines;
+// then the previous line is read too, for the slot of group lo-1 that the
+// scan needs anyway, and a lower-bound seek follows if the run did start
+// earlier. When several groups share the prefix, a binary search on their
+// full first keys resolves the start group, so lookups stay logarithmic on
+// long-shared-prefix keyspaces.
 func (t *Table) findGroup(key []byte) (start, end int) {
 	m := t.prefix
 	target := fixedPrefix(key)
@@ -340,16 +342,14 @@ func (t *Table) findGroup(key []byte) (start, end int) {
 	// First group in [lo, end) whose full first key is >= key; the scan
 	// starts one group earlier because the newest versions of key may
 	// precede that boundary.
-	var buf []byte
 	a, b := lo, end
 	for a < b {
 		mid := (a + b) / 2
-		fk, err := t.firstKey(mid, buf)
+		c, err := t.compareFirstKey(mid, key)
 		if err != nil {
 			return start, end
 		}
-		buf = fk
-		if bytes.Compare(fk, key) < 0 {
+		if c < 0 {
 			a = mid + 1
 		} else {
 			b = mid
@@ -403,52 +403,47 @@ func (m *prefixMeta) decodeGroup(gi int) (groupDecoder, error) {
 	return d, nil
 }
 
-// next decodes the next entry in the group; ok is false past the end.
-func (d *groupDecoder) next() (e kv.Entry, ok bool) {
+// nextParts decodes the next entry of the group without building its key,
+// which is dictP + shared + rem; ok is false past the end. val aliases the
+// table image.
+func (d *groupDecoder) nextParts() (rem, val []byte, trailer uint64, ok bool) {
 	if d.i >= d.count {
-		return kv.Entry{}, false
+		return nil, nil, 0, false
 	}
 	body := d.m.body
 	remLen, n := binary.Uvarint(body[d.off:])
-	if n <= 0 {
+	valLen, k := binary.Uvarint(body[d.off+max(n, 0):])
+	off := d.off + n + k
+	if n <= 0 || k <= 0 || off+8+int(remLen)+int(valLen) > len(body) {
 		d.lastErr = ErrCorrupt
-		return kv.Entry{}, false
+		return nil, nil, 0, false
 	}
-	d.off += n
-	valLen, n := binary.Uvarint(body[d.off:])
-	if n <= 0 {
-		d.lastErr = ErrCorrupt
-		return kv.Entry{}, false
-	}
-	d.off += n
-	if d.off+8+int(remLen)+int(valLen) > len(body) {
-		d.lastErr = ErrCorrupt
-		return kv.Entry{}, false
-	}
-	trailer := binary.LittleEndian.Uint64(body[d.off:])
-	d.off += 8
-	rem := body[d.off : d.off+int(remLen)]
-	d.off += int(remLen)
-	val := body[d.off : d.off+int(valLen)]
-	d.off += int(valLen)
+	trailer = binary.LittleEndian.Uint64(body[off:])
+	rem = body[off+8 : off+8+int(remLen)]
+	val = body[off+8+int(remLen) : off+8+int(remLen)+int(valLen)]
+	d.off = off + 8 + int(remLen) + int(valLen)
 	d.i++
+	return rem, val, trailer, true
+}
 
-	d.keyBuf = d.keyBuf[:0]
-	d.keyBuf = append(d.keyBuf, d.dictP...)
-	d.keyBuf = append(d.keyBuf, d.shared...)
-	d.keyBuf = append(d.keyBuf, rem...)
+// next decodes the next entry in the group, its key rebuilt in the decoder's
+// buffer; ok is false past the end.
+func (d *groupDecoder) next() (e kv.Entry, ok bool) {
+	rem, val, trailer, ok := d.nextParts()
+	if !ok {
+		return kv.Entry{}, false
+	}
+	d.keyBuf = append(append(append(d.keyBuf[:0], d.dictP...), d.shared...), rem...)
 	seq, kind := kv.SplitTrailer(trailer)
 	return kv.Entry{Key: d.keyBuf, Value: val, Seq: seq, Kind: kind}, true
 }
 
 // prefixGet performs the paper's lookup: search the prefix layer, then scan
 // groups sequentially. Returns the newest version with Seq <= seq; entries
-// sort newest-first within a key, so that is the first one visible. The
-// returned Key is the caller's.
+// sort newest-first within a key, so that is the first one visible. Keys are
+// compared piece by piece, never rebuilt: the lookup allocates nothing. The
+// returned Key is the caller's, the Value a view of the table image.
 func (t *Table) prefixGet(key []byte, seq uint64) (kv.Entry, bool) {
-	if bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0 {
-		return kv.Entry{}, false
-	}
 	start, end := t.findGroup(key)
 	for gi := start; gi < end; gi++ {
 		t.dev.ChargeAccess() // one PM access to land on the group
@@ -456,17 +451,24 @@ func (t *Table) prefixGet(key []byte, seq uint64) (kv.Entry, bool) {
 		if err != nil {
 			return kv.Entry{}, false
 		}
+		rest, c := d.compareHead(key)
+		if c > 0 {
+			return kv.Entry{}, false
+		}
+		if c < 0 {
+			continue // every key of the group sorts before key
+		}
 		for {
-			e, ok := d.next()
+			rem, val, trailer, ok := d.nextParts()
 			if !ok {
 				break
 			}
-			c := bytes.Compare(e.Key, key)
+			c := bytes.Compare(rem, rest)
 			if c > 0 {
 				return kv.Entry{}, false
 			}
-			if c == 0 && e.Seq <= seq {
-				return kv.Entry{Key: key, Value: append([]byte(nil), e.Value...), Seq: e.Seq, Kind: e.Kind}, true
+			if s, kind := kv.SplitTrailer(trailer); c == 0 && s <= seq {
+				return kv.Entry{Key: key, Value: val, Seq: s, Kind: kind}, true
 			}
 		}
 	}

@@ -108,8 +108,8 @@ func searchProbes(entries []kv.Entry, stride int) [][]byte {
 }
 
 func TestSearchMatchesReference(t *testing.T) {
-	// Group counts on both sides of every point where a 9-slot leaf line
-	// under 10-separator inner lines gains a level, and one typical size.
+	// Group counts on both sides of a line boundary (9 slots) at one, ten and
+	// a hundred lines, and one typical size.
 	groupCounts := []int{1, 9, 10, 90, 91, 900, 901, 1250}
 	for _, ks := range searchKeyspaces {
 		for _, groupSize := range []int{8, 16} {
