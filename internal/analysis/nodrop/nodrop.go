@@ -24,6 +24,19 @@
 //     last result is an error. This catches wrappers like an engine flush
 //     helper that reaches ssd.Sync three frames down.
 //
+// A fourth rule guards the read side of the same bargain. A kv.Iterator that
+// stops is exhausted or has failed, and only its Err() says which; a loop
+// that drains one and never asks takes a failed source for a finished one and
+// hands on — or installs — a short result. So: a value whose static type has
+// kv.Iterator's method set and that a function advances (calls Next on) must,
+// in that same function, have its Err() read, or be handed on — passed to a
+// call, stored in a composite literal, returned — to code that then owes the
+// check. Methods of types that themselves implement the interface are exempt:
+// a wrapper forwards its input's error through its own Err. So is package
+// main: a command's loop times or prints an iterator its author built over
+// data its author holds, and nobody downstream mistakes its output for a
+// table.
+//
 // Test files are exempt: tests exercise failure paths and shut down
 // scaffolding where discarding a close error is routine, and the vet driver
 // (unlike the source loader) hands analyzers _test.go files. Intentional
@@ -32,6 +45,7 @@
 package nodrop
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 
@@ -171,6 +185,13 @@ func run(pass *analysis.Pass) error {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
+		if pass.Pkg.Name() != "main" {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+					checkDrains(pass, fd)
+				}
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
 			case *ast.ExprStmt:
@@ -228,4 +249,104 @@ func run(pass *analysis.Pass) error {
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
+}
+
+// iteratorMethods is kv.Iterator's method set. The match is by shape, not by
+// identity with the interface, so it holds under the go vet driver (where kv
+// may be reachable only through export data) and for the fixtures.
+var iteratorMethods = []string{"Valid", "Next", "Entry", "SeekGE", "SeekToFirst", "Err"}
+
+// isIterator reports whether a value of type t can be used as a kv.Iterator.
+func isIterator(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if _, ptr := t.Underlying().(*types.Pointer); !ptr && !types.IsInterface(t) {
+		t = types.NewPointer(t) // an addressable value has its pointer's methods
+	}
+	ms := types.NewMethodSet(t)
+	for _, name := range iteratorMethods {
+		if ms.Lookup(nil, name) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// valueKey names the value an expression denotes, so that the receiver of a
+// Next call and the receiver of an Err call can be recognised as the same:
+// the object of an identifier, then field names, with every index reduced to
+// "[]". Expressions it cannot name (a call's result, say) yield "".
+func valueKey(info *types.Info, e ast.Expr) string {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if obj := info.ObjectOf(e); obj != nil {
+			return fmt.Sprintf("%s@%d", obj.Name(), obj.Pos())
+		}
+	case *ast.SelectorExpr:
+		if k := valueKey(info, e.X); k != "" {
+			return k + "." + e.Sel.Name
+		}
+	case *ast.IndexExpr:
+		if k := valueKey(info, e.X); k != "" {
+			return k + "[]"
+		}
+	case *ast.StarExpr:
+		return valueKey(info, e.X)
+	case *ast.UnaryExpr: // &it
+		return valueKey(info, e.X)
+	}
+	return ""
+}
+
+// checkDrains applies the iterator rule to one function, closures included.
+func checkDrains(pass *analysis.Pass, fd *ast.FuncDecl) {
+	info := pass.TypesInfo
+	if fd.Recv != nil && len(fd.Recv.List) == 1 && isIterator(info.TypeOf(fd.Recv.List[0].Type)) {
+		return
+	}
+	advanced := map[string]*ast.CallExpr{} // value -> its first Next call
+	settled := map[string]bool{}           // values whose Err is read, or that are handed on
+	handOn := func(e ast.Expr) {
+		if isIterator(info.TypeOf(e)) {
+			settled[valueKey(info, e)] = true
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			for _, arg := range n.Args {
+				handOn(arg)
+			}
+			sel, ok := n.Fun.(*ast.SelectorExpr)
+			if !ok || len(n.Args) != 0 || !isIterator(info.TypeOf(sel.X)) {
+				return true
+			}
+			switch key := valueKey(info, sel.X); {
+			case key == "":
+			case sel.Sel.Name == "Err":
+				settled[key] = true
+			case sel.Sel.Name == "Next" && advanced[key] == nil:
+				advanced[key] = n
+			}
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				handOn(r)
+			}
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				handOn(el)
+			}
+		}
+		return true
+	})
+	for key, call := range advanced {
+		if !settled[key] {
+			pass.Reportf(call.Pos(), "%s is advanced but %s never reads its Err(): a source that failed ends the loop like one that ran out; check Err() once after draining, or hand the iterator on",
+				types.ExprString(call.Fun.(*ast.SelectorExpr).X), fd.Name.Name)
+		}
+	}
 }

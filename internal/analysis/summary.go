@@ -335,7 +335,7 @@ func applyIntrinsics(fn *types.Func, s *FuncSummary) {
 		}
 	case HasSuffixPath(path, "internal/sstable") && recv == "BlockCache" && fn.Name() == "get":
 		s.ReturnsAlias = true
-	case HasSuffixPath(path, "internal/fault") && recv == "Injector" && fn.Name() == "Hook":
+	case HasSuffixPath(path, "internal/fault") && recv == "Injector" && (fn.Name() == "Hook" || fn.Name() == "HookRead"):
 		s.Hooks = true
 	}
 }

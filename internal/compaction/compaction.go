@@ -38,28 +38,26 @@ type chunkedSource struct {
 	hi        []byte // exclusive upper bound; nil = unbounded
 }
 
-// refill pulls the next chunk from the iterator. Runs inside ctx.Read.
-func (s *chunkedSource) refill() {
+// refill pulls the next chunk from the iterator and reports the error of an
+// iterator that failed: the chunk — and with it the subtask's input — is then
+// short, and nothing merged from it may be installed.
+func (s *chunkedSource) refill() error {
 	s.buf = s.buf[:0]
 	s.pos = 0
 	for len(s.buf) < chunkSize && s.it.Valid() {
 		e := s.it.Entry()
 		if s.hi != nil && bytes.Compare(e.Key, s.hi) >= 0 {
 			s.exhausted = true
-			return
+			return nil
 		}
 		// Copy out: source buffers are reused on Next.
-		s.buf = append(s.buf, kv.Entry{
-			Key:   append([]byte(nil), e.Key...),
-			Value: append([]byte(nil), e.Value...),
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		})
+		s.buf = append(s.buf, e.Clone())
 		s.it.Next()
 	}
 	if len(s.buf) == 0 {
 		s.exhausted = true
 	}
+	return s.it.Err()
 }
 
 func (s *chunkedSource) empty() bool { return s.pos >= len(s.buf) }
@@ -183,7 +181,7 @@ func Run(ctx *sched.Ctx, sources []kv.Iterator, p Params) ([]*sstable.Table, err
 	var out []*sstable.Table
 	var builder *sstable.Builder
 	var builderBytes int64
-	var buildErr error
+	var runErr error // the first failed source read (S1) or builder write (S2)
 
 	newBuilder := func() {
 		builder = sstable.NewBuilderWithSink(p.Dev, p.Cause, sink)
@@ -192,10 +190,14 @@ func Run(ctx *sched.Ctx, sources []kv.Iterator, p Params) ([]*sstable.Table, err
 		}
 		builderBytes = 0
 	}
-	// fail abandons the subtask: tables already sealed by this subtask were
-	// never handed to the caller and nothing references their files, so they
-	// must be deleted here or they would sit on the device forever.
+	// fail abandons the subtask: the table being built and the tables already
+	// sealed by this subtask were never handed to the caller and nothing
+	// references their files, so they must be deleted here or they would sit
+	// on the device forever.
 	fail := func(err error) ([]*sstable.Table, error) {
+		if builder != nil {
+			builder.Abandon()
+		}
 		for _, t := range out {
 			t.Delete()
 		}
@@ -249,11 +251,14 @@ func Run(ctx *sched.Ctx, sources []kv.Iterator, p Params) ([]*sstable.Table, err
 			// Decode the fetched bytes into entry buffers: compute work.
 			ctx.Compute(func() {
 				for _, s := range srcs {
-					if s.empty() && !s.exhausted {
-						s.refill()
+					if s.empty() && !s.exhausted && runErr == nil {
+						runErr = s.refill()
 					}
 				}
 			})
+			if runErr != nil {
+				return fail(runErr)
+			}
 		}
 		live := 0
 		for _, s := range srcs {
@@ -301,7 +306,7 @@ func Run(ctx *sched.Ctx, sources []kv.Iterator, p Params) ([]*sstable.Table, err
 						newBuilder()
 					}
 					if err := builder.Add(oe); err != nil {
-						buildErr = err
+						runErr = err
 						return
 					}
 					builderBytes += int64(oe.Size())
@@ -314,11 +319,8 @@ func Run(ctx *sched.Ctx, sources []kv.Iterator, p Params) ([]*sstable.Table, err
 				}
 			}
 		})
-		if buildErr != nil {
-			if builder != nil {
-				builder.Abandon()
-			}
-			return fail(buildErr)
+		if runErr != nil {
+			return fail(runErr)
 		}
 		// S3: flush the write buffer when it reached capacity.
 		if sink.full() {

@@ -242,6 +242,25 @@ func (p *partition) mayDropTombstones(dest int, merged []*sstable.Table) bool {
 	return older == 0 && p.quar.Load() == nil
 }
 
+// maintain runs job — a flush or a compaction of p — under p.maint, and again
+// for as long as it fails on a rotted input. Such a job has installed nothing,
+// so with the lock released the table is quarantined as a read that met it
+// would have done (healCorruption) and the job runs without the corpse, whose
+// keys read as ErrUnavailable until RepairQuarantined. Any other error is the
+// job's own; so is corruption that quarantined nothing — it names no table
+// the job can be rid of, and running again would only meet it again.
+func (db *DB) maintain(p *partition, job func() error) error {
+	for {
+		quarantined := db.metrics.QuarantineIncidents.Load()
+		p.maint.Lock()
+		err := job()
+		p.maint.Unlock()
+		if err == nil || !db.healCorruption(p, err) || db.metrics.QuarantineIncidents.Load() == quarantined {
+			return err
+		}
+	}
+}
+
 // internalCompact runs an internal compaction for p. Its output stays above
 // the whole SSD tier, so tombstones go only when that tier is empty (level 1
 // down: no SSD level-0 exists under a PM level-0). If PM lacks the transient
@@ -281,11 +300,11 @@ func (db *DB) compactVictims(victims []*partition) error {
 	db.fanPartitions(len(victims), func(i int) {
 		p := victims[i]
 		sw := clock.NewStopwatch()
-		p.maint.Lock()
-		db.metrics.EvictVictimsInFlight.Add(1)
-		errs[i] = db.majorCompact(p, nil)
-		db.metrics.EvictVictimsInFlight.Add(-1)
-		p.maint.Unlock()
+		errs[i] = db.maintain(p, func() error {
+			db.metrics.EvictVictimsInFlight.Add(1)
+			defer db.metrics.EvictVictimsInFlight.Add(-1)
+			return db.majorCompact(p, nil)
+		})
 		db.metrics.VictimStallNanos.Add(int64(sw.Elapsed()))
 	})
 	return firstError(errs)
@@ -394,9 +413,10 @@ func (db *DB) runLeveledCompactions(p *partition) error {
 
 // compactToSSD executes j on p: one iterator per input, the key range cut
 // into subtasks for the scheduler pool (Section V-C), the outputs installed
-// in place of the inputs, the inputs retired. On error nothing is installed
-// — the inputs keep serving and RunRanges has already deleted whatever the
-// subtasks built. Callers hold p.maint.
+// in place of the inputs, the inputs retired. On error — an input that failed
+// to read or decode included — nothing is installed: the inputs keep serving
+// and RunRanges has already deleted whatever the subtasks built. Callers hold
+// p.maint (through maintain, if a rotted input is to be quarantined).
 //
 //pmblade:compacts
 func (db *DB) compactToSSD(p *partition, j ssdJob) error {
@@ -431,13 +451,7 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 		for _, s := range j.salvage {
 			its = append(its, s)
 		}
-		for _, it := range its {
-			if lo == nil {
-				it.SeekToFirst()
-			} else {
-				it.SeekGE(lo)
-			}
-		}
+		kv.Seek(lo, its...)
 		return its
 	}
 	nTasks := db.cfg.Workers * db.pool.K()
@@ -497,10 +511,7 @@ func (db *DB) InternalCompactAll() error {
 		return nil
 	}
 	for _, p := range db.partitions {
-		p.maint.Lock()
-		err := db.internalCompact(p)
-		p.maint.Unlock()
-		if err != nil {
+		if err := db.maintain(p, func() error { return db.internalCompact(p) }); err != nil {
 			return err
 		}
 	}
@@ -515,13 +526,12 @@ func (db *DB) MajorCompactAll() error {
 	errs := make([]error, len(db.partitions))
 	db.fanPartitions(len(db.partitions), func(i int) {
 		p := db.partitions[i]
-		p.maint.Lock()
-		defer p.maint.Unlock()
-		if db.cfg.RocksDB {
-			errs[i] = db.runLeveledCompactions(p)
-		} else {
-			errs[i] = db.majorCompact(p, nil)
-		}
+		errs[i] = db.maintain(p, func() error {
+			if db.cfg.RocksDB {
+				return db.runLeveledCompactions(p)
+			}
+			return db.majorCompact(p, nil)
+		})
 	})
 	if err := firstError(errs); err != nil {
 		return err

@@ -530,18 +530,14 @@ func (db *DB) PMUsed() int64 {
 	return db.pm.Used()
 }
 
-// collectEntries drains an iterator into an owned slice.
-func collectEntries(it kv.Iterator) []kv.Entry {
+// collectEntries drains it, from where it stands, into a slice that owns its
+// entries: a retain iterator hands out buffers of its own for every entry, so
+// they are kept, not copied. A source that failed leaves the slice short, and
+// its error says so.
+func collectEntries(it *kv.RetainIterator) ([]kv.Entry, error) {
 	var out []kv.Entry
-	it.SeekToFirst()
 	for ; it.Valid(); it.Next() {
-		e := it.Entry()
-		out = append(out, kv.Entry{
-			Key:   append([]byte(nil), e.Key...),
-			Value: append([]byte(nil), e.Value...),
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		})
+		out = append(out, it.Entry())
 	}
-	return out
+	return out, it.Err()
 }

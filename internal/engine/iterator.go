@@ -14,6 +14,11 @@ import (
 // registry until Close, so flush and compaction retain the versions the
 // iterator can still read — sources acquired lazily at later partition hops
 // therefore still hold the snapshot's versions.
+//
+// A source that fails stops the stream, and Err says so. Before the first
+// entry is yielded a corrupt table is quarantined and the range read once more
+// at the same sequence, as Get does; afterwards the stream cannot take back
+// what it yielded: the error stands, the quarantine is for the next reader.
 type Iterator struct {
 	db  *DB
 	seq uint64
@@ -21,7 +26,7 @@ type Iterator struct {
 
 	parts    []*partition
 	pi       int
-	merged   *kv.DedupIterator
+	merged   *kv.RetainIterator
 	state    *readState // the open partition's state; merged reads its tables
 	cur      ScanResult
 	valid    bool
@@ -73,6 +78,11 @@ func (db *DB) newIteratorAt(start, end []byte, seq uint64) (*Iterator, error) {
 	}
 	it.openPartition(0, start)
 	it.advance()
+	if it.err != nil && db.healCorruption(it.parts[it.pi], it.err) {
+		it.err = nil
+		it.openPartition(0, start)
+		it.advance()
+	}
 	if it.err != nil {
 		it.Close()
 		return nil, it.err
@@ -104,54 +114,50 @@ func (it *Iterator) openPartition(pi int, from []byte) {
 		return
 	}
 	s := it.parts[pi].acquire()
-	v := it.db.viewOf(s)
+	it.state = s
+	v, err := it.db.viewOf(s)
+	if err != nil {
+		it.err = err
+		return
+	}
 	if v != nil {
 		it.db.metrics.RangeViewHits.Add(1)
 	} else {
 		it.db.metrics.RangeViewFallbacks.Add(1)
 	}
 	its := s.sources(v)
-	for _, src := range its {
-		if from != nil {
-			src.SeekGE(from)
-		} else {
-			src.SeekToFirst()
-		}
-	}
+	kv.Seek(from, its...)
 	// Visibility before dedup (see scanPartition): otherwise a key whose
 	// newest version postdates the snapshot vanishes instead of resolving to
 	// its older visible version.
-	it.merged = kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), it.seq), false)
-	it.state = s
+	it.merged = kv.NewRetainIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), it.seq), nil, false)
 }
 
 // advance moves to the next live visible entry, crossing partitions.
 func (it *Iterator) advance() {
-	for {
-		if it.err != nil || it.merged == nil {
-			it.valid = false
-			return
-		}
+	it.valid = false
+	for it.err == nil && it.merged != nil {
 		for ; it.merged.Valid(); it.merged.Next() {
 			e := it.merged.Entry()
 			if it.end != nil && bytes.Compare(e.Key, it.end) >= 0 {
 				// Past the range: later partitions are even further right.
-				it.valid = false
 				return
 			}
 			if e.Kind == kv.KindDelete {
 				continue
 			}
-			it.cur = ScanResult{
-				Key:   append([]byte(nil), e.Key...),
-				Value: append([]byte(nil), e.Value...),
-			}
+			// The dedup owns freshly allocated buffers per entry (see
+			// scanPartition): no copy.
+			it.cur = ScanResult{Key: e.Key, Value: e.Value}
 			it.valid = true
 			it.merged.Next()
 			return
 		}
-		// Partition exhausted: move on.
-		it.openPartition(it.pi+1, nil)
+		// Partition exhausted, unless a source failed: then the partitions to
+		// the right are not what comes next.
+		if it.err = it.merged.Err(); it.err == nil {
+			it.openPartition(it.pi+1, nil)
+		}
 	}
 }
 
@@ -159,8 +165,8 @@ func (it *Iterator) advance() {
 func (it *Iterator) Valid() bool { return it.valid && !it.closed }
 
 // Err reports why iteration stopped early: ErrUnavailable when a hop landed
-// on a partition whose range is shadowed by a quarantined table. nil on
-// normal exhaustion.
+// on a partition whose range is shadowed by a quarantined table, or the read
+// or corruption error of the source that failed. nil on normal exhaustion.
 func (it *Iterator) Err() error { return it.err }
 
 // Key returns the current key; valid until Next.
@@ -171,11 +177,14 @@ func (it *Iterator) Value() []byte { return it.cur.Value }
 
 // Next advances to the next entry.
 func (it *Iterator) Next() {
-	if it.closed {
+	if it.closed || it.err != nil {
 		it.valid = false
 		return
 	}
 	it.advance()
+	if it.err != nil {
+		it.db.healCorruption(it.parts[it.pi], it.err) // for the next reader
+	}
 }
 
 // Close releases the iterator's read state and its snapshot-registry pin. It

@@ -127,10 +127,13 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 			}
 		}
 	}
-	stats := level0.GetBatch(s.pmUnsorted, s.pmSorted, subKeys, seq, subEntries, subFound)
+	stats, err := level0.GetBatch(s.pmUnsorted, s.pmSorted, subKeys, seq, subEntries, subFound)
 	db.metrics.L0TablesProbed.Add(int64(stats.Probed))
 	db.metrics.FilterHits.Add(int64(stats.FilterHits))
 	db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
+	if err != nil {
+		return err
+	}
 	markNew(TierPM)
 
 	// 3. SSD, for the keys PM did not settle: level-0 tables newest first (one

@@ -45,17 +45,17 @@ func (s runViewSource) DataBytes() int64 {
 }
 
 // viewOf returns the REMIX-style range view over s's stable half, or nil when
-// there is none: the half is empty (a view would only add merge plumbing),
-// the build failed, or another reader is building it right now. The view
-// needs no reference of its own — s keeps its tables alive. A nil result
-// sends the caller down the plain merge, which serves the same state
-// unchanged.
-func (db *DB) viewOf(s *readState) *rangeindex.View {
+// there is none: the half is empty (a view would only add merge plumbing) or
+// another reader is building it right now — then the caller takes the plain
+// merge, which serves the same state unchanged. The view needs no reference of
+// its own — s keeps its tables alive. A build that fails is a source that
+// failed; the plain merge would only read the same bytes again.
+func (db *DB) viewOf(s *readState) (*rangeindex.View, error) {
 	if db.plainMerge {
-		return nil
+		return nil, nil
 	}
 	if v := s.view.Load(); v != nil {
-		return v
+		return v, nil
 	}
 	var srcs []rangeindex.Source
 	for _, t := range s.pmSorted {
@@ -67,23 +67,23 @@ func (db *DB) viewOf(s *readState) *rangeindex.View {
 		}
 	}
 	if len(srcs) == 0 || !s.building.CompareAndSwap(false, true) {
-		return nil
+		return nil, nil
 	}
 	defer s.building.Store(false)
 	if v := s.view.Load(); v != nil {
-		return v
+		return v, nil
 	}
 	sw := clock.NewStopwatch()
 	v, err := rangeindex.Build(0, srcs, viewSegTarget, nil)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	db.metrics.RangeViewBuilds.Add(1)
 	db.metrics.RangeViewBuildNanos.Add(sw.Elapsed().Nanoseconds())
 	db.metrics.RangeViewSegments.Add(int64(v.Segments()))
 	db.metrics.RangeViewBytes.Add(v.Bytes())
 	s.view.Store(v)
-	return v
+	return v, nil
 }
 
 // scanArena allocates scan results in chunks: one bump-pointer append per
@@ -121,12 +121,11 @@ func (a *scanArena) copy(b []byte) []byte {
 // stable half: the stable tables stream through the view's selector walk (no
 // per-step heap pushes, no per-step key comparisons between stable sources)
 // and only the mutable overlay goes through a merging iterator, in a 2-way
-// merge. Returns ok=false — with out restored to its input length — if the
-// view turned out inconsistent with its sources; the caller redoes the range
-// through the plain merge. budget is the number of entries this partition may
-// append (0 = unbounded) — what the scan still misses, not its limit — and
-// sizes the readahead, the arena and the result slice.
-func scanView(s *readState, v *rangeindex.View, start, end []byte, budget int, seq uint64, out []ScanResult) ([]ScanResult, bool) {
+// merge. If either side fails, its error comes back with out restored to its
+// input length. budget is the number of entries this partition may append
+// (0 = unbounded) — what the scan still misses, not its limit — and sizes the
+// readahead, the arena and the result slice.
+func scanView(s *readState, v *rangeindex.View, start, end []byte, budget int, seq uint64, out []ScanResult) ([]ScanResult, error) {
 	base := len(out)
 	vi := v.NewIter()
 	oits := s.overlay()
@@ -135,25 +134,11 @@ func scanView(s *readState, v *rangeindex.View, start, end []byte, budget int, s
 		// the scan will consume (slack for the seek's anchor walk and stale
 		// versions) instead of a full ScanReadahead window. Must precede the
 		// seek — the seek performs the first span read.
-		hint := budget + viewSegTarget
-		vi.HintEntries(hint)
-		for _, it := range oits {
-			if h, ok := it.(interface{ HintEntries(int) }); ok {
-				h.HintEntries(hint)
-			}
-		}
+		vi.HintEntries(budget + viewSegTarget)
+		hintEntries(oits, budget+viewSegTarget)
 	}
-	if start != nil {
-		vi.SeekGE(start)
-		for _, it := range oits {
-			it.SeekGE(start)
-		}
-	} else {
-		vi.SeekToFirst()
-		for _, it := range oits {
-			it.SeekToFirst()
-		}
-	}
+	kv.Seek(start, vi)
+	kv.Seek(start, oits...)
 	ov := kv.NewMergingIteratorAt(oits...)
 	var arena scanArena
 	if budget > 0 && budget <= 4096 {
@@ -232,8 +217,11 @@ func scanView(s *readState, v *rangeindex.View, start, end []byte, budget int, s
 			oOK = ov.Valid()
 		}
 	}
-	if vi.Err() != nil {
-		return out[:base], false
+	if err := vi.Err(); err != nil {
+		return out[:base], err
 	}
-	return out, true
+	if err := ov.Err(); err != nil {
+		return out[:base], err
+	}
+	return out, nil
 }

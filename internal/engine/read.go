@@ -80,12 +80,12 @@ func (db *DB) lookup(s *readState, key []byte, seq uint64) (kv.Entry, Tier, erro
 			return e, TierMemtable, nil
 		}
 	}
-	e, ok, stats := level0.Get(s.pmUnsorted, s.pmSorted, key, seq)
+	e, ok, stats, err := level0.Get(s.pmUnsorted, s.pmSorted, key, seq)
 	db.metrics.L0TablesProbed.Add(int64(stats.Probed))
 	db.metrics.FilterHits.Add(int64(stats.FilterHits))
 	db.metrics.FilterSkips.Add(int64(stats.FilterSkips))
-	if ok {
-		return e, TierPM, nil
+	if err != nil || ok {
+		return e, TierPM, err
 	}
 	for _, t := range s.ssdL0 {
 		if bytes.Compare(key, t.Smallest()) < 0 || bytes.Compare(key, t.Largest()) > 0 {
@@ -115,7 +115,9 @@ type ScanResult struct {
 // its budget, and the walk steps to the next partition only while the result
 // is short of limit and the partition begins below end. A limit-bounded scan
 // therefore reads — and is charged to the cost model of — the partitions that
-// answer it, never the ones to their right.
+// answer it, never the ones to their right. Like Get, a scan that meets a
+// corrupt table quarantines it and reads that partition once more at the same
+// sequence; it returns all it was asked for or an error, never a short result.
 func (db *DB) Scan(start, end []byte, limit int) ([]ScanResult, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -139,18 +141,16 @@ func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, er
 		if end != nil && p.lo != nil && bytes.Compare(p.lo, end) >= 0 {
 			break
 		}
-		// A scan cannot route around a quarantined table with Bloom precision the
-		// way point reads can: a partition whose quarantined key range overlaps
-		// the scan's makes whatever it would contribute untrustworthy. The guard
-		// follows the walk — a partition the scan never reaches cannot shadow its
-		// result — and a scan that does reach one fails whole, never short.
-		if p.quarOverlaps(start, end) {
-			db.metrics.UnavailableReads.Add(1)
-			return nil, ErrUnavailable
-		}
 		// The budget is what is still missing, not limit: a hop into the next
 		// partition reserves and reads ahead for what it will return.
-		out = db.scanPartition(p, start, end, max(limit-len(out), 0), seq, out)
+		res, err := db.scanPartition(p, start, end, max(limit-len(out), 0), seq, out)
+		if err != nil && db.healCorruption(p, err) {
+			res, err = db.scanPartition(p, start, end, max(limit-len(out), 0), seq, out)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = res
 	}
 	db.metrics.ScanLatency.Record(time.Since(begin))
 	return out, nil
@@ -159,37 +159,41 @@ func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, er
 // scanPartition appends up to budget of partition p's visible entries in
 // [start, end) to out (budget 0 = unbounded). When the state's stable half has
 // (or can get) a range view, the stable tables stream through its selector
-// walk; otherwise — and whenever the view proves inconsistent mid-scan — the
-// plain merging-iterator path below serves the same state unchanged.
-func (db *DB) scanPartition(p *partition, start, end []byte, budget int, seq uint64, out []ScanResult) []ScanResult {
+// walk; while it has none, the plain merging-iterator path below serves the
+// same state. A source that fails fails either path, and out comes back as it
+// went in.
+func (db *DB) scanPartition(p *partition, start, end []byte, budget int, seq uint64, out []ScanResult) ([]ScanResult, error) {
+	// A scan cannot route around a quarantined table with Bloom precision the
+	// way point reads can: a partition whose quarantined key range overlaps
+	// the scan's makes whatever it would contribute untrustworthy. The guard
+	// follows the walk — a partition the scan never reaches cannot shadow its
+	// result — and a scan that does reach one fails whole, never short.
+	if p.quarOverlaps(start, end) {
+		db.metrics.UnavailableReads.Add(1)
+		return out, ErrUnavailable
+	}
 	s := p.acquire()
 	defer s.release()
 	p.reads.Add(1)
-	if v := db.viewOf(s); v != nil {
-		if res, ok := scanView(s, v, start, end, budget, seq, out); ok {
-			db.metrics.RangeViewHits.Add(1)
-			return res
-		}
+	v, err := db.viewOf(s)
+	if err != nil {
+		return out, err
+	}
+	if v != nil {
+		db.metrics.RangeViewHits.Add(1)
+		return scanView(s, v, start, end, budget, seq, out)
 	}
 	db.metrics.RangeViewFallbacks.Add(1)
 	its := s.sources(nil)
-	for _, it := range its {
-		if budget > 0 {
-			if h, ok := it.(interface{ HintEntries(int) }); ok {
-				h.HintEntries(budget + 32)
-			}
-		}
-		if start != nil {
-			it.SeekGE(start)
-		} else {
-			it.SeekToFirst()
-		}
+	if budget > 0 {
+		hintEntries(its, budget+32)
 	}
-	// Visibility BEFORE dedup: filtering e.Seq > seq after DedupIterator
-	// would discard keys whose newest version postdates the snapshot — the
-	// dedup would keep the invisible newest version and the filter would
-	// then drop the key entirely instead of yielding its older visible one.
-	merged := kv.NewDedupIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), false)
+	kv.Seek(start, its...)
+	// Visibility BEFORE dedup (retention with no boundary): filtering e.Seq >
+	// seq after the dedup would discard keys whose newest version postdates
+	// the snapshot — the dedup would keep the invisible newest version and the
+	// filter would then drop the key instead of yielding its older visible one.
+	merged := kv.NewRetainIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), nil, false)
 	base := len(out)
 	for ; merged.Valid(); merged.Next() {
 		e := merged.Entry()
@@ -199,12 +203,26 @@ func (db *DB) scanPartition(p *partition, start, end []byte, budget int, seq uin
 		if e.Kind == kv.KindDelete {
 			continue
 		}
-		// DedupIterator owns freshly allocated buffers per entry, so they can
-		// be handed to the caller without another copy.
+		// The dedup owns freshly allocated buffers per entry, so they can be
+		// handed to the caller without another copy.
 		out = append(out, ScanResult{Key: e.Key, Value: e.Value})
 		if budget > 0 && len(out)-base >= budget {
 			break
 		}
 	}
-	return out
+	if err := merged.Err(); err != nil {
+		return out[:base], err
+	}
+	return out, nil
+}
+
+// hintEntries caps the next readahead span of every source that reads ahead
+// (SSD-backed iterators) to roughly n entries. It must precede the seek, which
+// performs the first span read.
+func hintEntries(its []kv.Iterator, n int) {
+	for _, it := range its {
+		if h, ok := it.(interface{ HintEntries(int) }); ok {
+			h.HintEntries(n)
+		}
+	}
 }

@@ -62,26 +62,27 @@ func (db *DB) RepairQuarantined() error {
 		if len(prs) == 0 {
 			continue
 		}
-		var salvage []*sstable.Iterator
-		for _, r := range prs {
-			if r.Device == "ssd" {
-				if t := corpses[r.ID]; t != nil {
+		// A major compaction with the corpses as extra sources. It is judged
+		// like any other: versions an open snapshot still reads survive it,
+		// its tombstones stay because p still has its quarantine records —
+		// salvage sources are partial, and keeping a deletion marker is
+		// always safe — and a live table it finds rotted is quarantined (for
+		// the next repair pass) and the job run again, on fresh salvage
+		// iterators so that a skipped block is counted once.
+		err := db.maintain(p, func() error {
+			var salvage []*sstable.Iterator
+			for _, r := range prs {
+				if t := corpses[r.ID]; r.Device == "ssd" && t != nil {
 					salvage = append(salvage, t.NewSalvageIterator())
 				}
 			}
-		}
-		if !db.cfg.RocksDB && len(salvage) > 0 {
-			// A major compaction with the corpses as extra sources. It is
-			// judged like any other: versions an open snapshot still reads
-			// survive it, and its tombstones stay because p still has its
-			// quarantine records — salvage sources are partial, and keeping
-			// a deletion marker is always safe.
-			p.maint.Lock()
-			err := db.majorCompact(p, salvage)
-			p.maint.Unlock()
-			if err != nil {
-				return fmt.Errorf("engine: repair partition %d: %w", p.id, err)
+			if db.cfg.RocksDB || len(salvage) == 0 {
+				return nil
 			}
+			return db.majorCompact(p, salvage)
+		})
+		if err != nil {
+			return fmt.Errorf("engine: repair partition %d: %w", p.id, err)
 		}
 		db.finishRepair(p, prs)
 	}

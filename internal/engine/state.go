@@ -140,7 +140,9 @@ func (db *DB) installTables(p *partition, flushed *memtable.Memtable, rebuild bo
 	p.mu.Unlock()
 	if rebuild && s.stableHalf != old.stableHalf && old.view.Load() != nil {
 		cur := p.acquire()
-		db.viewOf(cur)
+		// A failed build is not this install's failure (the caller holds
+		// p.maint and cannot quarantine): the first scan meets it and heals.
+		_, _ = db.viewOf(cur)
 		cur.release()
 	}
 }

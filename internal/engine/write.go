@@ -32,19 +32,12 @@ type Batch struct {
 
 // Put queues a set into the batch.
 func (b *Batch) Put(key, value []byte) {
-	b.entries = append(b.entries, kv.Entry{
-		Key:   append([]byte(nil), key...),
-		Value: append([]byte(nil), value...),
-		Kind:  kv.KindSet,
-	})
+	b.entries = append(b.entries, kv.Entry{Key: key, Value: value, Kind: kv.KindSet}.Clone())
 }
 
 // Delete queues a tombstone into the batch.
 func (b *Batch) Delete(key []byte) {
-	b.entries = append(b.entries, kv.Entry{
-		Key:  append([]byte(nil), key...),
-		Kind: kv.KindDelete,
-	})
+	b.entries = append(b.entries, kv.Entry{Key: key, Kind: kv.KindDelete}.Clone())
 }
 
 // Len reports the number of queued operations.
@@ -115,9 +108,7 @@ func (db *DB) apply(e kv.Entry) error {
 		return err
 	}
 	start := time.Now()
-	e.Key = append([]byte(nil), e.Key...)
-	e.Value = append([]byte(nil), e.Value...)
-	one := [1]kv.Entry{e}
+	one := [1]kv.Entry{e.Clone()}
 	first, last, err := db.commit(one[:])
 	if err != nil {
 		db.publish(first, last)
@@ -232,24 +223,25 @@ func (db *DB) maintainPartition(p *partition) {
 }
 
 // flushAndMaintain flushes p's immutables and runs the local strategy under
-// p.maint. PM running out of space is a stall, not a failure: the lock is
-// released, an eviction pass runs (evictOnce — majorMu covers only the
-// victim decision, and a pass already in flight is joined rather than queued
-// behind), the wait is charged to the write-stall metric, and the flush is
-// tried again, as often as it takes. The loop ends in an error only when a
-// pass this caller decided itself had nothing to give back and no other pass
-// finished since the flush was tried (one that did may have made the room
-// this one then found nothing to add to) — then no amount of waiting makes
-// room, and the configuration is at fault.
+// p.maint (through maintain: rot met on the way is a quarantine, never a
+// bgErr). PM running out of space is a stall, not a failure: the lock is
+// released, an eviction pass runs (evictOnce — majorMu covers only the victim
+// decision, and a pass already in flight is joined rather than queued behind),
+// the wait is charged to the write-stall metric, and the flush is tried again,
+// as often as it takes. The loop ends in an error only when a pass this caller
+// decided itself had nothing to give back and no other pass finished since the
+// flush was tried (one that did may have made the room this one then found
+// nothing to add to) — then no amount of waiting makes room, and the
+// configuration is at fault.
 func (db *DB) flushAndMaintain(p *partition) error {
 	for {
 		passes := db.metrics.EvictionCount.Load()
-		p.maint.Lock()
-		err := db.flushImmutables(p)
-		if err == nil {
-			err = db.localCompactionStrategy(p)
-		}
-		p.maint.Unlock()
+		err := db.maintain(p, func() error {
+			if err := db.flushImmutables(p); err != nil {
+				return err
+			}
+			return db.localCompactionStrategy(p)
+		})
 		if !errors.Is(err, pmem.ErrOutOfSpace) {
 			return err
 		}
@@ -311,7 +303,12 @@ func (db *DB) flushOne(p *partition, m *memtable.Memtable) error {
 	if m.Empty() {
 		return nil
 	}
-	entries := collectEntries(kv.NewRetainIterator(m.NewIterator(), db.retentionBounds(), false))
+	src := m.NewIterator()
+	src.SeekToFirst()
+	entries, err := collectEntries(kv.NewRetainIterator(src, db.retentionBounds(), false))
+	if err != nil {
+		return err
+	}
 	if db.cfg.Level0OnPM {
 		// Transient PM faults are retried (Build releases its allocation on
 		// every failure, so a retry starts clean); anything else propagates.

@@ -93,8 +93,10 @@ func RunTable1(s Scale, w io.Writer) (Table1Result, Report) {
 		// Warm the cache fully.
 		for _, t := range sstCached {
 			it := t.NewIterator()
-			it.SeekToFirst()
-			for ; it.Valid(); it.Next() {
+			for it.SeekToFirst(); it.Valid(); it.Next() {
+			}
+			if err := it.Err(); err != nil {
+				panic(err)
 			}
 		}
 
@@ -120,7 +122,7 @@ func RunTable1(s Scale, w io.Writer) (Table1Result, Report) {
 
 		res.PMTable = append(res.PMTable, probe(func(k []byte) {
 			for _, t := range pmTables {
-				if _, ok := t.Get(k, kv.MaxSeq); ok {
+				if _, ok, _ := t.Get(k, kv.MaxSeq); ok {
 					return
 				}
 			}

@@ -4,6 +4,10 @@
 // tables — persistent-memory and SSD alike — and the oracle asserts the
 // full detect → quarantine → restart → repair lifecycle:
 //
+//   - rot that no scrub has seen yet is met first by a major compaction: the
+//     compaction succeeds, installs nothing it read from the rotted table, and
+//     leaves the table quarantined — every acked key still reads back exactly
+//     or as ErrUnavailable;
 //   - one scrub pass detects every injected corruption (100% coverage);
 //   - after quarantine no read ever returns a wrong value: every acked key
 //     is either exactly correct or fails with ErrUnavailable, and MultiGet
@@ -279,6 +283,100 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	if _, err := db.Checkpoint(); err != nil {
 		return nil, fmt.Errorf("soak final checkpoint: %w", err)
 	}
+
+	// sweep reads every acked key through Get and MultiGet, which must agree
+	// key for key (per-key blast radius), and hands Get's outcome to check.
+	sweep := func(e *engine.DB, phase string, check func(k string, got []byte, ok bool, err error)) error {
+		keys := make([]string, 0, len(vals))
+		for k := range vals {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		bkeys := make([][]byte, len(keys))
+		for i, k := range keys {
+			bkeys[i] = []byte(k)
+		}
+		res, merr := e.MultiGet(bkeys)
+		if merr != nil {
+			return fmt.Errorf("%s MultiGet: %w", phase, merr)
+		}
+		for i, k := range keys {
+			got, ok, gerr := e.Get(bkeys[i])
+			check(k, got, ok, gerr)
+			r := res[i]
+			if (r.Err != nil) != (gerr != nil) || (gerr != nil && !errors.Is(r.Err, gerr)) ||
+				r.Found != ok || (ok && string(r.Value) != string(got)) {
+				rep.failf("%s: MultiGet(%s) = (%q, found=%v, err=%v) disagrees with Get (%q, found=%v, err=%v)",
+					phase, k, r.Value, r.Found, r.Err, got, ok, gerr)
+			}
+		}
+		return nil
+	}
+	// sweepQuarantined is the oracle under quarantine: every acked key is
+	// exactly correct or ErrUnavailable — never a stale value, never a silent
+	// not-found for a live key. It collects the unavailable keys.
+	unavailable := make(map[string]bool)
+	sweepQuarantined := func(phase string) error {
+		return sweep(db, phase, func(k string, got []byte, ok bool, gerr error) {
+			if errors.Is(gerr, engine.ErrUnavailable) {
+				unavailable[k] = true
+				return
+			}
+			if gerr != nil {
+				rep.failf("%s Get(%s): unexpected error %v", phase, k, gerr)
+				return
+			}
+			want := vals[k]
+			switch {
+			case want == nil && ok:
+				rep.failf("%s Get(%s): tombstone resurrected as %q", phase, k, got)
+			case want != nil && !ok:
+				rep.failf("%s Get(%s): acked write silently lost (want %q)", phase, k, *want)
+			case want != nil && string(got) != *want:
+				rep.failf("%s Get(%s) = %q: stale value served past quarantine (want %q)", phase, k, got, *want)
+			}
+		})
+	}
+
+	// Phase 1b: rot that a compaction finds before any scrub does. One byte of
+	// a table of the SSD run rots; a write into its partition gives the major
+	// compaction a level-0 to merge that run with, so it reads the rotted
+	// block. A compaction that took its input's failure for its end would
+	// install the short output, retire the table, and the keys behind the rot
+	// would be silently gone with nothing left to scrub.
+	for _, tg := range db.RotTargets() {
+		if tg.Device != "ssd" {
+			continue
+		}
+		ev, rerr := db.SSDDevice().Rot(ssd.FileID(tg.ID), 0, tg.Limit)
+		if rerr != nil {
+			return nil, fmt.Errorf("soak: ssd rot before compaction: %w", rerr)
+		}
+		// Partition i of soakConfig starts at skey-(40*i).
+		k, v := fmt.Sprintf("skey-%03d", 40*tg.Partition), fmt.Sprintf("prescrub.%x.%s", rng.next()&0xffff, spad)
+		if err := db.Put([]byte(k), []byte(v)); err != nil {
+			return nil, fmt.Errorf("soak put before compaction: %w", err)
+		}
+		record(k, strp(v))
+		if err := db.FlushAll(); err != nil {
+			return nil, fmt.Errorf("soak flush over undiscovered rot: %w", err)
+		}
+		if err := db.MajorCompactAll(); err != nil {
+			return nil, fmt.Errorf("soak major compaction over undiscovered rot: %w", err)
+		}
+		quarantined := false
+		for _, r := range db.QuarantineRecords() {
+			quarantined = quarantined || (r.Device == "ssd" && r.ID == tg.ID)
+		}
+		if !quarantined {
+			rep.failf("a major compaction read SSD image %d, rotted at offset %d, and did not quarantine it", tg.ID, ev.Off)
+		}
+		if err := sweepQuarantined("compaction-over-rot"); err != nil {
+			return nil, err
+		}
+		logf("compaction over undiscovered rot: image %d quarantined, %d keys unavailable", tg.ID, len(unavailable))
+		break
+	}
 	// The level-0 trigger compacts every fourth PM table down to SSD, so a
 	// quiesced store may have an empty level-0 — and a flush round can itself
 	// tip the trigger. Flush until PM images are live (bounded; the trigger
@@ -414,51 +512,11 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	}
 	logf("scrub: %d incidents, %d images quarantined", len(incidents), len(quarantined))
 
-	// Phase 4: sweep under quarantine. Every acked key is exactly correct or
-	// ErrUnavailable — never a stale value, never a silent not-found for a
-	// live key — and MultiGet mirrors Get per key (blast radius).
-	unavailable := make(map[string]bool)
-	sweep := func(e *engine.DB, phase string, check func(k string, got []byte, ok bool, err error)) error {
-		bkeys := make([][]byte, len(keys))
-		for i, k := range keys {
-			bkeys[i] = []byte(k)
-		}
-		res, merr := e.MultiGet(bkeys)
-		if merr != nil {
-			return fmt.Errorf("%s MultiGet: %w", phase, merr)
-		}
-		for i, k := range keys {
-			got, ok, gerr := e.Get(bkeys[i])
-			check(k, got, ok, gerr)
-			r := res[i]
-			if (r.Err != nil) != (gerr != nil) || (gerr != nil && !errors.Is(r.Err, gerr)) ||
-				r.Found != ok || (ok && string(r.Value) != string(got)) {
-				rep.failf("%s: MultiGet(%s) = (%q, found=%v, err=%v) disagrees with Get (%q, found=%v, err=%v)",
-					phase, k, r.Value, r.Found, r.Err, got, ok, gerr)
-			}
-		}
-		return nil
-	}
-	err = sweep(db, "pre-repair", func(k string, got []byte, ok bool, gerr error) {
-		if errors.Is(gerr, engine.ErrUnavailable) {
-			unavailable[k] = true
-			return
-		}
-		if gerr != nil {
-			rep.failf("pre-repair Get(%s): unexpected error %v", k, gerr)
-			return
-		}
-		want := vals[k]
-		switch {
-		case want == nil && ok:
-			rep.failf("pre-repair Get(%s): tombstone resurrected as %q", k, got)
-		case want != nil && !ok:
-			rep.failf("pre-repair Get(%s): acked write silently lost (want %q)", k, *want)
-		case want != nil && string(got) != *want:
-			rep.failf("pre-repair Get(%s) = %q: stale value served past quarantine (want %q)", k, got, *want)
-		}
-	})
-	if err != nil {
+	// Phase 4: sweep under quarantine (the oracle of sweepQuarantined), with
+	// MultiGet mirroring Get per key. What repair is judged against is what
+	// is unavailable now, not what was before later writes covered it.
+	clear(unavailable)
+	if err := sweepQuarantined("pre-repair"); err != nil {
 		return nil, err
 	}
 	rep.Unavailable = len(unavailable)

@@ -45,6 +45,7 @@ const (
 	PMRelease   Point = "pmem.release" // deferred free of a superseded region
 	SSDRot      Point = "ssd.rot"      // at-rest bit rot injected into a file image
 	PMRot       Point = "pmem.rot"     // at-rest bit rot injected into the arena
+	SSDRead     Point = "ssd.read"     // a read or map of file bytes; consulted through HookRead
 )
 
 // Op describes one intercepted device operation.
@@ -278,7 +279,28 @@ func (in *Injector) Hook(o Op) Decision {
 			return Decision{Err: fmt.Errorf("%w (%s hit %d)", ErrPowerCut, o.Point, in.ruleHit[cr])}
 		}
 	}
-	// Scripted rules.
+	return in.scripted(o)
+}
+
+// HookRead is Hook for a device read. A read persists nothing, and client
+// reads run concurrently with the workload, so it is not a crash point: it
+// does not advance the op count that Points reports and ArmPowerCut indexes —
+// every -seed/-ops/-point reproduction line stays what it was — and no power
+// cut can be armed at it. It fails once the power is off, and otherwise obeys
+// the scripted rules (only Decision.Err means anything to a read).
+func (in *Injector) HookRead(o Op) Decision {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.dead {
+		return Decision{Err: ErrPowerCut}
+	}
+	return in.scripted(o)
+}
+
+// scripted applies the first rule that fires on o. Callers hold mu.
+//
+//pmblade:holds mu
+func (in *Injector) scripted(o Op) Decision {
 	for i, r := range in.rules {
 		if !in.matches(r, o) {
 			continue

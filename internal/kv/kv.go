@@ -43,6 +43,14 @@ func (e Entry) String() string {
 	return fmt.Sprintf("%q@%d:%s=%q", e.Key, e.Seq, e.Kind, e.Value)
 }
 
+// Clone returns e with Key and Value in buffers of their own: the copy an
+// iterator's consumer makes before the next Next or Seek reuses them.
+func (e Entry) Clone() Entry {
+	e.Key = append([]byte(nil), e.Key...)
+	e.Value = append([]byte(nil), e.Value...)
+	return e
+}
+
 // Compare orders entries by user key ascending, then by sequence number
 // descending (newest version first), then tombstones before sets at equal
 // sequence (cannot occur in practice but keeps the order total).
@@ -115,6 +123,12 @@ func ParseInternalKey(ik []byte) (key []byte, seq uint64, kind Kind) {
 
 // Iterator walks entries in Compare order. Implementations are not safe for
 // concurrent use.
+//
+// An iterator that is not Valid is exhausted or has failed, and Err says
+// which: every loop that drains one ends with a single Err check, and a
+// result gathered from an iterator whose Err is non-nil is short, never
+// complete. The error is sticky until the iterator is seeked again. A wrapper
+// reports the first error of its inputs and yields nothing past it.
 type Iterator interface {
 	// Valid reports whether the iterator is positioned at an entry.
 	Valid() bool
@@ -127,6 +141,21 @@ type Iterator interface {
 	SeekGE(key []byte)
 	// SeekToFirst rewinds to the smallest entry.
 	SeekToFirst()
+	// Err returns the read or corruption error that stopped the iterator,
+	// nil if none did.
+	Err() error
+}
+
+// Seek positions every iterator at the first entry with user key >= lo, a
+// nil lo meaning the first entry of all.
+func Seek(lo []byte, its ...Iterator) {
+	for _, it := range its {
+		if lo == nil {
+			it.SeekToFirst()
+		} else {
+			it.SeekGE(lo)
+		}
+	}
 }
 
 // PosEOF is the PosIterator position of an exhausted iterator.
@@ -170,6 +199,9 @@ func (it *SliceIterator) Entry() Entry { return it.entries[it.i] }
 
 // SeekToFirst implements Iterator.
 func (it *SliceIterator) SeekToFirst() { it.i = 0 }
+
+// Err implements Iterator: a slice cannot fail.
+func (it *SliceIterator) Err() error { return nil }
 
 // SeekGE implements Iterator.
 func (it *SliceIterator) SeekGE(key []byte) {

@@ -147,6 +147,33 @@ func TestMergingIteratorProducesGlobalOrder(t *testing.T) {
 	}
 }
 
+// TestMergingIteratorReseeksExhaustedSources: a merge that is seeked again
+// after one of its sources ran out must seek that source too — it may hold
+// keys at or past the target.
+func TestMergingIteratorReseeksExhaustedSources(t *testing.T) {
+	m := NewMergingIterator(
+		NewSliceIterator([]Entry{{Key: []byte("a"), Seq: 1}}),
+		NewSliceIterator([]Entry{{Key: []byte("b"), Seq: 2}, {Key: []byte("c"), Seq: 3}}),
+	)
+	m.Next() // the first source is exhausted and leaves the heap
+	for _, seek := range []struct {
+		name string
+		do   func()
+	}{
+		{`SeekGE("a")`, func() { m.SeekGE([]byte("a")) }},
+		{"SeekToFirst", m.SeekToFirst},
+	} {
+		seek.do()
+		var got []string
+		for ; m.Valid(); m.Next() {
+			got = append(got, string(m.Entry().Key))
+		}
+		if fmt.Sprint(got) != "[a b c]" {
+			t.Fatalf("after Next, %s yields %v, want [a b c]", seek.name, got)
+		}
+	}
+}
+
 func TestDedupIteratorKeepsNewestVersion(t *testing.T) {
 	entries := []Entry{
 		{Key: []byte("a"), Value: []byte("new"), Seq: 9},

@@ -5,8 +5,11 @@ import "container/heap"
 // MergingIterator merges several iterators in Compare order. Iterators
 // supplied earlier take precedence at equal internal order (which cannot
 // happen with unique sequence numbers, but keeps the merge deterministic).
+// A source that fails fails the merge at once: the entries the others still
+// hold may be versions that what it did not yield would have shadowed.
 type MergingIterator struct {
-	h mergeHeap
+	srcs []Iterator // every source, in rank order
+	h    mergeHeap  // the sources positioned at an entry
 }
 
 type mergeItem struct {
@@ -37,23 +40,30 @@ func (h *mergeHeap) Pop() interface{} {
 // NewMergingIterator combines its. The result starts positioned at the first
 // entry (as if SeekToFirst had been called).
 func NewMergingIterator(its ...Iterator) *MergingIterator {
-	for _, it := range its {
-		it.SeekToFirst()
-	}
+	Seek(nil, its...)
 	return NewMergingIteratorAt(its...)
 }
 
 // NewMergingIteratorAt combines sources that the caller has already
 // positioned (e.g. with SeekGE); it does not rewind them.
 func NewMergingIteratorAt(its ...Iterator) *MergingIterator {
-	m := &MergingIterator{}
-	for rank, it := range its {
+	m := &MergingIterator{srcs: its}
+	m.collect()
+	return m
+}
+
+// collect rebuilds the heap from where the sources stand now.
+func (m *MergingIterator) collect() {
+	m.h = m.h[:0]
+	if m.Err() != nil {
+		return
+	}
+	for rank, it := range m.srcs {
 		if it.Valid() {
 			m.h = append(m.h, mergeItem{it: it, rank: rank})
 		}
 	}
 	heap.Init(&m.h)
-	return m
 }
 
 // Valid implements Iterator.
@@ -62,122 +72,46 @@ func (m *MergingIterator) Valid() bool { return len(m.h) > 0 }
 // Entry implements Iterator.
 func (m *MergingIterator) Entry() Entry { return m.h[0].it.Entry() }
 
+// Err implements Iterator: the first source's error, in rank order.
+func (m *MergingIterator) Err() error {
+	for _, it := range m.srcs {
+		if err := it.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Next implements Iterator.
 func (m *MergingIterator) Next() {
-	top := &m.h[0]
-	top.it.Next()
-	if top.it.Valid() {
+	top := m.h[0].it
+	top.Next()
+	switch {
+	case top.Valid():
 		heap.Fix(&m.h, 0)
-	} else {
+	case top.Err() != nil:
+		m.h = m.h[:0]
+	default:
 		heap.Pop(&m.h)
 	}
 }
 
 // SeekToFirst implements Iterator.
-func (m *MergingIterator) SeekToFirst() {
-	items := m.h
-	m.h = m.h[:0]
-	seen := make(map[int]bool, len(items))
-	for _, item := range items {
-		if seen[item.rank] {
-			continue
-		}
-		seen[item.rank] = true
-		item.it.SeekToFirst()
-		if item.it.Valid() {
-			m.h = append(m.h, item)
-		}
-	}
-	heap.Init(&m.h)
-}
+func (m *MergingIterator) SeekToFirst() { m.SeekGE(nil) }
 
-// SeekGE implements Iterator. Note: iterators that were exhausted by earlier
-// advancement are re-seeked too, so SeekGE may revive them.
+// SeekGE implements Iterator; like Seek, it takes a nil key for the first.
+// Every source is seeked, the ones that earlier advancement exhausted too:
+// they may hold keys >= key.
 func (m *MergingIterator) SeekGE(key []byte) {
-	// Rebuild from every source we were constructed with: sources currently
-	// exhausted may contain keys >= key.
-	for i := range m.h {
-		m.h[i].it.SeekGE(key)
-	}
-	live := m.h[:0]
-	for _, item := range m.h {
-		if item.it.Valid() {
-			live = append(live, item)
-		}
-	}
-	m.h = live
-	heap.Init(&m.h)
+	Seek(key, m.srcs...)
+	m.collect()
 }
 
-// DedupIterator wraps an iterator in Compare order and yields only the newest
-// version of each user key, optionally dropping tombstones (for a
-// bottom-level merge where deleted keys can vanish entirely). Entry's Key and
-// Value buffers are freshly allocated per entry and never reused, so callers
-// may retain them past Next without copying (the engine's scan path relies on
-// this to avoid a second copy).
-type DedupIterator struct {
-	in            Iterator
-	dropTombstone bool
-	cur           Entry
-	curKey        []byte
-	valid         bool
-}
-
-// NewDedupIterator wraps in; in must already be positioned via SeekToFirst by
-// the caller or the returned iterator's SeekToFirst.
-func NewDedupIterator(in Iterator, dropTombstones bool) *DedupIterator {
-	d := &DedupIterator{in: in, dropTombstone: dropTombstones}
-	d.advance()
-	return d
-}
-
-// advance moves to the next newest-version entry.
-func (d *DedupIterator) advance() {
-	for d.in.Valid() {
-		e := d.in.Entry()
-		if d.curKey != nil && string(e.Key) == string(d.curKey) {
-			d.in.Next()
-			continue // stale version of the same key
-		}
-		// Newest version of a new key.
-		d.curKey = append(d.curKey[:0], e.Key...)
-		if d.dropTombstone && e.Kind == KindDelete {
-			d.in.Next()
-			continue
-		}
-		// Copy out: the source may invalidate on Next.
-		d.cur = Entry{
-			Key:   append([]byte(nil), e.Key...),
-			Value: append([]byte(nil), e.Value...),
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		}
-		d.valid = true
-		d.in.Next()
-		return
-	}
-	d.valid = false
-}
-
-// Valid implements Iterator.
-func (d *DedupIterator) Valid() bool { return d.valid }
-
-// Entry implements Iterator.
-func (d *DedupIterator) Entry() Entry { return d.cur }
-
-// Next implements Iterator.
-func (d *DedupIterator) Next() { d.advance() }
-
-// SeekToFirst implements Iterator.
-func (d *DedupIterator) SeekToFirst() {
-	d.in.SeekToFirst()
-	d.curKey = nil
-	d.advance()
-}
-
-// SeekGE implements Iterator.
-func (d *DedupIterator) SeekGE(key []byte) {
-	d.in.SeekGE(key)
-	d.curKey = nil
-	d.advance()
+// NewDedupIterator yields only the newest version of each user key of in
+// (already positioned), optionally dropping tombstones — for a bottom-level
+// merge, where deleted keys can vanish entirely. It is retention with no
+// boundary: no older version has a reader, and a tombstone that may be
+// dropped is always the sole retained version of its key.
+func NewDedupIterator(in Iterator, dropTombstones bool) *RetainIterator {
+	return NewRetainIterator(in, nil, dropTombstones)
 }

@@ -7,7 +7,7 @@ import (
 
 // VisibleIterator filters a stream in Compare order down to the entries
 // visible at snapshot seq (Entry.Seq <= seq). It exists to run BEFORE
-// DedupIterator: dedup keeps only the newest version of each key, so
+// NewDedupIterator: dedup keeps only the newest version of each key, so
 // filtering visibility after it discards keys whose newest version is newer
 // than the snapshot — the key vanishes instead of resolving to its older,
 // still-visible version. Wrapping the merged source in a VisibleIterator
@@ -38,6 +38,9 @@ func (v *VisibleIterator) Valid() bool { return v.in.Valid() }
 // Entry implements Iterator.
 func (v *VisibleIterator) Entry() Entry { return v.in.Entry() }
 
+// Err implements Iterator.
+func (v *VisibleIterator) Err() error { return v.in.Err() }
+
 // Next implements Iterator.
 func (v *VisibleIterator) Next() {
 	v.in.Next()
@@ -45,14 +48,11 @@ func (v *VisibleIterator) Next() {
 }
 
 // SeekToFirst implements Iterator.
-func (v *VisibleIterator) SeekToFirst() {
-	v.in.SeekToFirst()
-	v.settle()
-}
+func (v *VisibleIterator) SeekToFirst() { v.SeekGE(nil) }
 
-// SeekGE implements Iterator.
+// SeekGE implements Iterator; like Seek, it takes a nil key for the first.
 func (v *VisibleIterator) SeekGE(key []byte) {
-	v.in.SeekGE(key)
+	Seek(key, v.in)
 	v.settle()
 }
 
@@ -126,11 +126,7 @@ func (r *Retainer) Next(e Entry) []Entry {
 			r.out[0] = r.pending
 			n = 1
 		}
-		r.pending = Entry{
-			Key:  append([]byte(nil), e.Key...),
-			Seq:  e.Seq,
-			Kind: e.Kind,
-		}
+		r.pending = e.Clone()
 		r.havePending = true
 		return r.out[:n]
 	}
@@ -161,32 +157,26 @@ func (r *Retainer) retainOlder(seq uint64) bool {
 }
 
 // RetainIterator applies a Retainer to an iterator in Compare order: the
-// snapshot-aware replacement for DedupIterator in flush and compaction
-// paths. Like DedupIterator, Entry's buffers are freshly allocated per entry
-// and never reused, so callers may retain them past Next.
+// version filter of flush, compaction and — with no boundary, as
+// NewDedupIterator builds it — of scans. Entry's Key and Value buffers are
+// freshly allocated per entry and never reused, so callers may retain them
+// past Next without copying (the engine's scan path relies on this to avoid
+// a second copy).
 type RetainIterator struct {
 	in     Iterator
-	r      *Retainer
+	r      Retainer
 	queued Entry
 	haveQ  bool
 	cur    Entry
 	valid  bool
 }
 
-// NewRetainIterator wraps in (already positioned, like NewDedupIterator).
+// NewRetainIterator wraps in, which must already be positioned: the result
+// stands on the first retained entry at or after that position.
 func NewRetainIterator(in Iterator, bounds []uint64, dropTombstones bool) *RetainIterator {
-	it := &RetainIterator{in: in, r: NewRetainer(bounds, dropTombstones)}
+	it := &RetainIterator{in: in, r: Retainer{bounds: bounds, dropTombstones: dropTombstones}}
 	it.advance()
 	return it
-}
-
-func cloneEntry(e Entry) Entry {
-	return Entry{
-		Key:   append([]byte(nil), e.Key...),
-		Value: append([]byte(nil), e.Value...),
-		Seq:   e.Seq,
-		Kind:  e.Kind,
-	}
 }
 
 func (it *RetainIterator) advance() {
@@ -202,18 +192,18 @@ func (it *RetainIterator) advance() {
 			it.in.Next()
 			continue
 		case 1:
-			it.cur = cloneEntry(emit[0])
+			it.cur = emit[0].Clone()
 		default:
-			it.cur = cloneEntry(emit[0])
-			it.queued = cloneEntry(emit[1])
+			it.cur = emit[0].Clone()
+			it.queued = emit[1].Clone()
 			it.haveQ = true
 		}
 		it.valid = true
 		it.in.Next()
 		return
 	}
-	// Input exhausted; a still-pending tombstone was the sole retained
-	// version of its key and is dropped with it.
+	// Input exhausted (or failed: Err says); a still-pending tombstone was
+	// the sole retained version of its key and is dropped with it.
 	it.valid = false
 }
 
@@ -223,21 +213,19 @@ func (it *RetainIterator) Valid() bool { return it.valid }
 // Entry implements Iterator.
 func (it *RetainIterator) Entry() Entry { return it.cur }
 
+// Err implements Iterator.
+func (it *RetainIterator) Err() error { return it.in.Err() }
+
 // Next implements Iterator.
 func (it *RetainIterator) Next() { it.advance() }
 
 // SeekToFirst implements Iterator.
-func (it *RetainIterator) SeekToFirst() {
-	it.in.SeekToFirst()
-	it.r = NewRetainer(it.r.bounds, it.r.dropTombstones)
-	it.haveQ = false
-	it.advance()
-}
+func (it *RetainIterator) SeekToFirst() { it.SeekGE(nil) }
 
-// SeekGE implements Iterator.
+// SeekGE implements Iterator; like Seek, it takes a nil key for the first.
 func (it *RetainIterator) SeekGE(key []byte) {
-	it.in.SeekGE(key)
-	it.r = NewRetainer(it.r.bounds, it.r.dropTombstones)
+	Seek(key, it.in)
+	it.r = Retainer{bounds: it.r.bounds, dropTombstones: it.r.dropTombstones}
 	it.haveQ = false
 	it.advance()
 }

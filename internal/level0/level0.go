@@ -110,8 +110,10 @@ type GetStats struct {
 // Get searches the newest-first unsorted tables, then the sorted run. It
 // returns the newest version visible at seq, honoring tombstones (the caller
 // interprets Kind). The entry's Value is a view of the table that held it
-// (pmtable.Table.Get): copy it before letting go of the tables.
-func Get(unsorted, sorted []*pmtable.Table, key []byte, seq uint64) (e kv.Entry, ok bool, stats GetStats) {
+// (pmtable.Table.Get): copy it before letting go of the tables. A table that
+// fails to decode fails the lookup: it may hold the newest version, so
+// nothing found elsewhere can be trusted over it.
+func Get(unsorted, sorted []*pmtable.Table, key []byte, seq uint64) (e kv.Entry, ok bool, stats GetStats, err error) {
 	// Unsorted tables must all be consulted newest-first: any of them may
 	// hold a newer version (this is level-0 read amplification). Fence keys
 	// and the per-table Bloom filter prune tables that cannot hold the key
@@ -126,14 +128,16 @@ func Get(unsorted, sorted []*pmtable.Table, key []byte, seq uint64) (e kv.Entry,
 		}
 		stats.Probed++
 		stats.FilterHits++
-		if cand, hit := t.Get(key, seq); hit {
-			if !found || cand.Seq > best.Seq {
-				best, found = cand, true
-			}
+		cand, hit, err := t.Get(key, seq)
+		if err != nil {
+			return kv.Entry{}, false, stats, err
+		}
+		if hit && (!found || cand.Seq > best.Seq) {
+			best, found = cand, true
 		}
 	}
 	if found {
-		return best, true, stats
+		return best, true, stats, nil
 	}
 	// Sorted run: at most one table overlaps the key.
 	for _, t := range sorted {
@@ -144,28 +148,30 @@ func Get(unsorted, sorted []*pmtable.Table, key []byte, seq uint64) (e kv.Entry,
 			}
 			stats.Probed++
 			stats.FilterHits++
-			if cand, hit := t.Get(key, seq); hit {
-				return cand, true, stats
-			}
-			break
+			e, ok, err = t.Get(key, seq)
+			return e, ok, stats, err
 		}
 	}
-	return kv.Entry{}, false, stats
+	return kv.Entry{}, false, stats, nil
 }
 
 // Get is the package-level Get over the level's current tables.
-func (l *Level0) Get(key []byte, seq uint64) (kv.Entry, bool, GetStats) {
+func (l *Level0) Get(key []byte, seq uint64) (kv.Entry, bool, GetStats, error) {
 	return Get(l.unsorted, l.sorted, key, seq)
 }
 
-// GetBatch resolves several keys with Get. out and found are parallel to
-// keys; positions already marked found are skipped.
-func GetBatch(unsorted, sorted []*pmtable.Table, keys [][]byte, seq uint64, out []kv.Entry, found []bool) (stats GetStats) {
+// GetBatch resolves several keys with Get, stopping at the first that fails.
+// out and found are parallel to keys; positions already marked found are
+// skipped.
+func GetBatch(unsorted, sorted []*pmtable.Table, keys [][]byte, seq uint64, out []kv.Entry, found []bool) (stats GetStats, err error) {
 	for i, key := range keys {
 		if found[i] {
 			continue
 		}
-		e, ok, st := Get(unsorted, sorted, key, seq)
+		e, ok, st, err := Get(unsorted, sorted, key, seq)
+		if err != nil {
+			return stats, err
+		}
 		if ok {
 			out[i], found[i] = e, true
 		}
@@ -173,7 +179,7 @@ func GetBatch(unsorted, sorted []*pmtable.Table, keys [][]byte, seq uint64, out 
 		stats.FilterSkips += st.FilterSkips
 		stats.FilterHits += st.FilterHits
 	}
-	return stats
+	return stats, nil
 }
 
 // CompactionStats reports what an internal compaction accomplished.
@@ -242,10 +248,10 @@ func (l *Level0) CompactInternal(keepTombstones bool, bounds []uint64) (Compacti
 		batchBytes = 0
 		return nil
 	}
-	// On failure (typically pmem.ErrOutOfSpace: internal compaction
-	// transiently needs space for outputs before inputs release), roll back
-	// the partially built output so the caller can fall back to a major
-	// compaction.
+	// On failure (pmem.ErrOutOfSpace: internal compaction transiently needs
+	// space for outputs before inputs release; or an input that does not
+	// decode), roll back the partially built output so the caller can fall
+	// back to a major compaction, or quarantine the input.
 	cleanup := func(err error) (CompactionStats, error) {
 		for _, t := range newSorted {
 			t.Release()
@@ -266,6 +272,9 @@ func (l *Level0) CompactInternal(keepTombstones bool, bounds []uint64) (Compacti
 		stats.EntriesOut++
 		batch = append(batch, e)
 		batchBytes += int64(e.Size())
+	}
+	if err := merged.Err(); err != nil {
+		return cleanup(err)
 	}
 	if err := flush(); err != nil {
 		return cleanup(err)

@@ -2,8 +2,11 @@ package level0
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,6 +20,16 @@ func newL0(t *testing.T) (*Level0, *pmem.Device) {
 	t.Helper()
 	dev := pmem.New(512<<20, pmem.FastProfile)
 	return New(dev, Config{Format: pmtable.FormatPrefix, TargetTableSize: 16 << 10}), dev
+}
+
+// mustGet is Level0.Get over tables the test has not damaged.
+func mustGet(t *testing.T, l *Level0, key []byte, seq uint64) (kv.Entry, bool, GetStats) {
+	t.Helper()
+	e, ok, stats, err := l.Get(key, seq)
+	if err != nil {
+		t.Fatalf("Get(%q, %d): %v", key, seq, err)
+	}
+	return e, ok, stats
 }
 
 // flushBatch builds a PM table from entries (sorted first) and adds it as an
@@ -37,7 +50,7 @@ func TestGetSearchesAllUnsortedTables(t *testing.T) {
 	flushBatch(t, l, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("v2"), Seq: 2}})
 	flushBatch(t, l, dev, []kv.Entry{{Key: []byte("x"), Value: []byte("other"), Seq: 3}})
 
-	e, ok, stats := l.Get([]byte("k"), kv.MaxSeq)
+	e, ok, stats := mustGet(t, l, []byte("k"), kv.MaxSeq)
 	if !ok || string(e.Value) != "v2" {
 		t.Fatalf("Get = %v,%v want v2", e, ok)
 	}
@@ -58,7 +71,7 @@ func TestGetFilterSkipsAbsentKey(t *testing.T) {
 		{Key: []byte("z"), Value: []byte("vz"), Seq: 2},
 	})
 	// "m" is inside the fence range, so only the Bloom filter can prune it.
-	_, ok, stats := l.Get([]byte("m"), kv.MaxSeq)
+	_, ok, stats := mustGet(t, l, []byte("m"), kv.MaxSeq)
 	if ok {
 		t.Fatal("absent key found")
 	}
@@ -83,7 +96,7 @@ func TestInternalCompactionReducesProbes(t *testing.T) {
 	if unsorted, _ := l.Tables(); len(unsorted) != 8 {
 		t.Fatalf("unsorted = %d", len(unsorted))
 	}
-	_, _, before := l.Get([]byte("key-025"), kv.MaxSeq)
+	_, _, before := mustGet(t, l, []byte("key-025"), kv.MaxSeq)
 	stats, err := l.CompactInternal(true, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +104,7 @@ func TestInternalCompactionReducesProbes(t *testing.T) {
 	if unsorted, _ := l.Tables(); len(unsorted) != 0 {
 		t.Fatal("unsorted tables must be absorbed")
 	}
-	e, ok, after := l.Get([]byte("key-025"), kv.MaxSeq)
+	e, ok, after := mustGet(t, l, []byte("key-025"), kv.MaxSeq)
 	if !ok || string(e.Value) != "v7-25" {
 		t.Fatalf("lost newest version: %v %v", e, ok)
 	}
@@ -113,7 +126,7 @@ func TestCompactionKeepsTombstonesWhenAsked(t *testing.T) {
 	if _, err := l.CompactInternal(true, nil); err != nil {
 		t.Fatal(err)
 	}
-	e, ok, _ := l.Get([]byte("k"), kv.MaxSeq)
+	e, ok, _ := mustGet(t, l, []byte("k"), kv.MaxSeq)
 	if !ok || e.Kind != kv.KindDelete {
 		t.Fatalf("tombstone must survive: %v %v", e, ok)
 	}
@@ -129,10 +142,10 @@ func TestCompactionDropsTombstonesAtBottom(t *testing.T) {
 	if _, err := l.CompactInternal(false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := l.Get([]byte("k"), kv.MaxSeq); ok {
+	if _, ok, _ := mustGet(t, l, []byte("k"), kv.MaxSeq); ok {
 		t.Fatal("tombstone and its shadowed key must vanish at bottom level")
 	}
-	if e, ok, _ := l.Get([]byte("a"), kv.MaxSeq); !ok || string(e.Value) != "va" {
+	if e, ok, _ := mustGet(t, l, []byte("a"), kv.MaxSeq); !ok || string(e.Value) != "va" {
 		t.Fatalf("unrelated key lost: %v %v", e, ok)
 	}
 }
@@ -167,7 +180,7 @@ func TestCompactionSplitsIntoTargetSizedTables(t *testing.T) {
 	// Every key still readable with exactly one probe.
 	for j := 0; j < 2000; j += 97 {
 		k := []byte(fmt.Sprintf("key-%05d", j))
-		e, ok, stats := l.Get(k, kv.MaxSeq)
+		e, ok, stats := mustGet(t, l, k, kv.MaxSeq)
 		if !ok || e.Seq != uint64(j+1) {
 			t.Fatalf("Get(%s) = %v %v", k, e, ok)
 		}
@@ -224,7 +237,7 @@ func TestEvict(t *testing.T) {
 	if freed == 0 || dev.Used() != 0 {
 		t.Fatalf("evict freed %d, device used %d", freed, dev.Used())
 	}
-	if _, ok, _ := l.Get([]byte("k"), kv.MaxSeq); ok {
+	if _, ok, _ := mustGet(t, l, []byte("k"), kv.MaxSeq); ok {
 		t.Fatal("evicted data must be gone")
 	}
 	if unsorted, sorted := l.Tables(); len(unsorted)+len(sorted) != 0 {
@@ -246,11 +259,62 @@ func TestGetVisibilitySnapshot(t *testing.T) {
 		{Key: []byte("k"), Value: []byte("v1"), Seq: 10},
 		{Key: []byte("k"), Value: []byte("v2"), Seq: 20},
 	})
-	e, ok, _ := l.Get([]byte("k"), 15)
+	e, ok, _ := mustGet(t, l, []byte("k"), 15)
 	if !ok || string(e.Value) != "v1" {
 		t.Fatalf("Get@15 = %v,%v want v1", e, ok)
 	}
-	if _, ok, _ := l.Get([]byte("k"), 5); ok {
+	if _, ok, _ := mustGet(t, l, []byte("k"), 5); ok {
 		t.Fatal("Get@5 should see nothing")
+	}
+}
+
+// TestCorruptTableFailsLookupAndCompaction: a table whose first group no
+// longer decodes fails a Get that needs it and an internal compaction that
+// reads it with a *pmtable.CorruptionError; the level keeps its tables and the
+// compaction's half-built output goes back to the arena.
+func TestCorruptTableFailsLookupAndCompaction(t *testing.T) {
+	l, dev := newL0(t)
+	l.cfg.TargetTableSize = 1 << 10 // several outputs before the merge reaches the damage
+	batch := func(lo, n int, seq uint64) (es []kv.Entry) {
+		for i := lo; i < lo+n; i++ {
+			es = append(es, kv.Entry{Key: []byte(fmt.Sprintf("key-%03d", i)), Value: bytes.Repeat([]byte{'v'}, 40), Seq: seq})
+		}
+		return es
+	}
+	flushBatch(t, l, dev, batch(0, 300, 1))
+	flushBatch(t, l, dev, batch(200, 72, 2)) // newest
+	rotted := l.unsorted[0]
+	// Damage the last of its nine groups, which the merge reaches after most
+	// of its output. The layout is pmtable/prefix.go's: with keys too short
+	// for the dictionary, header and meta layer fill the image's first line,
+	// the nine 28-byte slots the second — a slot ends in its group's offset
+	// into the entry layer, which follows at 512 — and a group opens with its
+	// dictionary index. No table has 255 dictionary entries.
+	img, err := dev.View(rotted.Addr(), 0, rotted.SizeBytes(), device.CauseUnknown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	group8 := 512 + int64(binary.LittleEndian.Uint32(img[256+8*28+24:]))
+	if err := dev.WriteAt(rotted.Addr(), group8, []byte{0xff}, device.CauseUnknown); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ok, _, err := l.Get([]byte("key-271"), kv.MaxSeq)
+	var ce *pmtable.CorruptionError
+	if ok || !errors.As(err, &ce) || ce.Addr != rotted.Addr() {
+		t.Fatalf("Get = found %v, err %v; want a *CorruptionError at region %d, not the older table's version", ok, err, rotted.Addr())
+	}
+
+	unsorted, sorted := l.Tables()
+	used := dev.Used()
+	_, err = l.CompactInternal(false, nil)
+	if ce = nil; !errors.As(err, &ce) || ce.Addr != rotted.Addr() {
+		t.Fatalf("CompactInternal: %v, want a *CorruptionError at region %d", err, rotted.Addr())
+	}
+	if u, s := l.Tables(); !slices.Equal(u, unsorted) || !slices.Equal(s, sorted) {
+		t.Fatalf("a failed compaction changed the level: %d+%d tables, was %d+%d", len(u), len(s), len(unsorted), len(sorted))
+	}
+	if dev.Used() != used {
+		t.Fatalf("a failed compaction left %d bytes of output in PM", dev.Used()-used)
 	}
 }

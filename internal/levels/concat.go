@@ -58,17 +58,32 @@ func (it *ConcatIterator) HintEntries(n int) {
 // Valid implements kv.Iterator.
 func (it *ConcatIterator) Valid() bool { return it.cur != nil && it.cur.Valid() }
 
+// Err implements kv.Iterator: the current table's error. The walk never
+// leaves a table that failed, so that is the only one there can be.
+func (it *ConcatIterator) Err() error {
+	if it.cur == nil {
+		return nil
+	}
+	return it.cur.Err()
+}
+
+// settle moves on from tables that have nothing left at the position, but
+// not from one that failed: the run would go on without the rest of its keys.
+func (it *ConcatIterator) settle() {
+	for !it.cur.Valid() && it.cur.Err() == nil && it.ti+1 < len(it.tables) {
+		it.ti++
+		it.cur = it.open(it.ti)
+		it.cur.SeekToFirst()
+	}
+}
+
 // Entry implements kv.Iterator.
 func (it *ConcatIterator) Entry() kv.Entry { return it.cur.Entry() }
 
 // Next implements kv.Iterator.
 func (it *ConcatIterator) Next() {
 	it.cur.Next()
-	for !it.cur.Valid() && it.ti+1 < len(it.tables) {
-		it.ti++
-		it.cur = it.open(it.ti)
-		it.cur.SeekToFirst()
-	}
+	it.settle()
 }
 
 // SeekToFirst implements kv.Iterator.
@@ -80,11 +95,7 @@ func (it *ConcatIterator) SeekToFirst() {
 	it.ti = 0
 	it.cur = it.open(0)
 	it.cur.SeekToFirst()
-	for !it.cur.Valid() && it.ti+1 < len(it.tables) {
-		it.ti++
-		it.cur = it.open(it.ti)
-		it.cur.SeekToFirst()
-	}
+	it.settle()
 }
 
 // posTableShift packs the table index above the inner iterator's
@@ -138,9 +149,5 @@ func (it *ConcatIterator) SeekGE(key []byte) {
 	it.ti = lo
 	it.cur = it.open(lo)
 	it.cur.SeekGE(key)
-	for !it.cur.Valid() && it.ti+1 < len(it.tables) {
-		it.ti++
-		it.cur = it.open(it.ti)
-		it.cur.SeekToFirst()
-	}
+	it.settle()
 }

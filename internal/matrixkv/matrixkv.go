@@ -181,8 +181,7 @@ func (db *DB) apply(e kv.Entry) error {
 	db.mu.Lock()
 	db.seq++
 	e.Seq = db.seq
-	e.Key = append([]byte(nil), e.Key...)
-	e.Value = append([]byte(nil), e.Value...)
+	e = e.Clone()
 	db.userBytes += int64(len(e.Key) + len(e.Value))
 	db.mu.Unlock()
 
@@ -223,15 +222,11 @@ func (db *DB) flush() error {
 
 	var entries []kv.Entry
 	it := m.NewIterator()
-	it.SeekToFirst()
-	for ; it.Valid(); it.Next() {
-		e := it.Entry()
-		entries = append(entries, kv.Entry{
-			Key:   append([]byte(nil), e.Key...),
-			Value: append([]byte(nil), e.Value...),
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		})
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		entries = append(entries, it.Entry().Clone())
+	}
+	if err := it.Err(); err != nil {
+		return err
 	}
 	if len(entries) == 0 {
 		return nil
@@ -353,11 +348,7 @@ func (db *DB) columnCompactOnce() (bool, error) {
 			continue
 		}
 		it := r.table.NewIterator()
-		if r.cursorKey == nil {
-			it.SeekToFirst()
-		} else {
-			it.SeekGE(r.cursorKey)
-		}
+		kv.Seek(r.cursorKey, it)
 		its = append(its, it)
 	}
 	merged := kv.NewMergingIteratorAt(its...)
@@ -365,34 +356,27 @@ func (db *DB) columnCompactOnce() (bool, error) {
 	var colEntries []kv.Entry
 	var colBytes int64
 	for ; merged.Valid() && colBytes < db.cfg.ColumnBytes; merged.Next() {
-		e := merged.Entry()
-		colEntries = append(colEntries, kv.Entry{
-			Key:   append([]byte(nil), e.Key...),
-			Value: append([]byte(nil), e.Value...),
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		})
+		e := merged.Entry().Clone()
+		colEntries = append(colEntries, e)
 		colBytes += int64(e.Size())
+	}
+	// A key's versions must never straddle a column boundary: extend the
+	// column with any remaining versions of its last key. This also
+	// guarantees progress when one key's versions exceed the budget.
+	for len(colEntries) > 0 && merged.Valid() && bytes.Equal(merged.Entry().Key, colEntries[len(colEntries)-1].Key) {
+		colEntries = append(colEntries, merged.Entry().Clone())
+		merged.Next()
+	}
+	// A merge that failed has not shown the compactor to be empty, nor where
+	// the next column starts: the rows stay as they are.
+	if err := merged.Err(); err != nil {
+		return false, err
 	}
 	if len(colEntries) == 0 {
 		db.mu.Lock()
 		db.finishCompactor()
 		db.mu.Unlock()
 		return false, nil
-	}
-	// A key's versions must never straddle a column boundary: extend the
-	// column with any remaining versions of its last key. This also
-	// guarantees progress when one key's versions exceed the budget.
-	lastKey := colEntries[len(colEntries)-1].Key
-	for merged.Valid() && bytes.Equal(merged.Entry().Key, lastKey) {
-		e := merged.Entry()
-		colEntries = append(colEntries, kv.Entry{
-			Key:   append([]byte(nil), e.Key...),
-			Value: append([]byte(nil), e.Value...),
-			Seq:   e.Seq,
-			Kind:  e.Kind,
-		})
-		merged.Next()
 	}
 	// The column's exclusive upper bound: the next pending key, or nil when
 	// the compactor is exhausted.
@@ -407,44 +391,56 @@ func (db *DB) columnCompactOnce() (bool, error) {
 	db.mu.Lock()
 	overlap := db.run.Overlapping(lo, colHi)
 	db.mu.Unlock()
-	colIt := kv.NewSliceIterator(colEntries)
-	colIt.SeekToFirst()
-	sources := []kv.Iterator{colIt}
+	sources := []kv.Iterator{kv.NewSliceIterator(colEntries)}
 	for _, t := range overlap {
-		it := t.NewIterator()
-		it.SeekToFirst()
-		sources = append(sources, it)
+		sources = append(sources, t.NewIterator())
 	}
-	dedup := kv.NewDedupIterator(kv.NewMergingIteratorAt(sources...), true)
+	dedup := kv.NewDedupIterator(kv.NewMergingIterator(sources...), true)
 
 	var out []*sstable.Table
 	var b *sstable.Builder
 	var bBytes int64
+	// fail abandons the column: nothing references its outputs yet, and the
+	// rows and the run it read stay as they are.
+	fail := func(err error) (bool, error) {
+		if b != nil {
+			b.Abandon()
+		}
+		for _, t := range out {
+			t.Delete()
+		}
+		return false, err
+	}
+	finish := func() error {
+		t, err := b.Finish()
+		b, bBytes = nil, 0
+		if err == nil {
+			out = append(out, t)
+		}
+		return err
+	}
 	for ; dedup.Valid(); dedup.Next() {
 		e := dedup.Entry()
 		if b == nil {
 			b = sstable.NewBuilder(db.ssd, device.CauseMajor)
 		}
 		if err := b.Add(e); err != nil {
-			b.Abandon()
-			return false, err
+			return fail(err)
 		}
 		bBytes += int64(e.Size())
 		if bBytes >= db.cfg.SSTableBytes {
-			t, err := b.Finish()
-			if err != nil {
-				return false, err
+			if err := finish(); err != nil {
+				return fail(err)
 			}
-			out = append(out, t)
-			b, bBytes = nil, 0
 		}
 	}
+	if err := dedup.Err(); err != nil {
+		return fail(err)
+	}
 	if b != nil {
-		t, err := b.Finish()
-		if err != nil {
-			return false, err
+		if err := finish(); err != nil {
+			return fail(err)
 		}
-		out = append(out, t)
 	}
 
 	db.mu.Lock()
@@ -516,10 +512,12 @@ func (db *DB) Get(key []byte) ([]byte, bool, error) {
 		if !r.filter.MayContain(key) {
 			continue
 		}
-		if e, ok := r.table.Get(key, kv.MaxSeq); ok {
-			if !found || e.Seq > best.Seq {
-				best, found = e, true
-			}
+		e, ok, err := r.table.Get(key, kv.MaxSeq)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok && (!found || e.Seq > best.Seq) {
+			best, found = e, true
 		}
 	}
 	if found {
@@ -555,13 +553,7 @@ func (db *DB) Scan(start, end []byte, limit int) ([][2][]byte, error) {
 	its = append(its, levels.NewConcatIterator(db.run.Tables()))
 	db.mu.Unlock()
 
-	for _, it := range its {
-		if start != nil {
-			it.SeekGE(start)
-		} else {
-			it.SeekToFirst()
-		}
-	}
+	kv.Seek(start, its...)
 	merged := kv.NewDedupIterator(kv.NewMergingIteratorAt(its...), false)
 	var out [][2][]byte
 	for ; merged.Valid(); merged.Next() {
@@ -579,6 +571,9 @@ func (db *DB) Scan(start, end []byte, limit int) ([][2][]byte, error) {
 		if limit > 0 && len(out) >= limit {
 			break
 		}
+	}
+	if err := merged.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -155,6 +155,9 @@ func (m *Memtable) NewIterator() *Iterator { return &Iterator{m: m} }
 // Valid implements kv.Iterator.
 func (it *Iterator) Valid() bool { return it.n != nil }
 
+// Err implements kv.Iterator: a walk over DRAM cannot fail.
+func (it *Iterator) Err() error { return nil }
+
 // Next implements kv.Iterator.
 func (it *Iterator) Next() { it.n = it.n.next[0].Load() }
 

@@ -17,7 +17,7 @@ func TestGetAllocatesNothing(t *testing.T) {
 		entries, tbl := buildSearchTable(t, testDevice(), ks, 1250, 8)
 		i := 0
 		allocs := testing.AllocsPerRun(2000, func() {
-			if _, ok := tbl.Get(entries[i%len(entries)].Key, kv.MaxSeq); !ok {
+			if _, ok, err := tbl.Get(entries[i%len(entries)].Key, kv.MaxSeq); !ok || err != nil {
 				t.Fatal("present key missing")
 			}
 			i += 7

@@ -134,68 +134,50 @@ func (m *arrayMeta) offset(i int) int {
 	return int(binary.LittleEndian.Uint32(m.body[m.offOff+i*4:]))
 }
 
-// slotRecord decodes slot i. For Array it is one record; for Snappy it
+// inflate decompresses the "clen uvarint | compressed" block data starts
+// with into scratch's storage.
+func inflate(data, scratch []byte) ([]byte, error) {
+	clen, n := binary.Uvarint(data)
+	if n <= 0 || n+int(clen) > len(data) {
+		return scratch, ErrCorrupt
+	}
+	dec, err := compress.Decompress(scratch[:0], data[n:n+int(clen)])
+	if err != nil {
+		return scratch, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return dec, nil
+}
+
+// slotEntries decodes slot i. For Array it is one record; for Snappy it
 // decompresses one record; for SnappyGroup it decompresses the whole group
 // and returns its records. scratch is reused for decompression.
 func (m *arrayMeta) slotEntries(i int, scratch []byte) ([]kv.Entry, []byte, error) {
 	data := m.body[m.dataOff+m.offset(i):]
-	switch m.format {
-	case FormatArray:
-		e, _, err := decodeRecord(data)
-		if err != nil {
+	if m.format != FormatArray {
+		var err error
+		if scratch, err = inflate(data, scratch); err != nil {
 			return nil, scratch, err
 		}
-		return []kv.Entry{e}, scratch, nil
-	case FormatArraySnappy:
-		clen, n := binary.Uvarint(data)
-		if n <= 0 || n+int(clen) > len(data) {
+		data = scratch
+	}
+	cnt := uint64(1)
+	if m.format == FormatArraySnappyGroup {
+		var n int
+		if cnt, n = binary.Uvarint(data); n <= 0 || cnt == 0 {
 			return nil, scratch, ErrCorrupt
 		}
-		dec, err := compress.Decompress(scratch[:0], data[n:n+int(clen)])
+		data = data[n:]
+	}
+	out := make([]kv.Entry, 0, cnt)
+	for j := 0; j < int(cnt); j++ {
+		e, adv, err := decodeRecord(data)
 		if err != nil {
 			return nil, scratch, err
 		}
-		e, _, err := decodeRecord(dec)
-		if err != nil {
-			return nil, dec, err
-		}
-		return []kv.Entry{e}, dec, nil
-	case FormatArraySnappyGroup:
-		clen, n := binary.Uvarint(data)
-		if n <= 0 || n+int(clen) > len(data) {
-			return nil, scratch, ErrCorrupt
-		}
-		dec, err := compress.Decompress(scratch[:0], data[n:n+int(clen)])
-		if err != nil {
-			return nil, scratch, err
-		}
-		cnt, n := binary.Uvarint(dec)
-		if n <= 0 {
-			return nil, dec, ErrCorrupt
-		}
-		rest := dec[n:]
-		out := make([]kv.Entry, 0, cnt)
-		for j := 0; j < int(cnt); j++ {
-			e, adv, err := decodeRecord(rest)
-			if err != nil {
-				return nil, dec, err
-			}
-			out = append(out, e)
-			rest = rest[adv:]
-		}
-		return out, dec, nil
-	default:
-		return nil, scratch, fmt.Errorf("pmtable: bad array format %v", m.format)
+		out = append(out, e)
+		data = data[adv:]
 	}
-}
-
-// slotFirstKey returns the key of slot i's first entry (for binary search).
-func (m *arrayMeta) slotFirstKey(i int, scratch []byte) ([]byte, []byte, error) {
-	es, scratch, err := m.slotEntries(i, scratch)
-	if err != nil {
-		return nil, scratch, err
-	}
-	return es[0].Key, scratch, nil
+	return out, scratch, nil
 }
 
 // findSlot binary-searches the offsets array for the slot a scan for key
@@ -215,12 +197,12 @@ func (t *Table) findSlot(key []byte) (int, error) {
 		mid := (lo + hi) / 2
 		l.touch(m.offOff + mid*4)
 		t.dev.ChargeAccess()
-		fk, s, err := m.slotFirstKey(mid, scratch)
+		es, s, err := m.slotEntries(mid, scratch)
 		scratch = s
 		if err != nil {
 			return 0, err
 		}
-		if bytes.Compare(fk, key) < 0 {
+		if bytes.Compare(es[0].Key, key) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -232,10 +214,10 @@ func (t *Table) findSlot(key []byte) (int, error) {
 // arrayGet returns the newest version of key visible at seq: entries sort
 // newest-first within a key, so that is the first one visible. It returns
 // from inside the slot that held it, so the value may alias scratch.
-func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
+func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool, error) {
 	start, err := t.findSlot(key)
 	if err != nil {
-		return kv.Entry{}, false
+		return kv.Entry{}, false, err
 	}
 	var scratch []byte
 	for i := start; i < t.array.count; i++ {
@@ -243,80 +225,86 @@ func (t *Table) arrayGet(key []byte, seq uint64) (kv.Entry, bool) {
 		es, s, err := t.array.slotEntries(i, scratch)
 		scratch = s
 		if err != nil {
-			return kv.Entry{}, false
+			return kv.Entry{}, false, err
 		}
 		for _, e := range es {
 			c := bytes.Compare(e.Key, key)
 			if c > 0 {
-				return kv.Entry{}, false
+				return kv.Entry{}, false, nil
 			}
 			if c == 0 && e.Seq <= seq {
-				return kv.Entry{Key: key, Value: e.Value, Seq: e.Seq, Kind: e.Kind}, true
+				return kv.Entry{Key: key, Value: e.Value, Seq: e.Seq, Kind: e.Kind}, true, nil
 			}
 		}
 	}
-	return kv.Entry{}, false
+	return kv.Entry{}, false, nil
 }
 
 // arrayIterator walks slots in order.
 type arrayIterator struct {
 	t       *Table
-	slot    int
-	pending []kv.Entry
+	slot    int        // the slot pending holds
+	pending []kv.Entry // copies: the next slot reuses scratch
 	pi      int
 	scratch []byte
 	cur     kv.Entry
 	ok      bool
+	err     error // the decode failure that stopped the walk, located
 }
 
 func (t *Table) newArrayIterator() kv.Iterator {
 	return &arrayIterator{t: t, slot: -1}
 }
 
-func (it *arrayIterator) SeekToFirst() {
-	it.slot = -1
-	it.pending = nil
-	it.pi = 0
+// seekSlot positions the iterator on the first entry of slot.
+func (it *arrayIterator) seekSlot(slot int) {
+	it.slot, it.err = slot-1, nil
+	it.pending, it.pi = it.pending[:0], 0
 	it.advance()
 }
 
-func (it *arrayIterator) advance() {
-	for {
-		if it.pi < len(it.pending) {
-			it.cur = it.pending[it.pi]
-			it.pi++
-			it.ok = true
-			return
-		}
-		it.slot++
-		if it.slot >= it.t.array.count {
-			it.ok = false
-			return
-		}
-		it.t.dev.ChargeAccess()
-		es, s, err := it.t.array.slotEntries(it.slot, it.scratch)
-		it.scratch = s
-		if err != nil {
-			it.ok = false
-			return
-		}
-		// Copy keys/values out of the scratch buffer: the next slot reuses it.
-		it.pending = it.pending[:0]
-		for _, e := range es {
-			it.pending = append(it.pending, kv.Entry{
-				Key:   append([]byte(nil), e.Key...),
-				Value: append([]byte(nil), e.Value...),
-				Seq:   e.Seq,
-				Kind:  e.Kind,
-			})
-		}
-		it.pi = 0
+func (it *arrayIterator) SeekToFirst() { it.seekSlot(0) }
+
+// fail stops the walk on a slot that does not decode.
+func (it *arrayIterator) fail(err error) {
+	it.ok, it.err = false, wrapCorrupt(it.t.addr, it.t.size, err)
+}
+
+// load decodes slot into pending, charging its one PM access.
+func (it *arrayIterator) load(slot int) bool {
+	it.t.dev.ChargeAccess()
+	es, s, err := it.t.array.slotEntries(slot, it.scratch)
+	it.scratch = s
+	if err != nil {
+		it.fail(err)
+		return false
 	}
+	it.pending = it.pending[:0]
+	for _, e := range es {
+		it.pending = append(it.pending, e.Clone())
+	}
+	it.slot, it.pi = slot, 0
+	return true
+}
+
+func (it *arrayIterator) advance() {
+	for it.pi >= len(it.pending) {
+		if it.slot+1 >= it.t.array.count {
+			it.slot, it.ok = it.t.array.count, false
+			return
+		}
+		if !it.load(it.slot + 1) {
+			return
+		}
+	}
+	it.cur, it.ok = it.pending[it.pi], true
+	it.pi++
 }
 
 func (it *arrayIterator) Valid() bool     { return it.ok }
 func (it *arrayIterator) Next()           { it.advance() }
 func (it *arrayIterator) Entry() kv.Entry { return it.cur }
+func (it *arrayIterator) Err() error      { return it.err }
 
 // posSlotShift packs a slot index above the in-slot entry index in Pos
 // tokens; slots hold far fewer than 2^20 entries.
@@ -333,54 +321,29 @@ func (it *arrayIterator) Pos() uint64 {
 // SetPos implements kv.PosIterator, restoring a token captured from any
 // iterator over the same table.
 func (it *arrayIterator) SetPos(pos uint64) {
+	it.ok, it.err = false, nil
 	if pos == kv.PosEOF {
-		it.ok = false
 		return
 	}
 	slot := int(pos >> posSlotShift)
 	idx := int(pos & (1<<posSlotShift - 1))
 	if slot != it.slot || idx >= len(it.pending) {
-		if slot >= it.t.array.count {
-			it.ok = false
+		if slot >= it.t.array.count || !it.load(slot) {
 			return
 		}
-		it.t.dev.ChargeAccess()
-		es, s, err := it.t.array.slotEntries(slot, it.scratch)
-		it.scratch = s
-		if err != nil {
-			it.ok = false
-			return
-		}
-		it.pending = it.pending[:0]
-		for _, e := range es {
-			it.pending = append(it.pending, kv.Entry{
-				Key:   append([]byte(nil), e.Key...),
-				Value: append([]byte(nil), e.Value...),
-				Seq:   e.Seq,
-				Kind:  e.Kind,
-			})
-		}
-		it.slot = slot
 	}
-	if idx >= len(it.pending) {
-		it.ok = false
-		return
+	if idx < len(it.pending) {
+		it.cur, it.pi, it.ok = it.pending[idx], idx+1, true
 	}
-	it.cur = it.pending[idx]
-	it.pi = idx + 1
-	it.ok = true
 }
 
 func (it *arrayIterator) SeekGE(key []byte) {
 	start, err := it.t.findSlot(key)
 	if err != nil {
-		it.ok = false
+		it.fail(err)
 		return
 	}
-	it.slot = start - 1
-	it.pending = it.pending[:0]
-	it.pi = 0
-	it.advance()
+	it.seekSlot(start)
 	for it.ok && bytes.Compare(it.cur.Key, key) < 0 {
 		it.advance()
 	}

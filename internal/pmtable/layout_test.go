@@ -134,7 +134,7 @@ func TestGetChargeBudget(t *testing.T) {
 			}
 		}
 		before := charges(dev)
-		if _, ok := tbl.Get(e.Key, kv.MaxSeq); !ok {
+		if _, ok := mustGet(t, tbl, e.Key, kv.MaxSeq); !ok {
 			t.Fatalf("Get(%q) missing", e.Key)
 		}
 		got := charges(dev) - before
@@ -204,14 +204,14 @@ func TestFencesMirrorPrefixLayer(t *testing.T) {
 				}
 				for _, key := range searchProbes(entries, 3) {
 					_, wantStart, wantEnd, _ := refFindGroup(entries, groupSize, key)
-					start, end := tbl.findGroup(key)
+					start, end, _ := tbl.findGroup(key)
 					if start != wantStart || end != wantEnd {
 						t.Fatalf("findGroup(%q) = [%d, %d), reference model [%d, %d)", key, start, end, wantStart, wantEnd)
 					}
-					if s2, e2 := reopened.findGroup(key); s2 != start || e2 != end {
+					if s2, e2, _ := reopened.findGroup(key); s2 != start || e2 != end {
 						t.Fatalf("findGroup(%q): reopened table says [%d, %d), built table [%d, %d)", key, s2, e2, start, end)
 					}
-					got, ok := reopened.Get(key, kv.MaxSeq)
+					got, ok := mustGet(t, reopened, key, kv.MaxSeq)
 					want, wantOK := refGet(entries, key, kv.MaxSeq)
 					if ok != wantOK || ok && (got.Seq != want.Seq || got.Kind != want.Kind || !bytes.Equal(got.Value, want.Value)) {
 						t.Fatalf("reopened Get(%q) = %v,%v want %v,%v", key, got, ok, want, wantOK)

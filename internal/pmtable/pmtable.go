@@ -436,16 +436,22 @@ func (l *lookup) touch(off int) {
 // Get returns the newest version of key visible at snapshot seq. The entry's
 // Key is the caller's key; its Value is a view — of the table image or, in
 // the compressed formats, of the call's own decompression buffer — valid
-// while the caller holds the table, and must be copied to outlive it.
-func (t *Table) Get(key []byte, seq uint64) (kv.Entry, bool) {
+// while the caller holds the table, and must be copied to outlive it. A group
+// or record that does not decode on the way is a *CorruptionError, never a
+// miss: the caller must not go on to an older table as if key were absent.
+func (t *Table) Get(key []byte, seq uint64) (e kv.Entry, ok bool, err error) {
 	switch {
 	case bytes.Compare(key, t.smallest) < 0 || bytes.Compare(key, t.largest) > 0:
-		return kv.Entry{}, false // answered from the fence keys, no access
+		return kv.Entry{}, false, nil // answered from the fence keys, no access
 	case t.format == FormatPrefix:
-		return t.prefixGet(key, seq)
+		e, ok, err = t.prefixGet(key, seq)
 	default:
-		return t.arrayGet(key, seq)
+		e, ok, err = t.arrayGet(key, seq)
 	}
+	if err != nil {
+		err = wrapCorrupt(t.addr, t.size, err)
+	}
+	return e, ok, err
 }
 
 // NewIterator walks the table in kv.Compare order.

@@ -24,6 +24,16 @@ func testDevice() *pmem.Device {
 	return pmem.New(256<<20, pmem.FastProfile)
 }
 
+// mustGet is Table.Get on an image the test has not damaged.
+func mustGet(t testing.TB, tbl *Table, key []byte, seq uint64) (kv.Entry, bool) {
+	t.Helper()
+	e, ok, err := tbl.Get(key, seq)
+	if err != nil {
+		t.Fatalf("Get(%q, %d): %v", key, seq, err)
+	}
+	return e, ok
+}
+
 // makeEntries produces n sorted entries with index-table-like keys (long
 // shared prefixes) and a sprinkling of multi-version keys and tombstones.
 func makeEntries(n int, seed int64) []kv.Entry {
@@ -111,28 +121,28 @@ func TestGetFindsNewestVisibleVersion(t *testing.T) {
 			}
 			tbl := res.Table
 
-			e, ok := tbl.Get([]byte("kkk"), kv.MaxSeq)
+			e, ok := mustGet(t, tbl, []byte("kkk"), kv.MaxSeq)
 			if !ok || string(e.Value) != "v9" {
 				t.Fatalf("Get latest = %v,%v want v9", e, ok)
 			}
-			e, ok = tbl.Get([]byte("kkk"), 7)
+			e, ok = mustGet(t, tbl, []byte("kkk"), 7)
 			if !ok || e.Seq != 5 || e.Kind != kv.KindDelete {
 				t.Fatalf("Get@7 = %v,%v want tombstone@5", e, ok)
 			}
-			e, ok = tbl.Get([]byte("kkk"), 2)
+			e, ok = mustGet(t, tbl, []byte("kkk"), 2)
 			if !ok || string(e.Value) != "v2" {
 				t.Fatalf("Get@2 = %v,%v want v2", e, ok)
 			}
-			if _, ok := tbl.Get([]byte("kkk"), 1); ok {
+			if _, ok := mustGet(t, tbl, []byte("kkk"), 1); ok {
 				t.Fatal("Get@1 should find nothing")
 			}
-			if _, ok := tbl.Get([]byte("mmm"), kv.MaxSeq); ok {
+			if _, ok := mustGet(t, tbl, []byte("mmm"), kv.MaxSeq); ok {
 				t.Fatal("Get(mmm) should find nothing")
 			}
-			if _, ok := tbl.Get([]byte("a"), kv.MaxSeq); ok {
+			if _, ok := mustGet(t, tbl, []byte("a"), kv.MaxSeq); ok {
 				t.Fatal("Get below smallest should find nothing")
 			}
-			if _, ok := tbl.Get([]byte("zzzz"), kv.MaxSeq); ok {
+			if _, ok := mustGet(t, tbl, []byte("zzzz"), kv.MaxSeq); ok {
 				t.Fatal("Get above largest should find nothing")
 			}
 		})
@@ -157,7 +167,7 @@ func TestGetEveryKeyAllFormats(t *testing.T) {
 				t.Fatal(err)
 			}
 			for k, want := range model {
-				got, ok := res.Table.Get([]byte(k), kv.MaxSeq)
+				got, ok := mustGet(t, res.Table, []byte(k), kv.MaxSeq)
 				if !ok {
 					t.Fatalf("Get(%q) missing", k)
 				}
@@ -246,7 +256,7 @@ func TestOpenAfterRestart(t *testing.T) {
 	if tbl.Len() != len(entries) {
 		t.Fatalf("reopened Len = %d want %d", tbl.Len(), len(entries))
 	}
-	e, ok := tbl.Get(entries[0].Key, kv.MaxSeq)
+	e, ok := mustGet(t, tbl, entries[0].Key, kv.MaxSeq)
 	if !ok {
 		t.Fatalf("reopened Get(%q) missing", entries[0].Key)
 	}

@@ -262,11 +262,11 @@ func (t *Table) compareFirstKey(gi int, key []byte) (int, error) {
 	if c != 0 {
 		return c, nil
 	}
-	rem, _, _, ok := d.nextParts()
-	if !ok {
-		return 0, ErrCorrupt
+	if !d.more() {
+		return 0, fmt.Errorf("%w: group %d is empty", ErrCorrupt, gi)
 	}
-	return bytes.Compare(rem, rest), nil
+	rem, _, _, err := d.nextParts()
+	return bytes.Compare(rem, rest), err
 }
 
 // countBefore reports how many of the n stride-spaced prefixes at p sort
@@ -311,14 +311,15 @@ func (m *prefixMeta) seek(l *lookup, target []byte, orEqual bool) int {
 // scan needs anyway, and a lower-bound seek follows if the run did start
 // earlier. When several groups share the prefix, a binary search on their
 // full first keys resolves the start group, so lookups stay logarithmic on
-// long-shared-prefix keyspaces.
-func (t *Table) findGroup(key []byte) (start, end int) {
+// long-shared-prefix keyspaces; a group that does not decode there is the
+// lookup's error.
+func (t *Table) findGroup(key []byte) (start, end int, err error) {
 	m := t.prefix
 	target := fixedPrefix(key)
 	l := lookup{dev: t.dev}
 	end = m.seek(&l, target[:], true)
 	if end == 0 {
-		return 0, 0
+		return 0, 0, nil
 	}
 	lineStart := (end - 1) / leafFanout * leafFanout
 	lo := end
@@ -337,7 +338,7 @@ func (t *Table) findGroup(key []byte) (start, end int) {
 	if end-lo < 2 {
 		// At most one group opens on key's prefix: comparing its full first
 		// key could only save the scan of group lo-1, and costs as much.
-		return start, end
+		return start, end, nil
 	}
 	// First group in [lo, end) whose full first key is >= key; the scan
 	// starts one group earlier because the newest versions of key may
@@ -347,7 +348,7 @@ func (t *Table) findGroup(key []byte) (start, end int) {
 		mid := (a + b) / 2
 		c, err := t.compareFirstKey(mid, key)
 		if err != nil {
-			return start, end
+			return 0, 0, err
 		}
 		if c < 0 {
 			a = mid + 1
@@ -358,19 +359,18 @@ func (t *Table) findGroup(key []byte) (start, end int) {
 	if a > lo {
 		start = a - 1
 	}
-	return start, end
+	return start, end, nil
 }
 
 // groupDecoder sequentially decodes one group in the entry layer.
 type groupDecoder struct {
-	m       *prefixMeta
-	off     int
-	dictP   []byte
-	shared  []byte
-	count   int
-	i       int
-	keyBuf  []byte
-	lastErr error
+	m      *prefixMeta
+	off    int
+	dictP  []byte
+	shared []byte
+	count  int
+	i      int
+	keyBuf []byte
 }
 
 func (m *prefixMeta) decodeGroup(gi int) (groupDecoder, error) {
@@ -403,39 +403,38 @@ func (m *prefixMeta) decodeGroup(gi int) (groupDecoder, error) {
 	return d, nil
 }
 
-// nextParts decodes the next entry of the group without building its key,
-// which is dictP + shared + rem; ok is false past the end. val aliases the
+// more reports whether the group has entries left to decode.
+func (d *groupDecoder) more() bool { return d.i < d.count }
+
+// nextParts decodes the next entry of the group — there must be more —
+// without building its key, which is dictP + shared + rem. val aliases the
 // table image.
-func (d *groupDecoder) nextParts() (rem, val []byte, trailer uint64, ok bool) {
-	if d.i >= d.count {
-		return nil, nil, 0, false
-	}
+func (d *groupDecoder) nextParts() (rem, val []byte, trailer uint64, err error) {
 	body := d.m.body
 	remLen, n := binary.Uvarint(body[d.off:])
 	valLen, k := binary.Uvarint(body[d.off+max(n, 0):])
 	off := d.off + n + k
 	if n <= 0 || k <= 0 || off+8+int(remLen)+int(valLen) > len(body) {
-		d.lastErr = ErrCorrupt
-		return nil, nil, 0, false
+		return nil, nil, 0, fmt.Errorf("%w: entry at entry-layer offset %d", ErrCorrupt, d.off-d.m.entryOff)
 	}
 	trailer = binary.LittleEndian.Uint64(body[off:])
 	rem = body[off+8 : off+8+int(remLen)]
 	val = body[off+8+int(remLen) : off+8+int(remLen)+int(valLen)]
 	d.off = off + 8 + int(remLen) + int(valLen)
 	d.i++
-	return rem, val, trailer, true
+	return rem, val, trailer, nil
 }
 
-// next decodes the next entry in the group, its key rebuilt in the decoder's
-// buffer; ok is false past the end.
-func (d *groupDecoder) next() (e kv.Entry, ok bool) {
-	rem, val, trailer, ok := d.nextParts()
-	if !ok {
-		return kv.Entry{}, false
+// next decodes the next entry in the group — there must be more — its key
+// rebuilt in the decoder's buffer.
+func (d *groupDecoder) next() (kv.Entry, error) {
+	rem, val, trailer, err := d.nextParts()
+	if err != nil {
+		return kv.Entry{}, err
 	}
 	d.keyBuf = append(append(append(d.keyBuf[:0], d.dictP...), d.shared...), rem...)
 	seq, kind := kv.SplitTrailer(trailer)
-	return kv.Entry{Key: d.keyBuf, Value: val, Seq: seq, Kind: kind}, true
+	return kv.Entry{Key: d.keyBuf, Value: val, Seq: seq, Kind: kind}, nil
 }
 
 // prefixGet performs the paper's lookup: search the prefix layer, then scan
@@ -443,36 +442,39 @@ func (d *groupDecoder) next() (e kv.Entry, ok bool) {
 // sort newest-first within a key, so that is the first one visible. Keys are
 // compared piece by piece, never rebuilt: the lookup allocates nothing. The
 // returned Key is the caller's, the Value a view of the table image.
-func (t *Table) prefixGet(key []byte, seq uint64) (kv.Entry, bool) {
-	start, end := t.findGroup(key)
+func (t *Table) prefixGet(key []byte, seq uint64) (kv.Entry, bool, error) {
+	start, end, err := t.findGroup(key)
+	if err != nil {
+		return kv.Entry{}, false, err
+	}
 	for gi := start; gi < end; gi++ {
 		t.dev.ChargeAccess() // one PM access to land on the group
 		d, err := t.prefix.decodeGroup(gi)
 		if err != nil {
-			return kv.Entry{}, false
+			return kv.Entry{}, false, err
 		}
 		rest, c := d.compareHead(key)
 		if c > 0 {
-			return kv.Entry{}, false
+			return kv.Entry{}, false, nil
 		}
 		if c < 0 {
 			continue // every key of the group sorts before key
 		}
-		for {
-			rem, val, trailer, ok := d.nextParts()
-			if !ok {
-				break
+		for d.more() {
+			rem, val, trailer, err := d.nextParts()
+			if err != nil {
+				return kv.Entry{}, false, err
 			}
 			c := bytes.Compare(rem, rest)
 			if c > 0 {
-				return kv.Entry{}, false
+				return kv.Entry{}, false, nil
 			}
 			if s, kind := kv.SplitTrailer(trailer); c == 0 && s <= seq {
-				return kv.Entry{Key: key, Value: val, Seq: s, Kind: kind}, true
+				return kv.Entry{Key: key, Value: val, Seq: s, Kind: kind}, true, nil
 			}
 		}
 	}
-	return kv.Entry{}, false
+	return kv.Entry{}, false, nil
 }
 
 // prefixIterator walks all groups in order.
@@ -482,6 +484,7 @@ type prefixIterator struct {
 	dec groupDecoder // of group gi; the zero decoder is exhausted
 	cur kv.Entry
 	ok  bool
+	err error // the decode failure that stopped the walk, located
 }
 
 func (t *Table) newPrefixIterator() kv.Iterator {
@@ -492,9 +495,14 @@ func (it *prefixIterator) SeekToFirst() { it.seekGroup(0) }
 
 // seekGroup positions the iterator on the first entry of group gi.
 func (it *prefixIterator) seekGroup(gi int) {
-	it.gi = gi - 1
+	it.gi, it.err = gi-1, nil
 	it.dec.count = 0
 	it.advance()
+}
+
+// fail stops the walk on a group that does not decode.
+func (it *prefixIterator) fail(err error) {
+	it.ok, it.err = false, wrapCorrupt(it.t.addr, it.t.size, err)
 }
 
 // enter lands on group gi, charging its one PM access. The decoder keeps
@@ -503,7 +511,7 @@ func (it *prefixIterator) enter(gi int) bool {
 	it.t.dev.ChargeAccess()
 	d, err := it.t.prefix.decodeGroup(gi)
 	if err != nil {
-		it.ok = false
+		it.fail(err)
 		return false
 	}
 	d.keyBuf = it.dec.keyBuf
@@ -512,11 +520,7 @@ func (it *prefixIterator) enter(gi int) bool {
 }
 
 func (it *prefixIterator) advance() {
-	for {
-		if e, ok := it.dec.next(); ok {
-			it.cur, it.ok = e, true
-			return
-		}
+	for !it.dec.more() {
 		if it.gi+1 >= it.t.prefix.numGroups {
 			it.gi, it.ok = it.t.prefix.numGroups, false
 			return
@@ -525,11 +529,18 @@ func (it *prefixIterator) advance() {
 			return
 		}
 	}
+	e, err := it.dec.next()
+	if err != nil {
+		it.fail(err)
+		return
+	}
+	it.cur, it.ok = e, true
 }
 
 func (it *prefixIterator) Valid() bool     { return it.ok }
 func (it *prefixIterator) Next()           { it.advance() }
 func (it *prefixIterator) Entry() kv.Entry { return it.cur }
+func (it *prefixIterator) Err() error      { return it.err }
 
 // posGroupShift packs a group index above the in-group entry index in Pos
 // tokens; groups hold far fewer than 2^20 entries.
@@ -547,29 +558,31 @@ func (it *prefixIterator) Pos() uint64 {
 // restore replays the group from its start — groups are small (≤ GroupSize
 // entries), so this stays O(1) with a modest constant.
 func (it *prefixIterator) SetPos(pos uint64) {
+	it.ok, it.err = false, nil
 	if pos == kv.PosEOF {
-		it.ok = false
 		return
 	}
 	gi := int(pos >> posGroupShift)
 	idx := int(pos & (1<<posGroupShift - 1))
 	if gi >= it.t.prefix.numGroups || !it.enter(gi) {
-		it.ok = false
 		return
 	}
-	for i := 0; i <= idx; i++ {
-		e, ok := it.dec.next()
-		if !ok {
-			it.ok = false
+	for i := 0; i <= idx && it.dec.more(); i++ {
+		e, err := it.dec.next()
+		if err != nil {
+			it.fail(err)
 			return
 		}
-		it.cur = e
+		it.cur, it.ok = e, i == idx
 	}
-	it.ok = true
 }
 
 func (it *prefixIterator) SeekGE(key []byte) {
-	start, _ := it.t.findGroup(key)
+	start, _, err := it.t.findGroup(key)
+	if err != nil {
+		it.fail(err)
+		return
+	}
 	it.seekGroup(start)
 	for it.ok && bytes.Compare(it.cur.Key, key) < 0 {
 		it.advance()

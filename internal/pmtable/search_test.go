@@ -125,7 +125,7 @@ func TestSearchMatchesReference(t *testing.T) {
 					for _, key := range searchProbes(entries, stride) {
 						for _, seq := range []uint64{kv.MaxSeq, 25, 10, 5} {
 							want, wantOK := refGet(entries, key, seq)
-							got, ok := tbl.Get(key, seq)
+							got, ok := mustGet(t, tbl, key, seq)
 							if ok != wantOK || ok && (!bytes.Equal(got.Key, key) || got.Seq != want.Seq ||
 								got.Kind != want.Kind || !bytes.Equal(got.Value, want.Value)) {
 								t.Fatalf("Get(%q, %d) = %v,%v want %v,%v", key, seq, got, ok, want, wantOK)

@@ -9,10 +9,10 @@
 // which is where the merging-iterator scan path spends most of its time.
 //
 // Views are strictly an optimization: they are built from the same iterators
-// a fallback merge would use, verified entry-for-entry against the source
-// counts at build time, and re-verified during scans (a selector pointing at
-// an exhausted cursor aborts the view scan with ErrInconsistent so the
-// caller can redo the range through the plain merge).
+// the plain merge uses, and a view is selectors over those sources' own
+// cursors: a cursor that fails, at build time or mid-scan, fails the build or
+// the scan with its error, exactly as it would fail the merge. One that stops
+// short of what the view recorded with no error of its own is ErrInconsistent.
 //
 //pmblade:deterministic package
 package rangeindex
@@ -25,9 +25,9 @@ import (
 	"pmblade/internal/kv"
 )
 
-// ErrInconsistent reports that a view no longer matches its sources (an I/O
-// error or corruption surfaced mid-scan). Callers fall back to the plain
-// merge, which performs its own error handling.
+// ErrInconsistent reports that a view does not match its sources: a cursor
+// ended before the entries its source counted, or the view selected, were
+// read, and had no error of its own to explain it.
 var ErrInconsistent = errors.New("rangeindex: view inconsistent with sources")
 
 const (
@@ -141,9 +141,14 @@ func Build(epoch uint64, srcs []Source, segTarget int, release func()) (*View, e
 		v.sels = append(v.sels, sel)
 		cursors[min].Next()
 	}
+	for i := range cursors {
+		if err := cursors[i].Err(); err != nil {
+			return nil, err
+		}
+	}
 	if len(v.sels) != expected {
-		// A source iterator stopped early (I/O error or corruption): the
-		// view would silently drop entries, so refuse to build it.
+		// A source yielded fewer entries than it counts: the view would
+		// silently drop some, so refuse to build it.
 		return nil, ErrInconsistent
 	}
 	v.bytes = int64(len(v.sels))
@@ -205,7 +210,7 @@ func (v *View) Unref() {
 // kv.Iterator (yielding every version, in kv.Compare order) so it can stand
 // in for the stable sources inside a merging iterator; scan fast paths
 // additionally use SameAsPrev to skip stale versions without key
-// comparisons and Err to detect mid-scan source failures.
+// comparisons.
 type Iter struct {
 	v       *View
 	cursors []kv.PosIterator
@@ -235,7 +240,8 @@ func (it *Iter) Entry() kv.Entry {
 // previous view entry's key (it is an older version of the same key).
 func (it *Iter) SameAsPrev() bool { return it.v.sels[it.pos]&dupBit != 0 }
 
-// Err reports a view/source mismatch detected while iterating.
+// Err implements kv.Iterator: the error of the cursor that stopped the walk,
+// or ErrInconsistent if it stopped without one.
 func (it *Iter) Err() error { return it.err }
 
 // HintEntries forwards a bounded-scan readahead hint to every cursor that
@@ -250,11 +256,16 @@ func (it *Iter) HintEntries(n int) {
 }
 
 // check verifies that the selector at the current position points at a
-// positioned cursor; a cursor that ran out early means the source failed
-// mid-scan.
+// positioned cursor; a cursor that ran out early failed, or disagrees with
+// the view.
 func (it *Iter) check() {
-	if it.pos < len(it.v.sels) && !it.cursors[it.v.sels[it.pos]&srcMask].Valid() {
-		it.err = ErrInconsistent
+	if it.pos >= len(it.v.sels) {
+		return
+	}
+	if c := it.cursors[it.v.sels[it.pos]&srcMask]; !c.Valid() {
+		if it.err = c.Err(); it.err == nil {
+			it.err = ErrInconsistent
+		}
 	}
 }
 

@@ -2,26 +2,38 @@ package rangeindex
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
 	"pmblade/internal/kv"
 )
 
-// sliceSource is an in-memory Source for tests.
-type sliceSource struct{ entries []kv.Entry }
+// sliceSource is an in-memory Source for tests. With err set, its cursors
+// fail with it on reaching entries[failAt].
+type sliceSource struct {
+	entries []kv.Entry
+	failAt  int
+	err     error
+}
 
 func (s *sliceSource) Len() int { return len(s.entries) }
 func (s *sliceSource) NewCursor() kv.PosIterator {
-	return &sliceCursor{entries: s.entries, i: len(s.entries)}
+	return &sliceCursor{sliceSource: s, i: len(s.entries)}
 }
 
 type sliceCursor struct {
-	entries []kv.Entry
-	i       int
+	*sliceSource
+	i int
 }
 
-func (c *sliceCursor) Valid() bool     { return c.i >= 0 && c.i < len(c.entries) }
+func (c *sliceCursor) Valid() bool { return c.i >= 0 && c.i < len(c.entries) && c.Err() == nil }
+func (c *sliceCursor) Err() error {
+	if c.i >= c.failAt {
+		return c.err
+	}
+	return nil
+}
 func (c *sliceCursor) Next()           { c.i++ }
 func (c *sliceCursor) Entry() kv.Entry { return c.entries[c.i] }
 func (c *sliceCursor) SeekToFirst()    { c.i = 0 }
@@ -188,12 +200,18 @@ func TestEmptyAndSingleSource(t *testing.T) {
 }
 
 func TestBuildRejectsShortSource(t *testing.T) {
-	// A source whose iterator stops early (simulated I/O error) must fail the
+	// A source whose iterator stops early without saying why must fail the
 	// build rather than produce a silently truncated view.
 	s := &sliceSource{entries: []kv.Entry{e("a", 1, "1"), e("b", 2, "2")}}
 	lying := &lyingSource{sliceSource: s, claim: 5}
-	if _, err := Build(1, []Source{lying}, 16, nil); err == nil {
-		t.Fatal("Build accepted a source that yielded fewer entries than Len claimed")
+	if _, err := Build(1, []Source{lying}, 16, nil); !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("Build of a source that yielded fewer entries than Len claimed: %v, want ErrInconsistent", err)
+	}
+	// One that stops on an error of its own fails the build with that error.
+	rot := errors.New("block 1 rotted")
+	failing := &sliceSource{entries: s.entries, failAt: 1, err: rot}
+	if _, err := Build(1, []Source{s, failing}, 16, nil); !errors.Is(err, rot) {
+		t.Fatalf("Build over a cursor that failed: %v, want its error", err)
 	}
 }
 
@@ -244,7 +262,18 @@ func TestMidScanSourceFailure(t *testing.T) {
 	for it.Valid() {
 		it.Next()
 	}
-	if it.Err() == nil {
-		t.Fatal("want ErrInconsistent after cursor sabotage")
+	if !errors.Is(it.Err(), ErrInconsistent) {
+		t.Fatalf("Err after cursor sabotage = %v, want ErrInconsistent", it.Err())
+	}
+	// A cursor that stops on an error of its own: the walk yields what
+	// precedes the failure and reports that error, not a verdict on the view.
+	rot := errors.New("block 1 rotted")
+	s1.failAt, s1.err = 1, rot
+	n := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		n++
+	}
+	if n != 2 || !errors.Is(it.Err(), rot) {
+		t.Fatalf("walk over a cursor failing at its 2nd entry: %d entries, Err %v; want a, b and the cursor's error", n, it.Err())
 	}
 }

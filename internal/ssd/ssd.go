@@ -365,8 +365,20 @@ func (d *Device) Append(id FileID, p []byte, cause device.Cause) (int64, error) 
 	return off, nil
 }
 
+// readFault consults the fault injector, if any, about a read of n bytes of
+// file id (fault.SSDRead: a failure to script, not a crash point to count).
+func (d *Device) readFault(cause device.Cause, id FileID, n int) error {
+	if d.fault == nil {
+		return nil
+	}
+	return d.fault.HookRead(fault.Op{Point: fault.SSDRead, Cause: cause, File: uint64(id), Len: n}).Err
+}
+
 // ReadAt fills p from the file at off, charging one queued read per page span.
 func (d *Device) ReadAt(id FileID, off int64, p []byte, cause device.Cause) error {
+	if err := d.readFault(cause, id, len(p)); err != nil {
+		return err
+	}
 	d.mu.RLock()
 	f, ok := d.files[id]
 	if !ok {
@@ -394,6 +406,9 @@ func (d *Device) ReadAt(id FileID, off int64, p []byte, cause device.Cause) erro
 // immutable files (finished SSTables) may be mapped: an append that regrows
 // the backing array would strand the view on stale bytes.
 func (d *Device) MapAt(id FileID, off int64, n int, cause device.Cause) ([]byte, error) {
+	if err := d.readFault(cause, id, n); err != nil {
+		return nil, err
+	}
 	d.mu.RLock()
 	f, ok := d.files[id]
 	if !ok {

@@ -313,7 +313,11 @@ func (b *Builder) Finish() (*Table, error) {
 		b.dev.Delete(b.file)
 		return nil, err
 	}
-	return Open(b.dev, b.file, nil)
+	t, err := Open(b.dev, b.file, nil)
+	if err != nil {
+		b.dev.Delete(b.file)
+	}
+	return t, err
 }
 
 // Abandon discards a partially built table.
@@ -1039,7 +1043,9 @@ func (t *Table) NewScanIterator() *Iterator {
 	return &Iterator{t: t, bi: -1, raFirst: -1, readahead: ScanReadahead, fillCache: t.cache != nil}
 }
 
-// Err reports the first I/O or corruption error the iterator hit.
+// Err implements kv.Iterator: the first I/O or corruption error the iterator
+// hit since it was last seeked — a *CorruptionError naming the file and block
+// when the bytes were at fault. A salvage iterator reports I/O errors only.
 func (it *Iterator) Err() error { return it.err }
 
 // HintEntries caps the next readahead span to roughly n entries' worth of
@@ -1172,6 +1178,7 @@ func (it *Iterator) loadBlock(bi int) bool {
 
 // SeekToFirst implements kv.Iterator.
 func (it *Iterator) SeekToFirst() {
+	it.err = nil
 	if len(it.t.index) == 0 || !it.loadBlock(0) {
 		it.entries = nil
 	}
@@ -1218,6 +1225,7 @@ func (it *Iterator) Pos() uint64 {
 // the restore is free; otherwise it costs the one block load a SeekGE into
 // that block would also pay, minus the index binary search.
 func (it *Iterator) SetPos(pos uint64) {
+	it.err = nil
 	if pos == kv.PosEOF {
 		it.entries = it.entries[:0]
 		it.ei = 0
@@ -1245,6 +1253,7 @@ func (it *Iterator) SetPos(pos uint64) {
 
 // SeekGE implements kv.Iterator.
 func (it *Iterator) SeekGE(key []byte) {
+	it.err = nil
 	probe := kv.AppendInternalKey(nil, key, kv.MaxSeq, kv.KindDelete)
 	lo, hi := 0, len(it.t.index)
 	for lo < hi {
