@@ -69,25 +69,31 @@ stress-compact:
 # interleavings that used to tear show up, then 3 under the race detector
 # together with the visibility regression tests, iterator pinning across
 # flush + major compaction, the one-partition-per-scan walk, and the memtable
-# probe that guards findGE against a concurrent insert.
+# probe that guards findGE against a concurrent insert. The commit-turn tests
+# ride along at the same counts: eight writers against 2 KiB memtables must
+# leave tiers and log in sequence order, live and after a crash.
+TURN_TESTS := TestTierOrderIsSequenceOrder|TestLogOrderIsSequenceOrder|TestTierOrderSurvivesCrash|TestRotationBetweenTwoWritersKeepsTierOrder|TestQueuedWritersShareOneLogWrite
 stress-snapshot:
-	$(GO) test -count=20 -run 'TestSnapshotNoTornBatches' ./internal/engine
-	$(GO) test -race -count=3 -run 'TestSnapshotNoTornBatches|TestSnapshotBasic|TestScanOverwriteAfterSnapshot|TestIteratorPinnedAcrossCompaction|TestReadStateOutlivesInstalls|TestScanOpensOnlyPartitionsItReads' ./internal/engine
+	$(GO) test -count=20 -run 'TestSnapshotNoTornBatches|$(TURN_TESTS)' ./internal/engine
+	$(GO) test -race -count=3 -run 'TestSnapshotNoTornBatches|TestSnapshotBasic|TestScanOverwriteAfterSnapshot|TestIteratorPinnedAcrossCompaction|TestReadStateOutlivesInstalls|TestScanOpensOnlyPartitionsItReads|$(TURN_TESTS)' ./internal/engine
 	$(GO) test -race -count=3 -run 'TestGetReturnsPublishedVersionUnderAppends' ./internal/memtable
 
 # Code-diet scoreboard: non-test Go lines per internal package, the number of
 # engine.Config fields, the engine-mode branch sites outside tests, and two
 # structural counts of the maintenance side — where internal/engine calls
-# compaction.Run and how many functions it marks as doing compaction I/O.
+# compaction.Run and how many functions it marks as doing compaction I/O —
+# and the synchronisation fields (Mutex, RWMutex, Cond, chan) of engine.DB and
+# engine.partition.
 MODE_BRANCH := cfg\.RocksDB|cfg\.Level0OnPM
 scoreboard:
 	@for d in internal/*/; do \
-		printf '%-28s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+		printf '%-28s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l); \
 	done
 	@printf '%-28s %6d\n' 'engine.Config fields' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' internal/engine/config.go)
 	@printf '%-28s %6d\n' 'mode-branch sites' $$(grep -nE '$(MODE_BRANCH)' internal/engine/*.go | grep -v _test | wc -l)
 	@printf '%-28s %6d\n' 'compaction.Run call sites' $$(grep -n 'compaction\.Run(' internal/engine/*.go | grep -v _test | wc -l)
 	@printf '%-28s %6d\n' '//pmblade:compacts roots' $$(grep -n '^//pmblade:compacts' internal/engine/*.go | grep -v _test | wc -l)
+	@printf '%-28s %6d\n' 'DB+partition sync fields' $$(awk '/^type (DB|partition) struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Za-z]/&&$$0~SYNC{n++} END{print n}' SYNC='[ \t*](sync\.(RW)?Mutex|sync\.Cond|chan )' internal/engine/engine.go)
 
 # verify is the pre-merge gate: everything CI checks, in one target.
 verify: build vet pmblade-vet race stress-compact stress-snapshot crash scrub-soak bench-smoke

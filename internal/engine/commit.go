@@ -2,43 +2,27 @@ package engine
 
 import (
 	"fmt"
+	"sync"
 
 	"pmblade/internal/fault"
 	"pmblade/internal/kv"
 )
 
-// commitReq is one writer's contribution to a group commit. The committer
-// replies exactly once on err.
+// commitReq is one caller's place in the commit queue (DESIGN.md §5.2): a
+// batch to commit or, alone set, a turn to itself. The leader of the turn
+// that serves it writes done and err under commitMu.
 type commitReq struct {
 	entries []kv.Entry
-	err     chan error
+	alone   bool
+	rotated []*partition // leader only: memtables its turn retired, partition order
+
+	done bool
+	err  error
+	wake sync.Cond // on commitMu
 }
 
-// commit assigns sequence numbers to entries and makes them durable through
-// the group committer (Section IV-D's pipeline, stage 1-2: enqueue, then one
-// coalesced WAL append+sync for every writer waiting at that moment). With
-// the WAL disabled it only assigns sequences.
-//
-// Sequences are allocated as one contiguous block per batch and returned as
-// [first, last]: the caller MUST call db.publish(first, last) after its
-// memtable inserts complete (or after a commit error), which advances the
-// visibility watermark in commit order. Allocated-but-unpublished sequences
-// are invisible to readers, so a concurrent reader can never observe part of
-// a batch.
-func (db *DB) commit(entries []kv.Entry) (first, last uint64, err error) {
-	n := uint64(len(entries))
-	last = db.seq.Add(n)
-	first = last - n + 1
-	for i := range entries {
-		entries[i].Seq = first + uint64(i)
-	}
-	if db.wal == nil {
-		return first, last, nil
-	}
-	req := &commitReq{entries: entries, err: make(chan error, 1)}
-	db.commitC <- req
-	return first, last, <-req.err
-}
+// walBatchBytes caps the payload one turn coalesces into one WAL append+sync.
+const walBatchBytes = 1 << 20
 
 // entriesBytes estimates the WAL payload of a batch.
 func entriesBytes(entries []kv.Entry) int64 {
@@ -49,70 +33,138 @@ func entriesBytes(entries []kv.Entry) int64 {
 	return n
 }
 
-// walBatchBytes caps how many payload bytes the group committer coalesces
-// into one WAL append+sync.
-const walBatchBytes = 1 << 20
+// turn runs fn in a turn of its own (FlushAll's rotation, Checkpoint's log
+// switch, Close): every write queued before it is committed, inserted and
+// visible, none queued after it has begun, and no memtable rotates meanwhile.
+func (db *DB) turn(fn func()) {
+	group := db.joinTurn(&commitReq{alone: true}) // alone is never served by another leader
+	fn()
+	db.endTurn(group, nil)
+}
 
-// committer is the group-commit loop: take the first waiting request,
-// opportunistically coalesce everything else already queued (bounded by
-// walBatchBytes), write all batches in a single device append, sync once,
-// and fan the result back out. Concurrent writers therefore share one WAL sync instead of paying one
-// each — the group-commit amortization the write path is built around.
-func (db *DB) committer() {
-	defer close(db.commitDone)
-	for {
-		first, ok := <-db.commitC
-		if !ok {
-			return
+// joinTurn queues r and waits until a leader has served it (nil) or it heads
+// the queue, when it returns the group r now leads: r and, unless r runs
+// alone, the writes directly behind it up to walBatchBytes — so concurrent
+// writers share one WAL sync and a lone writer pays no hand-off. The group
+// stays at the head of the queue until endTurn, which makes arrivals wait:
+// turns run one at a time, in queue order.
+func (db *DB) joinTurn(r *commitReq) []*commitReq {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	r.wake.L = &db.commitMu
+	db.commitQ = append(db.commitQ, r)
+	for !r.done && db.commitQ[0] != r {
+		r.wake.Wait()
+	}
+	if r.done {
+		return nil
+	}
+	q, n := db.commitQ, 1
+	if !r.alone {
+		for size := entriesBytes(r.entries); n < len(q) && !q[n].alone && size < walBatchBytes; n++ {
+			size += entriesBytes(q[n].entries)
 		}
-		reqs := []*commitReq{first}
-		batches := [][]kv.Entry{first.entries}
-		size := entriesBytes(first.entries)
-	gather:
-		for size < walBatchBytes {
-			select {
-			case r, chOpen := <-db.commitC:
-				if !chOpen {
-					break gather
-				}
-				reqs = append(reqs, r)
-				batches = append(batches, r.entries)
-				size += entriesBytes(r.entries)
-			default:
-				break gather
-			}
-		}
-		db.walMu.Lock()
-		// Transient device faults are retried with bounded backoff. Anything
-		// else — torn append, permanent failure, power cut — must NOT be
-		// retried: re-appending after a torn record would bury it behind
-		// garbage the replay scan cannot cross, silently orphaning every
-		// later record. Instead the engine degrades: this group fails, and
-		// the sticky error fails all future writes while reads stay up.
-		err := db.retryDurable(func() error {
-			_, e := db.wal.AppendBatches(batches)
-			return e
-		})
-		if err == nil {
-			err = db.retryDurable(func() error { return db.wal.Sync() })
-		}
-		db.walMu.Unlock()
-		if err != nil && !fault.IsTransient(err) {
-			db.setBgErr(fmt.Errorf("engine: WAL degraded, writes disabled: %w", err))
-		}
-		db.metrics.WALCommitCount.Add(1)
-		db.metrics.WALCommitBatches.Add(int64(len(batches)))
-		var n int64
-		for _, b := range batches {
-			n += int64(len(b))
-		}
-		db.metrics.WALCommitEntries.Add(n)
+	}
+	return q[:n:n]
+}
+
+// endTurn acks every member of the group with the turn's outcome, takes the
+// group off the queue and wakes the request that now heads it.
+func (db *DB) endTurn(group []*commitReq, err error) {
+	db.commitMu.Lock()
+	defer db.commitMu.Unlock()
+	for _, r := range group {
 		// Acking a writer publishes its batch as durable: the writer may
 		// acknowledge its client, which must never happen with WAL bytes
 		// still unsynced. persistorder checks every path to this statement.
-		for _, r := range reqs {
-			//pmblade:publish ssd
-			r.err <- err
+		//pmblade:publish ssd
+		r.err = err
+		r.done = true
+		r.wake.Signal()
+	}
+	rest := copy(db.commitQ, db.commitQ[len(group):])
+	clear(db.commitQ[rest:])
+	db.commitQ = db.commitQ[:rest]
+	if rest > 0 {
+		db.commitQ[0].wake.Signal()
+	}
+}
+
+// commitGroup is a turn's work for a group of writes, in the order that makes
+// log, memtables and read watermark agree by construction: the group takes
+// one contiguous ascending sequence block, goes to the WAL as one append and
+// one sync (Section IV-D's group commit; each batch keeps its own atomic
+// record), is inserted in sequence order, becomes visible all at once, and
+// only then may a memtable it filled rotate — no other turn runs meanwhile,
+// so a newer memtable never receives an older sequence. A group that fails is
+// not inserted, but its block stays burned (its records may be in the log)
+// and the watermark still moves past it.
+func (db *DB) commitGroup(group []*commitReq) error {
+	if db.closed.Load() {
+		return ErrClosed
+	}
+	if err := db.loadBgErr(); err != nil {
+		return err
+	}
+	var buf [8][]kv.Entry // the usual group sizes stay off the heap
+	batches := buf[:0]
+	first := db.seq.Load()
+	seq := first
+	for _, r := range group {
+		for i := range r.entries {
+			seq++
+			r.entries[i].Seq = seq
+		}
+		batches = append(batches, r.entries)
+	}
+	db.seq.Store(seq)
+	err := db.logGroup(batches, int64(seq-first))
+	if err == nil {
+		for _, b := range batches {
+			for _, e := range b {
+				p := db.route(e.Key)
+				db.noteWrite(p, e)
+				p.state.Load().mem.Add(e)
+			}
 		}
 	}
+	db.visible.Store(seq)
+	if err != nil {
+		return err
+	}
+	for _, p := range db.partitions {
+		if p.rotate(db.cfg.MemtableBytes) {
+			group[0].rotated = append(group[0].rotated, p)
+		}
+	}
+	return nil
+}
+
+// logGroup writes batches to the WAL, if there is one, as one device append
+// and one sync. Transient device faults are retried with bounded backoff.
+// Anything else — torn append, permanent failure, power cut — must NOT be
+// retried: re-appending after a torn record would bury it behind garbage the
+// replay scan cannot cross, silently orphaning every later record. Instead
+// the engine degrades: this group fails, and the sticky error fails every
+// later turn while reads stay up.
+func (db *DB) logGroup(batches [][]kv.Entry, entries int64) error {
+	if db.wal == nil {
+		return nil
+	}
+	db.walMu.Lock()
+	err := db.retryDurable(func() error {
+		_, e := db.wal.AppendBatches(batches)
+		return e
+	})
+	if err == nil {
+		err = db.retryDurable(func() error { return db.wal.Sync() })
+	}
+	db.walMu.Unlock()
+	if err != nil && !fault.IsTransient(err) {
+		db.setBgErr(fmt.Errorf("engine: WAL degraded, writes disabled: %w", err))
+	}
+	db.metrics.WALCommitCount.Add(1)
+	db.metrics.WALCommitBatches.Add(int64(len(batches)))
+	db.metrics.WALCommitEntries.Add(entries)
+	return err
 }

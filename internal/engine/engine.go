@@ -28,11 +28,11 @@ var ErrClosed = errors.New("engine: closed")
 // DB is the PM-Blade storage engine.
 //
 // Concurrency: the lock hierarchy is documented in DESIGN.md §5.3. In
-// short: majorMu > partition.maint > partition.mu, and the small leaf
-// mutexes (walMu, flushesMu, partition.seenMu) are never held across an
-// acquisition of any other lock. Readers take none of them: they acquire the
-// partition's readState (state.go). Fields carry "guarded by:" annotations
-// checked by the guardedby analyzer (pmblade-vet).
+// short: a commit turn > majorMu > partition.maint > partition.mu, and the
+// small leaf mutexes (commitMu, walMu, flushesMu, partition.seenMu) are never
+// held across an acquisition of any other lock. Readers take none of them:
+// they acquire the partition's readState (state.go). Fields carry "guarded
+// by:" annotations checked by the guardedby analyzer (pmblade-vet).
 type DB struct {
 	cfg   Config
 	pm    *pmem.Device
@@ -44,33 +44,24 @@ type DB struct {
 	userBytes atomic.Int64
 	metrics   *Metrics
 
-	// Visibility watermark (DESIGN.md §5.10): seq above is the *allocated*
-	// counter; visible is the *published* one readers snapshot. A batch's
-	// contiguous seq block publishes only after all its memtable inserts
-	// complete, in commit order, so a reader never observes a torn batch.
-	visible atomic.Uint64
-	pubMu   sync.Mutex
-	pubDone map[uint64]uint64 // completed blocks (first -> last) awaiting in-order publish; guarded by: pubMu
-	pubNext uint64            // next sequence expected to publish; guarded by: pubMu
+	// The commit queue (commit.go, DESIGN.md §5.2): writes, FlushAll's
+	// rotation, Checkpoint's log switch and Close each wait here for a turn,
+	// and one turn runs at a time. Only a turn stores seq, the last sequence
+	// taken, and visible, the last one readers may see (§5.10): a turn's whole
+	// block at once, after its inserts, so no reader observes a torn batch.
+	commitMu sync.Mutex
+	commitQ  []*commitReq // waiting callers, oldest first; the head leads; guarded by: commitMu
+	visible  atomic.Uint64
 
 	// Snapshot registry: pinned sequences (open snapshots plus in-flight
 	// reads) that flush/compaction retention consults via retentionBounds.
 	snapMu   sync.Mutex
 	snapRefs map[uint64]int // pinned seq -> refcount; guarded by: snapMu
 
+	// wal is the live log, replaced only inside a turn (Checkpoint), under
+	// walMu for its readers outside the queue (manifest, scrub).
 	wal   *wal.Writer
 	walMu sync.Mutex
-
-	// Group commit: writers enqueue requests on commitC and a dedicated
-	// committer goroutine coalesces them into one WAL append+sync.
-	// commitDone closes when the committer exits.
-	commitC    chan *commitReq
-	commitDone chan struct{}
-
-	// opGate is read-held by every write for its full duration; Close
-	// write-locks it to wait out in-flight writers before stopping the
-	// committer.
-	opGate sync.RWMutex
 
 	partitions []*partition
 
@@ -168,9 +159,9 @@ type partition struct {
 
 	// state is the partition's published read state (state.go). mu is the
 	// publish lock: every install builds a new state from the current one and
-	// stores it under mu; writers hold mu shared around their memtable insert
-	// so a rotation waits them out. Readers never take mu.
-	mu    sync.RWMutex
+	// stores it under mu. Neither readers nor inserts take it: the active
+	// memtable changes only in a commit turn, and only a turn inserts.
+	mu    sync.Mutex
 	state atomic.Pointer[readState]
 
 	// maint serializes this partition's structural maintenance (flush,
@@ -279,8 +270,7 @@ func Open(cfg Config) (*DB, error) {
 			return nil, fmt.Errorf("engine: install initial manifest: %w", err)
 		}
 	}
-	db.initVisibility()
-	db.startPipeline()
+	db.start()
 	return db, nil
 }
 
@@ -331,35 +321,27 @@ func (db *DB) retryDurable(op func() error) error {
 	}
 }
 
-// startPipeline initializes the asynchronous write machinery: flush-drain
-// bookkeeping and (with a WAL) the group committer. Called once partitions
-// and the WAL exist.
-func (db *DB) startPipeline() {
+// start readies a DB that Open or Recover has built: the read watermark at
+// the sequence they arrived at, nothing pinned, flush-drain bookkeeping, scrub.
+func (db *DB) start() {
+	db.visible.Store(db.seq.Load())
+	db.snapMu.Lock()
+	db.snapRefs = map[uint64]int{}
+	db.snapMu.Unlock()
 	db.flushesCv = sync.NewCond(&db.flushesMu)
-	if db.wal != nil {
-		db.commitC = make(chan *commitReq, 256)
-		db.commitDone = make(chan struct{})
-		go db.committer()
-	}
 	db.startScrub()
 }
 
-// Close drains the write pipeline and releases the engine: in-flight writers
-// finish, the group committer commits its backlog and exits, background
-// flushes run to completion.
+// Close takes the last turn: every write queued before it commits in full,
+// every later one fails with ErrClosed, so nothing appends to the log once
+// the turn is over. Scheduled flushes then run to completion.
 func (db *DB) Close() error {
-	if db.closed.Swap(true) {
+	var again bool
+	db.turn(func() { again = db.closed.Swap(true) })
+	if again {
 		return ErrClosed
 	}
 	db.stopScrub()
-	// Wait for in-flight writers to leave the commit path; afterwards no
-	// goroutine can send on commitC, so closing it is safe.
-	db.opGate.Lock()
-	db.opGate.Unlock() //nolint:staticcheck // gate barrier, not a critical section
-	if db.commitC != nil {
-		close(db.commitC)
-		<-db.commitDone
-	}
 	db.drainFlushes()
 	db.pool.CloseBackground()
 	if db.wal != nil {

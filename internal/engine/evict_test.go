@@ -477,4 +477,5 @@ func TestStressCompactEvict(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("no keys verified")
 	}
+	checkTierOrder(t, db, false)
 }

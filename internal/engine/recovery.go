@@ -220,42 +220,37 @@ func (db *DB) saveManifestLocked(extraWAL uint64) (ssd.FileID, error) {
 
 // Checkpoint makes the current state durable and bounds recovery work.
 //
-// Crash-consistency protocol (DESIGN.md §5.4): the WAL is rotated behind the
-// write gate and a bridging manifest listing BOTH logs is installed before
-// any writer can commit to the fresh log — a crash at any instant therefore
-// finds a durable manifest covering every acknowledged write. FlushAll then
-// pushes the old log's memtables to level-0, a second manifest drops the old
-// log from the live set, and only then is the old log deleted.
+// Crash-consistency protocol (DESIGN.md §5.4): the WAL is switched inside a
+// commit turn and a bridging manifest listing BOTH logs is installed before
+// the turn ends, so no writer can commit to the fresh log first — a crash at
+// any instant therefore finds a durable manifest covering every acknowledged
+// write. FlushAll then pushes the old log's memtables to level-0, a second
+// manifest drops the old log from the live set, and only then is the old log
+// deleted.
 func (db *DB) Checkpoint() (ssd.FileID, error) {
 	var old *wal.Writer
 	if db.wal != nil {
-		// The write gate waits out writers that committed to the old log but
-		// have not yet reached their memtable; after it, memtables cover the
-		// old log completely and nothing has landed in the new one yet.
-		db.opGate.Lock()
-		db.walMu.Lock()
-		old = db.wal
-		db.wal = wal.NewWriter(db.ssd)
-		db.walMu.Unlock()
-		// Bridge manifest: both logs live. Installed before the gate opens so
-		// no write can be acknowledged into a log no manifest knows about.
-		db.drainFlushes()
-		db.lockAll()
-		_, err := db.saveManifestLocked(uint64(old.File()))
-		db.unlockAll()
+		// Every earlier turn has inserted what it logged: at the switch the
+		// memtables cover the old log and the new one is empty.
+		var err error
+		db.turn(func() {
+			db.walMu.Lock()
+			old = db.wal
+			db.wal = wal.NewWriter(db.ssd)
+			db.walMu.Unlock()
+			db.drainFlushes()
+			db.lockAll()
+			_, err = db.saveManifestLocked(uint64(old.File()))
+			db.unlockAll()
+		})
 		if err != nil {
-			db.opGate.Unlock()
 			return 0, err
 		}
-		db.opGate.Unlock()
 	}
 	if err := db.FlushAll(); err != nil {
 		return 0, err
 	}
-	db.drainFlushes()
-	db.lockAll()
-	mf, err := db.saveManifestLocked(0)
-	db.unlockAll()
+	mf, err := db.SaveManifest()
 	if err != nil {
 		return 0, err
 	}
@@ -509,8 +504,10 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	db.quarMu.Unlock()
 
 	// Replay the live WALs, oldest first, into the memtables. Entries already
-	// flushed to level-0 are re-applied; versioning makes that harmless (the
-	// newest sequence wins regardless of which tier holds it).
+	// flushed to level-0 are re-applied, which is harmless: the live logs hold
+	// every sequence above the checkpoint that switched to them, so the
+	// memtable — the first tier a read meets — ends up with the newest
+	// version of every key written since, and a table can only repeat it.
 	walFiles := m.WALFiles
 	if len(walFiles) == 0 && m.WALFile != 0 {
 		walFiles = []uint64{m.WALFile}
@@ -520,8 +517,8 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		var replayed []kv.Entry
 		for _, wf := range walFiles {
 			_, err := wal.Replay(sd, ssd.FileID(wf), func(e kv.Entry) error {
-				// Recovery is single-threaded: no rotation can race this insert,
-				// so the publish lock is not needed.
+				// Recovery is single-threaded: there is no commit turn to
+				// take yet.
 				db.route(e.Key).state.Load().mem.Add(e)
 				if e.Seq > maxSeq {
 					maxSeq = e.Seq
@@ -560,9 +557,6 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 			sd.Delete(ssd.FileID(wf))
 		}
 	}
-	// Seed the visibility watermark at the recovered sequence: everything
-	// replayed is published, nothing is in flight.
-	db.initVisibility()
-	db.startPipeline()
+	db.start()
 	return db, nil
 }

@@ -1,7 +1,7 @@
-// Snapshot visibility machinery (DESIGN.md §5.10): the published visible-seq
-// watermark that decouples *allocated* sequences from *readable* ones, the
-// ref-counted registry of pinned sequences that flush/compaction retention
-// consults, and the Snapshot handle giving consistent cross-partition reads.
+// Snapshot visibility machinery (DESIGN.md §5.10): the visible-seq watermark
+// readers resolve at, the ref-counted registry of pinned sequences that
+// flush/compaction retention consults, and the Snapshot handle giving
+// consistent cross-partition reads.
 
 package engine
 
@@ -11,54 +11,10 @@ import (
 	"time"
 )
 
-// initVisibility seeds the watermark from the allocated sequence counter.
-// Called single-threaded from Open and Recover, after the final seq store and
-// before the engine is published to callers.
-func (db *DB) initVisibility() {
-	seq := db.seq.Load()
-	db.visible.Store(seq)
-	db.pubMu.Lock()
-	db.pubNext = seq + 1
-	db.pubDone = map[uint64]uint64{}
-	db.pubMu.Unlock()
-	db.snapMu.Lock()
-	db.snapRefs = map[uint64]int{}
-	db.snapMu.Unlock()
-}
-
-// VisibleSeq reports the published visibility watermark: the highest sequence
-// whose batch (and every batch committed before it) is fully readable.
+// VisibleSeq reports the visibility watermark: the highest sequence whose
+// batch (and every batch committed before it) is fully readable. A commit
+// turn stores it once, after inserting its whole block.
 func (db *DB) VisibleSeq() uint64 { return db.visible.Load() }
-
-// publish marks the contiguous sequence block [first, last] as inserted (or
-// failed — a failed commit's block must still publish, or the in-order
-// watermark would stall forever at the gap) and advances the watermark
-// through every contiguous completed block, in commit order. A reader that
-// snapshots the watermark therefore never observes a torn batch: either none
-// of the block's sequences are visible or all of them are.
-func (db *DB) publish(first, last uint64) {
-	if first == 0 || last < first {
-		return
-	}
-	db.pubMu.Lock()
-	defer db.pubMu.Unlock()
-	if first != db.pubNext {
-		// An earlier block is still inserting; park this one for it.
-		db.pubDone[first] = last
-		return
-	}
-	next := last + 1
-	for {
-		l, ok := db.pubDone[next]
-		if !ok {
-			break
-		}
-		delete(db.pubDone, next)
-		next = l + 1
-	}
-	db.pubNext = next
-	db.visible.Store(next - 1)
-}
 
 // acquireSeq pins seq in the snapshot registry: flush and compaction keep
 // every version a pinned sequence can still read (retentionBounds).
@@ -95,9 +51,9 @@ func (db *DB) endRead(seq uint64) { db.releaseSeq(seq) }
 
 // retentionBounds returns the retention boundaries for flush/compaction:
 // every pinned sequence plus the current watermark, sorted ascending. The
-// watermark is always a boundary — versions above it are unpublished and a
-// future in-order publish may stop on any of them, so they must not shadow
-// the currently visible version out of existence. With nothing pinned the
+// watermark is always a boundary — versions above it belong to a turn that
+// has not made them visible yet, so they must not shadow the currently
+// visible version out of existence. With nothing pinned the
 // result is just the watermark and retention degenerates to plain dedup.
 //
 // Invariant: all bounds ≤ the watermark read under snapMu. Pins are taken at

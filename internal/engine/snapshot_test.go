@@ -392,4 +392,5 @@ func TestSnapshotNoTornBatches(t *testing.T) {
 	readerWG.Wait()
 	close(stop)
 	writerWG.Wait()
+	checkTierOrder(t, db, false)
 }

@@ -19,6 +19,15 @@ import (
 // state from the current one and publishes it with one atomic store, so a
 // reader can never pair tables from two different moments.
 //
+// Tier order is sequence order: every sequence in a tier is above every
+// sequence in the tiers listed after it — mem, imm newest first, the unsorted
+// level-0 tables newest first, then the stable half, whose own levels keep
+// that order key by key — so a lookup stops at the first tier that holds a
+// visible version of its key, comparing nothing across tiers. It holds by
+// construction: one commit turn at a time hands out, inserts and rotates
+// sequences (commit.go), flushes retire immutables oldest first, and a
+// compaction takes every table above its output.
+//
 // A state holds one sstable reference per SSD table it lists and drops them
 // the moment its last reference goes, so a replaced table's file lives
 // exactly as long as some reader can still reach it. PM tables need no
@@ -97,23 +106,24 @@ func (p *partition) publish(s *readState) {
 }
 
 // rotate turns the active memtable into the newest immutable one if it holds
-// at least minBytes (and anything at all), reporting the resulting backlog.
-// p.mu excludes in-flight inserts, which hold it shared around mem.Add.
-func (p *partition) rotate(minBytes int64) (immutables int) {
+// at least minBytes (and anything at all), and reports whether it did. Only a
+// commit turn calls it: turns are the only inserters, so the memtable retired
+// is complete and its successor starts above every sequence it holds.
+func (p *partition) rotate(minBytes int64) bool {
+	if m := p.state.Load().mem; m.Empty() || m.ApproximateSize() < minBytes {
+		return false
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := p.state.Load()
-	if !s.mem.Empty() && s.mem.ApproximateSize() >= minBytes {
-		p.publish(&readState{
-			mem:        memtable.New(),
-			imm:        append([]*memtable.Memtable{s.mem}, s.imm...),
-			pmUnsorted: s.pmUnsorted,
-			ssdL0:      s.ssdL0,
-			stableHalf: s.stableHalf,
-		})
-		return len(s.imm) + 1
-	}
-	return len(s.imm)
+	p.publish(&readState{
+		mem:        memtable.New(),
+		imm:        append([]*memtable.Memtable{s.mem}, s.imm...),
+		pmUnsorted: s.pmUnsorted,
+		ssdL0:      s.ssdL0,
+		stableHalf: s.stableHalf,
+	})
+	return true
 }
 
 // installTables publishes p's table containers (edited by the caller under

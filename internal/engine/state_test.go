@@ -131,7 +131,7 @@ func TestReadStateOutlivesInstalls(t *testing.T) {
 			// Rotation + flush touch only the overlay: same stable half, same
 			// view object, no rebuild.
 			builds := db.metrics.RangeViewBuilds.Load()
-			p.rotate(0)
+			db.turn(func() { p.rotate(0) })
 			p.maint.Lock()
 			err = db.flushImmutables(p)
 			p.maint.Unlock()

@@ -16,12 +16,12 @@ import (
 
 // Put writes a key-value pair.
 func (db *DB) Put(key, value []byte) error {
-	return db.apply(kv.Entry{Key: key, Value: value, Kind: kv.KindSet})
+	return db.write(kv.Entry{Key: key, Value: value, Kind: kv.KindSet})
 }
 
 // Delete writes a tombstone for key.
 func (db *DB) Delete(key []byte) error {
-	return db.apply(kv.Entry{Key: key, Kind: kv.KindDelete})
+	return db.write(kv.Entry{Key: key, Kind: kv.KindDelete})
 }
 
 // Batch applies a group of entries atomically with respect to the WAL:
@@ -48,91 +48,49 @@ func (b *Batch) Reset() { b.entries = b.entries[:0] }
 
 // Apply commits the batch.
 func (db *DB) Apply(b *Batch) error {
-	if len(b.entries) == 0 {
-		return nil
-	}
-	db.opGate.RLock()
-	defer db.opGate.RUnlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := db.loadBgErr(); err != nil {
-		return err
-	}
-	start := time.Now()
-	first, last, err := db.commit(b.entries)
-	if err != nil {
-		// The failed block still publishes: the in-order watermark must not
-		// stall on a gap no insert will ever fill.
-		db.publish(first, last)
-		return err
-	}
-	// Apply every memtable insert before any flush check, so a maintenance
-	// error can never leave the batch half-accounted: by the time flush
-	// scheduling runs, all entries are readable.
-	touched := map[*partition]bool{}
-	for i := range b.entries {
-		e := b.entries[i]
-		p := db.route(e.Key)
-		db.noteWrite(p, e)
-		p.insert(e)
-		touched[p] = true
-	}
-	// Every entry is inserted: publish the block, making the whole batch
-	// visible at once (all-or-nothing for concurrent readers).
-	db.publish(first, last)
-	var firstErr error
-	// Walk partitions in index order, not map order: with SyncFlush the
-	// flush happens on this goroutine, and crash-point enumeration needs
-	// the identical device-op sequence on every replay of a workload.
-	for _, p := range db.partitions {
-		if !touched[p] {
-			continue
-		}
-		if err := db.maybeFlush(p); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	db.metrics.WriteLatency.Record(time.Since(start))
-	return firstErr
+	return db.write(b.entries...)
 }
 
-// apply commits a single entry.
-func (db *DB) apply(e kv.Entry) error {
-	db.opGate.RLock()
-	defer db.opGate.RUnlock()
-	if db.closed.Load() {
-		return ErrClosed
-	}
-	if err := db.loadBgErr(); err != nil {
-		return err
+// write commits entries as one batch: all or nothing in the log, all at once
+// for readers. The caller is blocked until its turn is over, so the entries
+// may alias its buffers — log and memtable copy what they keep. After the
+// turn comes maintenance: the leader starts the flush of every memtable its
+// turn retired (scheduled, or run here under SyncFlush — in partition order,
+// so crash-point enumeration sees the same device operations on every
+// replay), and each writer waits out its partitions' flush backlog.
+func (db *DB) write(entries ...kv.Entry) error {
+	if len(entries) == 0 {
+		return nil
 	}
 	start := time.Now()
-	one := [1]kv.Entry{e.Clone()}
-	first, last, err := db.commit(one[:])
-	if err != nil {
-		db.publish(first, last)
-		return err
+	r := &commitReq{entries: entries}
+	if group := db.joinTurn(r); group != nil {
+		db.endTurn(group, db.commitGroup(group))
 	}
-	e = one[0]
-	p := db.route(e.Key)
-	db.noteWrite(p, e)
-	p.insert(e)
-	db.publish(first, last)
-	if err := db.maybeFlush(p); err != nil {
+	if r.err != nil {
+		return r.err
+	}
+	for _, p := range r.rotated {
+		if !db.cfg.SyncFlush {
+			db.scheduleFlush(p)
+		} else if err := db.flushAndMaintain(p); err != nil {
+			return err
+		} else if err := db.globalCompactionCheck(); err != nil {
+			return err
+		}
+	}
+	var last *partition
+	for i := range entries {
+		if p := db.route(entries[i].Key); p != last {
+			db.awaitFlushBacklog(p)
+			last = p
+		}
+	}
+	if err := db.loadBgErr(); err != nil {
 		return err
 	}
 	db.metrics.WriteLatency.Record(time.Since(start))
 	return nil
-}
-
-// insert adds e to p's active memtable. It holds p.mu shared, so a rotation
-// (which takes it exclusively) cannot retire the memtable mid-insert and hand
-// a flush a memtable that is still growing.
-func (p *partition) insert(e kv.Entry) {
-	p.mu.RLock()
-	p.state.Load().mem.Add(e)
-	p.mu.RUnlock()
 }
 
 // noteWrite updates n_i^w / n_i^u and user-byte accounting. An update is a
@@ -153,42 +111,27 @@ func (db *DB) noteWrite(p *partition, e kv.Entry) {
 // the background flushers time to catch up.
 const maxImmutables = 4
 
-// maybeFlush is the foreground half of flushing (Section IV-D, stage 3→4
-// boundary): when the memtable exceeds its budget it is rotated into the
-// immutable list and a background flush task is scheduled. Backpressure: if
-// the partition has accumulated maxImmutables unflushed memtables the writer
-// stops accepting new writes and joins the flush effort until the backlog is
-// below the threshold again, with the stall time recorded in Metrics.
-func (db *DB) maybeFlush(p *partition) error {
-	s := p.state.Load()
-	backlog := len(s.imm)
-	if s.mem.ApproximateSize() >= db.cfg.MemtableBytes {
-		backlog = p.rotate(db.cfg.MemtableBytes)
-		if db.cfg.SyncFlush {
-			if err := db.flushAndMaintain(p); err != nil {
-				return err
-			}
-			return db.globalCompactionCheck()
-		}
-		db.scheduleFlush(p)
+// awaitFlushBacklog is the write path's backpressure: a writer whose
+// partition holds maxImmutables unflushed memtables joins the flush effort
+// until the backlog is below that again; the time goes to WriteStallNanos.
+func (db *DB) awaitFlushBacklog(p *partition) {
+	if len(p.state.Load().imm) < maxImmutables {
+		return
 	}
-	if backlog >= maxImmutables {
-		stall := time.Now()
-		for db.loadBgErr() == nil && !db.closed.Load() && len(p.state.Load().imm) >= maxImmutables {
-			// Lend this writer's CPU to the flushers instead of parking it:
-			// on machines with few cores the background workers may not be
-			// scheduled often enough to keep pace with a hot write loop, and
-			// a parked writer would leave the backlog to drain at whatever
-			// rate the scheduler grants. flushAndMaintain serializes on
-			// p.maint with the background task, so the two never double-flush.
-			if err := db.flushAndMaintain(p); err != nil {
-				db.setBgErr(err)
-				break
-			}
+	stall := time.Now()
+	for db.loadBgErr() == nil && !db.closed.Load() && len(p.state.Load().imm) >= maxImmutables {
+		// Lend this writer's CPU to the flushers instead of parking it: on
+		// machines with few cores the background workers may not be scheduled
+		// often enough to keep pace with a hot write loop, and a parked writer
+		// would leave the backlog to drain at whatever rate the scheduler
+		// grants. flushAndMaintain serializes on p.maint with the background
+		// task, so the two never double-flush.
+		if err := db.flushAndMaintain(p); err != nil {
+			db.setBgErr(err)
+			break
 		}
-		db.metrics.WriteStallNanos.Add(int64(time.Since(stall)))
 	}
-	return db.loadBgErr()
+	db.metrics.WriteStallNanos.Add(int64(time.Since(stall)))
 }
 
 // scheduleFlush hands p to the background flush workers, at most one task in
@@ -259,11 +202,14 @@ func (db *DB) flushAndMaintain(p *partition) error {
 }
 
 // FlushAll force-flushes every partition's memtable synchronously (tests,
-// checkpoint, and shutdown support) and runs the compaction strategy.
+// checkpoint, and shutdown support) and runs the compaction strategy. The
+// rotation takes a turn, like every rotation.
 func (db *DB) FlushAll() error {
-	for _, p := range db.partitions {
-		p.rotate(0)
-	}
+	db.turn(func() {
+		for _, p := range db.partitions {
+			p.rotate(0)
+		}
+	})
 	for _, p := range db.partitions {
 		if err := db.flushAndMaintain(p); err != nil {
 			return err

@@ -245,7 +245,7 @@ func runPass(opts Options, in *fault.Injector) (or *oracle, pending *pendingOp, 
 		}
 		or.apply(op)
 	}
-	// Close stops the committer; post-cut device ops fail without mutating,
+	// Close takes the last commit turn; post-cut device ops fail without mutating,
 	// so a cut landing during shutdown is itself a tested crash point. The
 	// snapshots are still open here — Close must tolerate live pins.
 	_ = db.Close()

@@ -40,6 +40,14 @@ func encodeRecord(dst []byte, e kv.Entry) []byte {
 	return append(dst, e.Value...)
 }
 
+// fits reports whether two decoded lengths, one after the other, lie inside
+// size bytes. The comparison is in uint64: a rotted uvarint near 2^63 goes
+// negative through int and would slip under a signed bound into a slice
+// expression.
+func fits(size int, n, m uint64) bool {
+	return size >= 0 && n <= uint64(size) && m <= uint64(size)-n
+}
+
 func decodeRecord(p []byte) (e kv.Entry, n int, err error) {
 	klen, a := binary.Uvarint(p)
 	if a <= 0 {
@@ -50,7 +58,7 @@ func decodeRecord(p []byte) (e kv.Entry, n int, err error) {
 		return kv.Entry{}, 0, ErrCorrupt
 	}
 	off := a + b
-	if off+8+int(klen)+int(vlen) > len(p) {
+	if !fits(len(p)-off-8, klen, vlen) {
 		return kv.Entry{}, 0, ErrCorrupt
 	}
 	trailer := binary.LittleEndian.Uint64(p[off:])
@@ -138,7 +146,7 @@ func (m *arrayMeta) offset(i int) int {
 // with into scratch's storage.
 func inflate(data, scratch []byte) ([]byte, error) {
 	clen, n := binary.Uvarint(data)
-	if n <= 0 || n+int(clen) > len(data) {
+	if n <= 0 || !fits(len(data)-n, clen, 0) {
 		return scratch, ErrCorrupt
 	}
 	dec, err := compress.Decompress(scratch[:0], data[n:n+int(clen)])
@@ -152,7 +160,11 @@ func inflate(data, scratch []byte) ([]byte, error) {
 // decompresses one record; for SnappyGroup it decompresses the whole group
 // and returns its records. scratch is reused for decompression.
 func (m *arrayMeta) slotEntries(i int, scratch []byte) ([]kv.Entry, []byte, error) {
-	data := m.body[m.dataOff+m.offset(i):]
+	off := m.dataOff + m.offset(i)
+	if off > len(m.body) {
+		return nil, scratch, fmt.Errorf("%w: slot %d at offset %d of a %d-byte body", ErrCorrupt, i, off, len(m.body))
+	}
+	data := m.body[off:]
 	if m.format != FormatArray {
 		var err error
 		if scratch, err = inflate(data, scratch); err != nil {
@@ -163,7 +175,7 @@ func (m *arrayMeta) slotEntries(i int, scratch []byte) ([]kv.Entry, []byte, erro
 	cnt := uint64(1)
 	if m.format == FormatArraySnappyGroup {
 		var n int
-		if cnt, n = binary.Uvarint(data); n <= 0 || cnt == 0 {
+		if cnt, n = binary.Uvarint(data); n <= 0 || cnt == 0 || cnt > uint64(len(data)) {
 			return nil, scratch, ErrCorrupt
 		}
 		data = data[n:]

@@ -170,7 +170,7 @@ func openPrefixMeta(body []byte, groupSize, count int) (*prefixMeta, error) {
 	off := 1
 	for i := 0; i < dictCount; i++ {
 		l, n := binary.Uvarint(body[off:])
-		if n <= 0 || off+n+int(l) > len(body) {
+		if n <= 0 || !fits(len(body)-off-n, l, 0) {
 			return nil, fmt.Errorf("%w: meta layer", ErrCorrupt)
 		}
 		off += n
@@ -392,7 +392,7 @@ func (m *prefixMeta) decodeGroup(gi int) (groupDecoder, error) {
 	}
 	off += n
 	sl, n := binary.Uvarint(body[off:])
-	if n <= 0 || off+n+int(sl) > len(body) {
+	if n <= 0 || !fits(len(body)-off-n, sl, 0) {
 		return groupDecoder{}, ErrCorrupt
 	}
 	off += n
@@ -414,7 +414,7 @@ func (d *groupDecoder) nextParts() (rem, val []byte, trailer uint64, err error) 
 	remLen, n := binary.Uvarint(body[d.off:])
 	valLen, k := binary.Uvarint(body[d.off+max(n, 0):])
 	off := d.off + n + k
-	if n <= 0 || k <= 0 || off+8+int(remLen)+int(valLen) > len(body) {
+	if n <= 0 || k <= 0 || !fits(len(body)-off-8, remLen, valLen) {
 		return nil, nil, 0, fmt.Errorf("%w: entry at entry-layer offset %d", ErrCorrupt, d.off-d.m.entryOff)
 	}
 	trailer = binary.LittleEndian.Uint64(body[off:])
