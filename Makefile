@@ -79,10 +79,10 @@ stress-snapshot:
 	$(GO) test -race -count=3 -run 'TestGetReturnsPublishedVersionUnderAppends' ./internal/memtable
 
 # Code-diet scoreboard: non-test Go lines per internal package, the number of
-# engine.Config fields, the engine-mode branch sites outside tests, and two
-# structural counts of the maintenance side — where internal/engine calls
-# compaction.Run and how many functions it marks as doing compaction I/O —
-# and the synchronisation fields (Mutex, RWMutex, Cond, chan) of engine.DB and
+# engine.Config fields, the engine-mode branch sites outside tests, three
+# structural counts — where internal/engine calls compaction.Run, where it
+# builds a merging iterator (one: the range-read cursor) and how many
+# functions it marks as doing compaction I/O — and the synchronisation fields (Mutex, RWMutex, Cond, chan) of engine.DB and
 # engine.partition.
 MODE_BRANCH := cfg\.RocksDB|cfg\.Level0OnPM
 scoreboard:
@@ -92,6 +92,7 @@ scoreboard:
 	@printf '%-28s %6d\n' 'engine.Config fields' $$(awk '/^type Config struct/{f=1;next} f&&/^}/{exit} f&&/^\t[A-Z]/{n++} END{print n}' internal/engine/config.go)
 	@printf '%-28s %6d\n' 'mode-branch sites' $$(grep -nE '$(MODE_BRANCH)' internal/engine/*.go | grep -v _test | wc -l)
 	@printf '%-28s %6d\n' 'compaction.Run call sites' $$(grep -n 'compaction\.Run(' internal/engine/*.go | grep -v _test | wc -l)
+	@printf '%-28s %6d\n' 'range-read merge sites' $$(grep -n 'kv\.NewMergingIterator' internal/engine/*.go | grep -v _test | wc -l)
 	@printf '%-28s %6d\n' '//pmblade:compacts roots' $$(grep -n '^//pmblade:compacts' internal/engine/*.go | grep -v _test | wc -l)
 	@printf '%-28s %6d\n' 'DB+partition sync fields' $$(awk '/^type (DB|partition) struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Za-z]/&&$$0~SYNC{n++} END{print n}' SYNC='[ \t*](sync\.(RW)?Mutex|sync\.Cond|chan )' internal/engine/engine.go)
 

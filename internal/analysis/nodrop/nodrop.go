@@ -28,10 +28,11 @@
 // stops is exhausted or has failed, and only its Err() says which; a loop
 // that drains one and never asks takes a failed source for a finished one and
 // hands on — or installs — a short result. So: a value whose static type has
-// kv.Iterator's method set and that a function advances (calls Next on) must,
-// in that same function, have its Err() read, or be handed on — passed to a
-// call, stored in a composite literal, returned — to code that then owes the
-// check. Methods of types that themselves implement the interface are exempt:
+// the draining half of kv.Iterator's method set (Valid, Next, Entry, Err — the
+// seeks are not what makes a loop owe the check) and that a function advances
+// (calls Next on) must, in that same function, have its Err() read, or be
+// handed on — passed to a call, stored in a composite literal, returned — to
+// code that then owes the check. Methods of types that themselves implement the interface are exempt:
 // a wrapper forwards its input's error through its own Err. So is package
 // main: a command's loop times or prints an iterator its author built over
 // data its author holds, and nobody downstream mistakes its output for a
@@ -251,10 +252,12 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-// iteratorMethods is kv.Iterator's method set. The match is by shape, not by
+// iteratorMethods is the half of kv.Iterator's method set a drain uses, so
+// that a type its constructor positions and nothing can seek (the engine's
+// range-read cursor) owes the same check. The match is by shape, not by
 // identity with the interface, so it holds under the go vet driver (where kv
 // may be reachable only through export data) and for the fixtures.
-var iteratorMethods = []string{"Valid", "Next", "Entry", "SeekGE", "SeekToFirst", "Err"}
+var iteratorMethods = []string{"Valid", "Next", "Entry", "Err"}
 
 // isIterator reports whether a value of type t can be used as a kv.Iterator.
 func isIterator(t types.Type) bool {

@@ -19,6 +19,14 @@ func drainsInterface(it kv.Iterator) (n int) {
 	return n
 }
 
+// drainsOpened: an iterator without seeks is drained under the same bargain.
+func drainsOpened(o *kv.Opened) (n int) {
+	for ; o.Valid(); o.Next() { // want `o is advanced but drainsOpened never reads its Err\(\)`
+		n++
+	}
+	return n
+}
+
 // checks asks once, after the loop.
 func checks(t *kv.Table) (int, error) {
 	it := t.NewIterator()

@@ -31,6 +31,16 @@ func (it *TableIterator) SeekGE(key []byte) {}
 func (it *TableIterator) SeekToFirst()      {}
 func (it *TableIterator) Err() error        { return it.err }
 
+// Opened is positioned by whoever builds it and cannot be seeked, as the
+// engine's range-read cursor: the draining half of the method set is enough
+// for the rule.
+type Opened struct{ err error }
+
+func (o *Opened) Valid() bool  { return false }
+func (o *Opened) Next()        {}
+func (o *Opened) Entry() Entry { return Entry{} }
+func (o *Opened) Err() error   { return o.err }
+
 // Cursor has a Next but not the iterator's method set: a workload generator,
 // say. The rule has no opinion about it.
 type Cursor struct{}

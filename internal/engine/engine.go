@@ -86,10 +86,6 @@ type DB struct {
 
 	closed atomic.Bool
 
-	// plainMerge makes every scan and iterator use the plain full merge, the
-	// reference the tests compare the range-view path against.
-	plainMerge bool
-
 	// bgErr records the first background-flush failure; once set, writes
 	// return it (the pipeline is considered wedged).
 	bgErr atomic.Pointer[error]
@@ -230,28 +226,33 @@ func (p *partition) resetSeen() {
 	p.seenMu.Unlock()
 }
 
-// Open creates an engine with fresh devices.
-func Open(cfg Config) (*DB, error) {
-	cfg = cfg.withDefaults()
-	db := &DB{
-		cfg:     cfg,
-		ssd:     ssd.New(cfg.SSDProfile),
-		metrics: newMetrics(),
-	}
-	if cfg.Level0OnPM {
-		db.pm = pmem.New(cfg.PMCapacity, cfg.PMProfile)
-	}
+// newDB builds the part of a DB that Open and Recover share, over the devices
+// given (pm nil without PM level-0): fault injection, block cache, scheduler
+// pool, metrics.
+func newDB(cfg Config, pm *pmem.Device, sd *ssd.Device) *DB {
+	db := &DB{cfg: cfg, pm: pm, ssd: sd, metrics: newMetrics()}
 	if cfg.FaultInjector != nil {
-		db.ssd.SetFault(cfg.FaultInjector)
-		if db.pm != nil {
-			db.pm.SetFault(cfg.FaultInjector)
+		sd.SetFault(cfg.FaultInjector)
+		if pm != nil {
+			pm.SetFault(cfg.FaultInjector)
 		}
 	}
 	if cfg.BlockCacheBytes > 0 {
 		db.cache = sstable.NewBlockCache(cfg.BlockCacheBytes)
 		db.metrics.cache = db.cache
 	}
-	db.pool = sched.NewPool(cfg.SchedMode, cfg.Workers, cfg.QMax, db.ssd)
+	db.pool = sched.NewPool(cfg.SchedMode, cfg.Workers, cfg.QMax, sd)
+	return db
+}
+
+// Open creates an engine with fresh devices.
+func Open(cfg Config) (*DB, error) {
+	cfg = cfg.withDefaults()
+	var pm *pmem.Device
+	if cfg.Level0OnPM {
+		pm = pmem.New(cfg.PMCapacity, cfg.PMProfile)
+	}
+	db := newDB(cfg, pm, ssd.New(cfg.SSDProfile))
 	if !cfg.DisableWAL {
 		db.wal = wal.NewWriter(db.ssd)
 	}
@@ -475,19 +476,16 @@ func (db *DB) route(key []byte) *partition {
 	return ps[lo]
 }
 
-// partitionsInRange returns partitions intersecting [start, end).
-func (db *DB) partitionsInRange(start, end []byte) []*partition {
-	var out []*partition
-	for _, p := range db.partitions {
-		if end != nil && p.lo != nil && bytes.Compare(p.lo, end) >= 0 {
-			continue
+// span returns the partitions a range read of [start, end) walks, in order:
+// from the one start routes to through the last that begins below end.
+func (db *DB) span(start, end []byte) []*partition {
+	ps := db.partitions[db.route(start).id:]
+	for i := 0; end != nil && i < len(ps); i++ {
+		if lo := ps[i].lo; lo != nil && bytes.Compare(lo, end) >= 0 {
+			return ps[:i]
 		}
-		if start != nil && p.hi != nil && bytes.Compare(p.hi, start) <= 0 {
-			continue
-		}
-		out = append(out, p)
 	}
-	return out
+	return ps
 }
 
 // PartitionCount reports the number of range partitions.

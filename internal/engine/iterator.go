@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"bytes"
-
-	"pmblade/internal/kv"
-)
+import "bytes"
 
 // Iterator streams live key-value pairs in key order across every tier and
 // partition. It holds the current partition's read state while open; Close
@@ -15,24 +11,25 @@ import (
 // iterator can still read — sources acquired lazily at later partition hops
 // therefore still hold the snapshot's versions.
 //
+// Key and Value return the iterator's own two buffers, overwritten by the next
+// Next: a caller that keeps an entry copies it.
+//
 // A source that fails stops the stream, and Err says so. Before the first
 // entry is yielded a corrupt table is quarantined and the range read once more
 // at the same sequence, as Get does; afterwards the stream cannot take back
 // what it yielded: the error stands, the quarantine is for the next reader.
 type Iterator struct {
-	db  *DB
-	seq uint64
-	end []byte
+	db         *DB
+	seq        uint64
+	start, end []byte
 
-	parts    []*partition
-	pi       int
-	merged   *kv.RetainIterator
-	state    *readState // the open partition's state; merged reads its tables
-	cur      ScanResult
-	valid    bool
-	closed   bool
-	err      error
-	firstKey []byte
+	parts      []*partition // the partitions the range walks, in order
+	pi         int
+	cur        cursor // over parts[pi]
+	key, value []byte // the current entry, copied out of cur
+	valid      bool
+	closed     bool
+	err        error
 }
 
 // NewIterator opens an iterator over [start, end); nil bounds are unbounded.
@@ -58,29 +55,21 @@ func (db *DB) newIteratorAt(start, end []byte, seq uint64) (*Iterator, error) {
 		db.releaseSeq(seq)
 		return nil, ErrClosed
 	}
-	parts := db.partitionsInRange(start, end)
-	for _, p := range parts {
+	// The bounds are copied (nil stays nil): the caller may reuse its buffers
+	// while the iterator hops.
+	it := &Iterator{db: db, seq: seq, start: bytes.Clone(start), end: bytes.Clone(end), parts: db.span(start, end)}
+	for _, p := range it.parts {
 		if p.quarOverlaps(start, end) {
 			db.metrics.UnavailableReads.Add(1)
-			db.releaseSeq(seq)
+			it.Close()
 			return nil, ErrUnavailable
 		}
 	}
-	it := &Iterator{
-		db:       db,
-		seq:      seq,
-		end:      append([]byte(nil), end...),
-		parts:    parts,
-		firstKey: append([]byte(nil), start...),
-	}
-	if end == nil {
-		it.end = nil
-	}
-	it.openPartition(0, start)
+	it.openPartition(0)
 	it.advance()
 	if it.err != nil && db.healCorruption(it.parts[it.pi], it.err) {
 		it.err = nil
-		it.openPartition(0, start)
+		it.openPartition(0)
 		it.advance()
 	}
 	if it.err != nil {
@@ -90,73 +79,38 @@ func (db *DB) newIteratorAt(start, end []byte, seq uint64) (*Iterator, error) {
 	return it, nil
 }
 
-// openPartition switches to partition index pi: it acquires the partition's
-// state and seeks a merged, visibility-filtered, deduplicated iterator over it
-// to from (nil = first key) — the overlay plus the range view's
-// cursor-following iterator when the stable half has or can get one, else
-// every table. The next partition is opened when the current one is exhausted,
-// never ahead of need. The quarantine guard is re-applied at every hop: a
-// quarantine that lands mid-iteration must stop the stream (Err reports
-// ErrUnavailable) rather than silently serve results the corpse may shadow.
-func (it *Iterator) openPartition(pi int, from []byte) {
-	if it.state != nil {
-		it.state.release()
-		it.state = nil
-	}
-	it.merged = nil
+// openPartition moves the cursor to partition index pi, never ahead of need:
+// the next partition is opened when the current one is exhausted. The cursor's
+// quarantine guard therefore runs again at every hop: a quarantine that lands
+// mid-iteration stops the stream (Err reports ErrUnavailable) rather than
+// silently serving results the corpse may shadow.
+func (it *Iterator) openPartition(pi int) {
+	it.cur.close()
 	it.pi = pi
-	if pi >= len(it.parts) {
-		return
+	if pi < len(it.parts) {
+		it.cur.open(it.db, it.parts[pi], it.start, it.end, it.seq, 0)
 	}
-	if it.parts[pi].quarOverlaps(it.firstKey, it.end) {
-		it.db.metrics.UnavailableReads.Add(1)
-		it.err = ErrUnavailable
-		return
-	}
-	s := it.parts[pi].acquire()
-	it.state = s
-	v, err := it.db.viewOf(s)
-	if err != nil {
-		it.err = err
-		return
-	}
-	if v != nil {
-		it.db.metrics.RangeViewHits.Add(1)
-	} else {
-		it.db.metrics.RangeViewFallbacks.Add(1)
-	}
-	its := s.sources(v)
-	kv.Seek(from, its...)
-	// Visibility before dedup (see scanPartition): otherwise a key whose
-	// newest version postdates the snapshot vanishes instead of resolving to
-	// its older visible version.
-	it.merged = kv.NewRetainIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), it.seq), nil, false)
 }
 
-// advance moves to the next live visible entry, crossing partitions.
+// advance moves past the current entry, if the iterator stands on one, to the
+// next live visible entry, crossing partitions.
 func (it *Iterator) advance() {
+	if it.valid {
+		it.cur.Next()
+	}
 	it.valid = false
-	for it.err == nil && it.merged != nil {
-		for ; it.merged.Valid(); it.merged.Next() {
-			e := it.merged.Entry()
-			if it.end != nil && bytes.Compare(e.Key, it.end) >= 0 {
-				// Past the range: later partitions are even further right.
-				return
-			}
-			if e.Kind == kv.KindDelete {
-				continue
-			}
-			// The dedup owns freshly allocated buffers per entry (see
-			// scanPartition): no copy.
-			it.cur = ScanResult{Key: e.Key, Value: e.Value}
+	for it.err == nil && it.pi < len(it.parts) {
+		if it.cur.Valid() {
+			e := it.cur.Entry()
+			it.key = append(it.key[:0], e.Key...)
+			it.value = append(it.value[:0], e.Value...)
 			it.valid = true
-			it.merged.Next()
 			return
 		}
-		// Partition exhausted, unless a source failed: then the partitions to
+		// Partition exhausted, unless its read failed: then the partitions to
 		// the right are not what comes next.
-		if it.err = it.merged.Err(); it.err == nil {
-			it.openPartition(it.pi+1, nil)
+		if it.err = it.cur.Err(); it.err == nil {
+			it.openPartition(it.pi + 1)
 		}
 	}
 }
@@ -169,11 +123,11 @@ func (it *Iterator) Valid() bool { return it.valid && !it.closed }
 // or corruption error of the source that failed. nil on normal exhaustion.
 func (it *Iterator) Err() error { return it.err }
 
-// Key returns the current key; valid until Next.
-func (it *Iterator) Key() []byte { return it.cur.Key }
+// Key returns the current key.
+func (it *Iterator) Key() []byte { return it.key }
 
-// Value returns the current value; valid until Next.
-func (it *Iterator) Value() []byte { return it.cur.Value }
+// Value returns the current value.
+func (it *Iterator) Value() []byte { return it.value }
 
 // Next advances to the next entry.
 func (it *Iterator) Next() {
@@ -196,8 +150,5 @@ func (it *Iterator) Close() {
 	it.closed = true
 	it.valid = false
 	it.db.releaseSeq(it.seq)
-	if it.state != nil {
-		it.state.release()
-		it.state = nil
-	}
+	it.cur.close()
 }

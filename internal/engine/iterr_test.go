@@ -101,8 +101,8 @@ func TestRotThenMajorCompactLosesNothing(t *testing.T) {
 }
 
 // TestRotThenScanFailsLoud: every range read that runs into undiscovered rot
-// — on the view path and on the plain merge, through Scan, Snapshot.Scan and
-// the streaming iterator — ends in an error: the corruption itself from a
+// — with a view and with its build held, through Scan, Snapshot.Scan and the
+// streaming iterator — ends in an error: the corruption itself from a
 // stream that had already yielded, ErrUnavailable from a read that could
 // quarantine the table and look again. None returns the entries in front of
 // the rot as if they were all there are.
@@ -143,10 +143,12 @@ func TestRotThenScanFailsLoud(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer db.Close()
-				db.plainMerge = plain
 				fillSSD(t, db, n)
 				if rotEverySST(t, db) == 0 {
 					t.Fatal("no SSD tables to rot")
+				}
+				if plain {
+					defer holdViewBuilds(db)()
 				}
 				got, err := read(db)
 				var ce *sstable.CorruptionError
@@ -162,6 +164,97 @@ func TestRotThenScanFailsLoud(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestIteratorErrorContract holds the range-read cursor to the kv.Iterator
+// contract that internal/kv's test of the same name holds every source and
+// wrapper to. Intact, it drains to its last entry and ends with a nil Err. With
+// a table under either side of its merge rotted part-way, it yields a proper
+// prefix of that — nothing past the failure, although the other side still has
+// keys there — and then it is not Valid, Err is the table's corruption, and
+// both stay so.
+func TestIteratorErrorContract(t *testing.T) {
+	const n = 6000
+	cases := []struct {
+		name string
+		hold bool
+		// victim picks the table to rot: the level-0 one is on the heap's side of
+		// the merge on either route, the run's on the view's side when there is
+		// a view.
+		victim func(s *readState) *sstable.Table
+	}{
+		{"view side", false, func(s *readState) *sstable.Table { return s.runs[0][len(s.runs[0])/2] }},
+		{"heap side beside a view", false, func(s *readState) *sstable.Table { return s.ssdL0[0] }},
+		{"heap side, build held", true, func(s *readState) *sstable.Table { return s.runs[0][len(s.runs[0])/2] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// PMBlade-SSD, no block cache: flushes land in SSD level 0, and every
+			// drain reads the device.
+			cfg := faultConfig(fault.New(9))
+			cfg.Level0OnPM, cfg.InternalCompaction = false, false
+			cfg.MemtableBytes = 512 << 10
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			fillSSD(t, db, n)
+			// Level 0 interleaves with the run, and the memtable with both.
+			for i := 0; i < n; i++ {
+				if err := db.Put([]byte(fmt.Sprintf("key-%04d+", i)), []byte("level-0")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i += 10 {
+				if err := db.Put([]byte(fmt.Sprintf("key-%04d-", i)), []byte("memtable")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p := db.partitions[0]
+			if s := p.state.Load(); len(s.ssdL0) != 1 || len(s.runs[0]) == 0 {
+				t.Fatalf("%d level-0 tables over a run of %d, want 1 over some", len(s.ssdL0), len(s.runs[0]))
+			}
+			if tc.hold {
+				defer holdViewBuilds(db)()
+			}
+			drain := func() (keys []string, err error) {
+				var c cursor
+				c.open(db, p, nil, nil, db.VisibleSeq(), 0)
+				defer c.close()
+				for ; c.Valid(); c.Next() {
+					keys = append(keys, string(c.Entry().Key))
+				}
+				err = c.Err()
+				if c.Next(); c.Valid() || c.Err() != err {
+					t.Fatalf("after the end: Valid %v, Err %v, was %v", c.Valid(), c.Err(), err)
+				}
+				return keys, err
+			}
+			intact, err := drain()
+			if err != nil || len(intact) != 2*n+n/10 {
+				t.Fatalf("intact: %d entries, err %v; want %d", len(intact), err, 2*n+n/10)
+			}
+			victim := tc.victim(p.state.Load())
+			if _, err := db.SSDDevice().Rot(victim.File(), victim.DataBytes()/2, 1); err != nil {
+				t.Fatal(err)
+			}
+			got, err := drain()
+			var ce *sstable.CorruptionError
+			if !errors.As(err, &ce) || ce.File != victim.File() {
+				t.Fatalf("damaged: %d entries, err %v; want the corruption of table %d", len(got), err, victim.File())
+			}
+			if len(got) == 0 || len(got) >= len(intact) || !slices.Equal(got, intact[:len(got)]) {
+				t.Fatalf("damaged: %d entries, intact %d: not a proper prefix", len(got), len(intact))
+			}
+			if hits := db.Metrics().RangeViewHits.Load(); (hits > 0) == tc.hold {
+				t.Fatalf("%d partitions opened with a view", hits)
+			}
+		})
 	}
 }
 

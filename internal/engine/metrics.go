@@ -112,10 +112,10 @@ type Metrics struct {
 	QuarantinedNow      atomic.Int64
 	UnavailableReads    atomic.Int64
 
-	// RangeViewHits counts scans (and iterator opens) served through a
-	// current range-index view; RangeViewFallbacks counts those that went
-	// through the plain merging-iterator path instead (no current view,
-	// build suppressed, or a mid-scan view/source mismatch).
+	// RangeViewHits counts the partitions a range read (scan or iterator)
+	// opened with a range-index view over the stable half;
+	// RangeViewFallbacks those it opened without one (empty stable half, or
+	// another reader building the view right then).
 	// RangeViewBuilds / RangeViewBuildNanos count view constructions and
 	// their cumulative wall time; RangeViewSegments / RangeViewBytes
 	// accumulate the anchor-segment count and memory footprint of built

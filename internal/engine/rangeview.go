@@ -46,14 +46,11 @@ func (s runViewSource) DataBytes() int64 {
 
 // viewOf returns the REMIX-style range view over s's stable half, or nil when
 // there is none: the half is empty (a view would only add merge plumbing) or
-// another reader is building it right now — then the caller takes the plain
-// merge, which serves the same state unchanged. The view needs no reference of
-// its own — s keeps its tables alive. A build that fails is a source that
-// failed; the plain merge would only read the same bytes again.
+// another reader is building it right now — then the cursor merges the stable
+// tables itself, in the same loop over the same state. The view needs no
+// reference of its own — s keeps its tables alive. A build that fails is a
+// source that failed; merging without it would only read the same bytes again.
 func (db *DB) viewOf(s *readState) (*rangeindex.View, error) {
-	if db.plainMerge {
-		return nil, nil
-	}
 	if v := s.view.Load(); v != nil {
 		return v, nil
 	}
@@ -117,111 +114,197 @@ func (a *scanArena) copy(b []byte) []byte {
 	return a.buf[off : off+len(b) : off+len(b)]
 }
 
-// scanView is scanPartition's fast path over state s and the view v of its
-// stable half: the stable tables stream through the view's selector walk (no
-// per-step heap pushes, no per-step key comparisons between stable sources)
-// and only the mutable overlay goes through a merging iterator, in a 2-way
-// merge. If either side fails, its error comes back with out restored to its
-// input length. budget is the number of entries this partition may append
-// (0 = unbounded) — what the scan still misses, not its limit — and sizes the
-// readahead, the arena and the result slice.
-func scanView(s *readState, v *rangeindex.View, start, end []byte, budget int, seq uint64, out []ScanResult) ([]ScanResult, error) {
-	base := len(out)
-	vi := v.NewIter()
-	oits := s.overlay()
-	if budget > 0 {
-		// Bounded scan: cap the sources' first readahead span to roughly what
-		// the scan will consume (slack for the seek's anchor walk and stale
-		// versions) instead of a full ScanReadahead window. Must precede the
-		// seek — the seek performs the first span read.
-		vi.HintEntries(budget + viewSegTarget)
-		hintEntries(oits, budget+viewSegTarget)
-	}
-	kv.Seek(start, vi)
-	kv.Seek(start, oits...)
-	ov := kv.NewMergingIteratorAt(oits...)
-	var arena scanArena
-	if budget > 0 && budget <= 4096 {
-		// Right-size the result copies: the view knows its sources' average
-		// entry footprint, so a bounded scan can fill one exact arena chunk
-		// and one exact result slice instead of growing both geometrically.
-		if avg := v.AvgEntryBytes(); avg > 0 {
-			arena.reserve(budget*avg + 512)
-		}
-		if cap(out)-base < budget {
-			grown := make([]ScanResult, base, base+budget)
-			copy(grown, out)
-			out = grown
-		}
-	}
+// cursor is the one range read of a partition: Scan, Snapshot.Scan and
+// Iterator each open one on every partition they walk and drain it. It yields
+// the newest version visible at seq of each live key in [from, end), in key
+// order, as views into the sources — the drain copies out (DESIGN.md §5.5) —
+// and a cursor that is not Valid has reached end, run out, or failed: Err says
+// which, once, for the prologue and for both sides of the merge.
+//
+// The merge is 2-way. One side is the range view's selector walk over the
+// stable half (no heap, no key comparisons between stable tables); the other a
+// merging iterator over every tier the view does not cover. A state with no
+// view — empty stable half, or a build in flight — runs the same loop with the
+// stable tables on the heap side and nothing on the view's.
+type cursor struct {
+	s   *readState          // held from open to close
+	vi  *rangeindex.Iter    // the view's side; nil when the state has no view
+	ov  *kv.MergingIterator // the heap's side
+	end []byte
+	seq uint64
+
+	// avgEntry is the view's estimate of one entry's footprint, 0 without a
+	// view: what lets a bounded drain size its arena in one allocation.
+	avgEntry int
+
 	// consumedKey is the last user key DECIDED: its newest visible version was
-	// seen and emitted (or was a tombstone). An entry whose Seq postdates the
-	// snapshot must NOT consume its key — an older, visible version may follow
-	// and still owns the decision. lastFromView is true only when the previous
-	// processed entry came from the view AND its key is the consumed one; that
-	// is the precondition for both the dup-bit fast skip (same key as the
-	// consumed view key) and the dup-bit-clear "new key by construction" skip
-	// of the bytes.Equal below.
-	var consumedKey []byte
-	haveConsumed := false
-	lastFromView := false
-	vOK, oOK := vi.Valid(), ov.Valid()
-	for {
+	// seen — a live value, yielded, or a tombstone. An entry whose Seq postdates
+	// the snapshot must NOT consume its key — an older, visible version may
+	// follow and still owns the decision. lastFromView is true only when the
+	// previous processed entry came from the view AND its key is the consumed
+	// one; that is the precondition for both the dup-bit fast skip (same key as
+	// the consumed view key) and the dup-bit-clear "new key by construction"
+	// skip of the bytes.Equal in settle.
+	consumedKey  []byte
+	haveConsumed bool
+	lastFromView bool
+
+	e     kv.Entry // the entry yielded; its source is stepped by the next Next
+	valid bool
+	err   error
+}
+
+// open does the whole prologue of a partition read and positions c on the
+// first entry it yields. budget is the number of entries the caller will take
+// (0 = unbounded) — what a scan still misses, not its limit. c may be reused
+// after close; it keeps only its key buffer.
+func (c *cursor) open(db *DB, p *partition, from, end []byte, seq uint64, budget int) {
+	*c = cursor{end: end, seq: seq, consumedKey: c.consumedKey[:0]}
+	// A range read cannot route around a quarantined table with Bloom precision
+	// the way point reads can: a partition whose quarantined key range overlaps
+	// the read's makes whatever it would contribute untrustworthy. The guard
+	// follows the walk — a partition the read never reaches cannot shadow its
+	// result.
+	if p.quarOverlaps(from, end) {
+		db.metrics.UnavailableReads.Add(1)
+		c.err = ErrUnavailable
+		return
+	}
+	c.s = p.acquire()
+	p.reads.Add(1)
+	v, err := db.viewOf(c.s)
+	if err != nil {
+		c.err = err
+		return
+	}
+	if v != nil {
+		db.metrics.RangeViewHits.Add(1)
+		c.vi, c.avgEntry = v.NewIter(), v.AvgEntryBytes()
+	} else {
+		db.metrics.RangeViewFallbacks.Add(1)
+	}
+	oits := c.s.unindexed(v != nil)
+	if budget > 0 {
+		// Bounded read: cap the sources' first readahead span to roughly what
+		// will be consumed (slack for the seek's anchor walk and stale versions)
+		// instead of a full ScanReadahead window. Must precede the seek — the
+		// seek performs the first span read.
+		hintEntries(oits, budget+viewSegTarget)
+		if c.vi != nil {
+			c.vi.HintEntries(budget + viewSegTarget)
+		}
+	}
+	kv.Seek(from, oits...)
+	c.ov = kv.NewMergingIteratorAt(oits...)
+	c.check(c.ov)
+	if c.vi != nil {
+		kv.Seek(from, c.vi)
+		c.check(c.vi)
+	}
+	c.settle()
+}
+
+// close releases the partition's state. It is safe to call twice, and on a
+// cursor whose open failed.
+func (c *cursor) close() {
+	if c.s != nil {
+		c.s.release()
+		c.s = nil
+	}
+}
+
+// hintEntries caps the next readahead span of every source that reads ahead
+// (SSD-backed iterators) to roughly n entries.
+func hintEntries(its []kv.Iterator, n int) {
+	for _, it := range its {
+		if h, ok := it.(interface{ HintEntries(int) }); ok {
+			h.HintEntries(n)
+		}
+	}
+}
+
+// check is called wherever a side of the merge has moved. One that stopped
+// because it failed ends the read there, with its error: what the other side
+// still holds may be versions the entries it did not yield would have shadowed.
+func (c *cursor) check(side kv.Iterator) {
+	if !side.Valid() && c.err == nil {
+		c.err = side.Err()
+	}
+}
+
+// Valid reports whether c stands on an entry.
+func (c *cursor) Valid() bool { return c.valid }
+
+// Entry returns the entry c stands on: views, valid until the next Next or
+// close.
+func (c *cursor) Entry() kv.Entry { return c.e }
+
+// Err returns the error that ended the read — ErrUnavailable from the
+// quarantine guard, a failed view build, the first failure of either side —
+// and nil when it reached end or ran out. It is sticky.
+func (c *cursor) Err() error { return c.err }
+
+// Next moves to the next live key's newest visible version.
+func (c *cursor) Next() {
+	if !c.valid {
+		return
+	}
+	// The entry yielded consumed its key, so lastFromView is its side.
+	c.step(c.lastFromView)
+	c.settle()
+}
+
+// step advances one side of the merge.
+func (c *cursor) step(view bool) {
+	if view {
+		c.vi.Next()
+		c.check(c.vi)
+	} else {
+		c.ov.Next()
+		c.check(c.ov)
+	}
+}
+
+// settle walks the merge from where both sides stand to the next entry to
+// yield, deciding each key at its newest visible version.
+func (c *cursor) settle() {
+	c.valid = false
+	for c.err == nil {
+		vOK, oOK := c.vi != nil && c.vi.Valid(), c.ov.Valid()
 		if !vOK && !oOK {
 			break
 		}
-		fromView := vOK && (!oOK || kv.Compare(vi.Entry(), ov.Entry()) <= 0)
+		fromView := vOK && (!oOK || kv.Compare(c.vi.Entry(), c.ov.Entry()) <= 0)
 		var e kv.Entry
 		if fromView {
-			if lastFromView && vi.SameAsPrev() {
+			if c.lastFromView && c.vi.SameAsPrev() {
 				// Older version of the consumed key; skip without key compares.
-				vi.Next()
-				vOK = vi.Valid()
+				c.step(true)
 				continue
 			}
-			e = vi.Entry()
+			e = c.vi.Entry()
 		} else {
-			e = ov.Entry()
+			e = c.ov.Entry()
 		}
-		if end != nil && bytes.Compare(e.Key, end) >= 0 {
+		if c.end != nil && bytes.Compare(e.Key, c.end) >= 0 {
 			break
 		}
-		var decided bool
-		if fromView && lastFromView {
-			// Dup bit clear (else the fast skip above fired) and the previous
-			// view entry holds the consumed key: keys differ by construction.
-			decided = false
-		} else {
-			decided = haveConsumed && bytes.Equal(e.Key, consumedKey)
-		}
-		consumed := decided
-		if !decided && e.Seq <= seq {
+		// From the view right after the view's consumed key with the dup bit
+		// clear (else the fast skip above fired): keys differ by construction.
+		decided := !(fromView && c.lastFromView) && c.haveConsumed && bytes.Equal(e.Key, c.consumedKey)
+		if !decided && e.Seq <= c.seq {
 			// Newest visible version of an undecided key: the decision is made
 			// here whether it is a live value or a tombstone.
-			consumedKey = append(consumedKey[:0], e.Key...)
-			haveConsumed = true
-			consumed = true
+			c.consumedKey = append(c.consumedKey[:0], e.Key...)
+			c.haveConsumed = true
+			decided = true
 			if e.Kind != kv.KindDelete {
-				out = append(out, ScanResult{Key: arena.copy(e.Key), Value: arena.copy(e.Value)})
-				if budget > 0 && len(out)-base >= budget {
-					break
-				}
+				c.lastFromView = fromView
+				c.e, c.valid = e, true
+				return
 			}
 		}
-		lastFromView = fromView && consumed
-		if fromView {
-			vi.Next()
-			vOK = vi.Valid()
-		} else {
-			ov.Next()
-			oOK = ov.Valid()
-		}
+		c.lastFromView = fromView && decided
+		c.step(fromView)
 	}
-	if err := vi.Err(); err != nil {
-		return out[:base], err
-	}
-	if err := ov.Err(); err != nil {
-		return out[:base], err
-	}
-	return out, nil
 }

@@ -134,11 +134,8 @@ func (db *DB) Scan(start, end []byte, limit int) ([]ScanResult, error) {
 func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, error) {
 	begin := time.Now()
 	var out []ScanResult
-	for _, p := range db.partitions[db.route(start).id:] {
+	for _, p := range db.span(start, end) {
 		if limit > 0 && len(out) >= limit {
-			break
-		}
-		if end != nil && p.lo != nil && bytes.Compare(p.lo, end) >= 0 {
 			break
 		}
 		// The budget is what is still missing, not limit: a hop into the next
@@ -156,73 +153,39 @@ func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, er
 	return out, nil
 }
 
-// scanPartition appends up to budget of partition p's visible entries in
-// [start, end) to out (budget 0 = unbounded). When the state's stable half has
-// (or can get) a range view, the stable tables stream through its selector
-// walk; while it has none, the plain merging-iterator path below serves the
-// same state. A source that fails fails either path, and out comes back as it
-// went in.
+// scanPartition drains a cursor over partition p into out: up to budget of p's
+// visible entries in [start, end) (budget 0 = unbounded), copied into an arena
+// before the cursor lets go of the state. A read that fails — a scan that
+// reaches a quarantined range fails whole, never short — leaves out as it went
+// in.
 func (db *DB) scanPartition(p *partition, start, end []byte, budget int, seq uint64, out []ScanResult) ([]ScanResult, error) {
-	// A scan cannot route around a quarantined table with Bloom precision the
-	// way point reads can: a partition whose quarantined key range overlaps
-	// the scan's makes whatever it would contribute untrustworthy. The guard
-	// follows the walk — a partition the scan never reaches cannot shadow its
-	// result — and a scan that does reach one fails whole, never short.
-	if p.quarOverlaps(start, end) {
-		db.metrics.UnavailableReads.Add(1)
-		return out, ErrUnavailable
-	}
-	s := p.acquire()
-	defer s.release()
-	p.reads.Add(1)
-	v, err := db.viewOf(s)
-	if err != nil {
-		return out, err
-	}
-	if v != nil {
-		db.metrics.RangeViewHits.Add(1)
-		return scanView(s, v, start, end, budget, seq, out)
-	}
-	db.metrics.RangeViewFallbacks.Add(1)
-	its := s.sources(nil)
-	if budget > 0 {
-		hintEntries(its, budget+32)
-	}
-	kv.Seek(start, its...)
-	// Visibility BEFORE dedup (retention with no boundary): filtering e.Seq >
-	// seq after the dedup would discard keys whose newest version postdates
-	// the snapshot — the dedup would keep the invisible newest version and the
-	// filter would then drop the key instead of yielding its older visible one.
-	merged := kv.NewRetainIterator(kv.NewVisibleIterator(kv.NewMergingIteratorAt(its...), seq), nil, false)
+	var c cursor
+	c.open(db, p, start, end, seq, budget)
+	defer c.close()
 	base := len(out)
-	for ; merged.Valid(); merged.Next() {
-		e := merged.Entry()
-		if end != nil && bytes.Compare(e.Key, end) >= 0 {
-			break
+	var arena scanArena
+	if budget > 0 && budget <= 4096 {
+		// Right-size the result copies: a view knows its sources' average entry
+		// footprint, so a bounded scan can fill one exact arena chunk and one
+		// exact result slice instead of growing both geometrically.
+		if c.avgEntry > 0 {
+			arena.reserve(budget*c.avgEntry + 512)
 		}
-		if e.Kind == kv.KindDelete {
-			continue
+		if cap(out)-base < budget {
+			grown := make([]ScanResult, base, base+budget)
+			copy(grown, out)
+			out = grown
 		}
-		// The dedup owns freshly allocated buffers per entry, so they can be
-		// handed to the caller without another copy.
-		out = append(out, ScanResult{Key: e.Key, Value: e.Value})
+	}
+	for ; c.Valid(); c.Next() {
+		e := c.Entry()
+		out = append(out, ScanResult{Key: arena.copy(e.Key), Value: arena.copy(e.Value)})
 		if budget > 0 && len(out)-base >= budget {
 			break
 		}
 	}
-	if err := merged.Err(); err != nil {
+	if err := c.Err(); err != nil {
 		return out[:base], err
 	}
 	return out, nil
-}
-
-// hintEntries caps the next readahead span of every source that reads ahead
-// (SSD-backed iterators) to roughly n entries. It must precede the seek, which
-// performs the first span read.
-func hintEntries(its []kv.Iterator, n int) {
-	for _, it := range its {
-		if h, ok := it.(interface{ HintEntries(int) }); ok {
-			h.HintEntries(n)
-		}
-	}
 }

@@ -12,7 +12,6 @@ import (
 	"pmblade/internal/kv"
 	"pmblade/internal/pmem"
 	"pmblade/internal/pmtable"
-	"pmblade/internal/sched"
 	"pmblade/internal/ssd"
 	"pmblade/internal/sstable"
 	"pmblade/internal/wal"
@@ -377,18 +376,7 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		return nil, err
 	}
 
-	db := &DB{cfg: cfg, ssd: sd, pm: pm, metrics: newMetrics()}
-	if cfg.FaultInjector != nil {
-		db.ssd.SetFault(cfg.FaultInjector)
-		if pm != nil {
-			pm.SetFault(cfg.FaultInjector)
-		}
-	}
-	if cfg.BlockCacheBytes > 0 {
-		db.cache = sstable.NewBlockCache(cfg.BlockCacheBytes)
-		db.metrics.cache = db.cache
-	}
-	db.pool = sched.NewPool(cfg.SchedMode, cfg.Workers, cfg.QMax, sd)
+	db := newDB(cfg, pm, sd)
 	db.seq.Store(m.Seq)
 	db.manifestCur = manifestFile
 

@@ -102,8 +102,7 @@ func TestSnapshotBasic(t *testing.T) {
 // Scan and Iterator used to filter e.Seq > seq AFTER dedup had already
 // discarded older versions, so a key overwritten after the snapshot opened
 // disappeared entirely instead of resolving to its older visible value. Runs
-// through the range view and through the plain merge — the two paths must
-// agree.
+// with the range view and with its build held — the two routes must agree.
 func TestScanOverwriteAfterSnapshot(t *testing.T) {
 	for _, plain := range []bool{false, true} {
 		t.Run(fmt.Sprintf("plainMerge=%v", plain), func(t *testing.T) {
@@ -112,7 +111,6 @@ func TestScanOverwriteAfterSnapshot(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			db.plainMerge = plain
 
 			const n = 64
 			for i := 0; i < n; i++ {
@@ -143,6 +141,9 @@ func TestScanOverwriteAfterSnapshot(t *testing.T) {
 				}
 			}
 
+			if plain {
+				defer holdViewBuilds(db)()
+			}
 			check := func(label string, got []ScanResult) {
 				t.Helper()
 				if len(got) != n {
@@ -162,17 +163,7 @@ func TestScanOverwriteAfterSnapshot(t *testing.T) {
 			check("Scan", res)
 
 			it, err := s.NewIterator(nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var walked []ScanResult
-			for ; it.Valid(); it.Next() {
-				walked = append(walked, ScanResult{Key: append([]byte(nil), it.Key()...), Value: append([]byte(nil), it.Value()...)})
-			}
-			if err := it.Err(); err != nil {
-				t.Fatal(err)
-			}
-			it.Close()
+			walked := walk(t, it, err, 0)
 			check("Iterator", walked)
 		})
 	}

@@ -157,12 +157,19 @@ func (db *DB) installTables(p *partition, flushed *memtable.Memtable, rebuild bo
 	}
 }
 
-// overlay returns iterators over the mutable tiers of s — everything a view
-// does not cover — newest first (rank order breaks merge ties in favor of
-// newer data). SSD sources use scan iterators: readahead spans on cache
-// misses, cache hits served from memory.
-func (s *readState) overlay() []kv.Iterator {
-	its := make([]kv.Iterator, 0, 1+len(s.imm)+len(s.pmUnsorted)+len(s.ssdL0)+1)
+// unindexed returns iterators over the tiers of s that a range read merges on
+// its heap, newest first (rank order breaks merge ties in favor of newer data):
+// the mutable overlay — everything a view does not cover — and, for a reader
+// that has no view, the stable half too, table by table, each run as one
+// concatenating iterator that seeks only the covering table. SSD sources use
+// scan iterators: readahead spans on cache misses, cache hits served from
+// memory.
+func (s *readState) unindexed(haveView bool) []kv.Iterator {
+	n := 1 + len(s.imm) + len(s.pmUnsorted) + len(s.ssdL0)
+	if !haveView {
+		n += len(s.pmSorted) + len(s.runs)
+	}
+	its := make([]kv.Iterator, 0, n)
 	its = append(its, s.mem.NewIterator())
 	for _, m := range s.imm {
 		its = append(its, m.NewIterator())
@@ -173,17 +180,8 @@ func (s *readState) overlay() []kv.Iterator {
 	for _, t := range s.ssdL0 {
 		its = append(its, t.NewScanIterator())
 	}
-	return its
-}
-
-// sources returns s's full iterator stack for merged iteration: the overlay,
-// then the stable half (the oldest data) — through v's cursor-following
-// iterator when v is non-nil, else table by table, each run as one
-// concatenating iterator that seeks only the covering table.
-func (s *readState) sources(v *rangeindex.View) []kv.Iterator {
-	its := s.overlay()
-	if v != nil {
-		return append(its, v.NewIter())
+	if haveView {
+		return its
 	}
 	for _, t := range s.pmSorted {
 		its = append(its, t.NewIterator())

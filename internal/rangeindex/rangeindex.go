@@ -207,10 +207,10 @@ func (v *View) Unref() {
 }
 
 // Iter is a cursor-following iterator over a view. It implements
-// kv.Iterator (yielding every version, in kv.Compare order) so it can stand
-// in for the stable sources inside a merging iterator; scan fast paths
-// additionally use SameAsPrev to skip stale versions without key
-// comparisons.
+// kv.Iterator (yielding every version, in kv.Compare order), so it stands in
+// for the stable sources wherever they would be merged; the engine's
+// range-read cursor additionally uses SameAsPrev to skip stale versions
+// without key comparisons.
 type Iter struct {
 	v       *View
 	cursors []kv.PosIterator
