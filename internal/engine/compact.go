@@ -98,7 +98,7 @@ func (db *DB) pmTableCount() int {
 // back. Callers hold no locks.
 //
 // idle reports that this caller owned the pass and it had nothing to give:
-// no victim, and no retired PM table waiting on the manifest install. A
+// no victim, and no retired table waiting on the manifest install. A
 // joiner never reports idle — the pass it waited for was decided before it
 // arrived and says nothing about the state it needs relieved.
 func (db *DB) evictOnce(choose func() []*partition) (idle bool, err error) {
@@ -113,9 +113,9 @@ func (db *DB) evictOnce(choose func() []*partition) (idle bool, err error) {
 	db.majorMu.Unlock()
 	err = db.compactVictims(victims)
 	db.obsoleteMu.Lock()
-	idle = len(victims) == 0 && len(db.obsoletePM)+len(db.obsoleteRawPM) == 0
+	idle = len(victims) == 0 && len(db.obsolete) == 0
 	db.obsoleteMu.Unlock()
-	if merr := db.installAfterMajor(); err == nil {
+	if _, merr := db.installManifest(0); err == nil {
 		err = merr
 	}
 	db.metrics.EvictionCount.Add(1) // also the pass generation flushAndMaintain compares
@@ -175,21 +175,6 @@ func (db *DB) costVictims() []*partition {
 		victims = append(victims, db.partitions[id])
 	}
 	return victims
-}
-
-// installAfterMajor installs a manifest and frees the tables the preceding
-// major compactions retired, so eviction actually returns PM (and SSD) space
-// rather than leaving it queued until the next checkpoint. Callers hold no
-// locks — lockAll takes majorMu and every maint itself. Without a WAL
-// retirement was immediate and there is no manifest, so this is a no-op.
-func (db *DB) installAfterMajor() error {
-	if db.cfg.DisableWAL {
-		return nil
-	}
-	db.lockAll()
-	defer db.unlockAll()
-	_, err := db.saveManifestLocked(0)
-	return err
 }
 
 // partitionCostState assembles the Table II observations for the cost model
@@ -468,7 +453,6 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 		Boundaries:       db.retentionBounds(),
 		TargetTableBytes: db.cfg.SSTableBytes,
 		BreakOnWrite:     db.cfg.SchedMode != sched.ModePMBlade,
-		Compress:         db.cfg.BlockCompression,
 	}
 	out, err := compaction.RunRanges(db.pool, bounds, nTasks, func(ctx *sched.Ctx, lo, hi []byte) ([]*sstable.Table, error) {
 		rp := params
@@ -482,8 +466,8 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 		t.AttachCache(db.cache)
 	}
 
-	// Install the outputs, then retire the inputs. Disposal is deferred until
-	// the next manifest install when a WAL is in use (see DB.retireSST).
+	// Install the outputs, then retire the inputs (DB.retire); their cached
+	// blocks go at once — they will not be read through these tables again.
 	p.tree.Run(j.from+1).Replace(j.merged, out)
 	if j.from == 0 {
 		p.tree.RemoveL0(j.inputs)
@@ -493,7 +477,8 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 	}
 	db.installTables(p, nil, true)
 	for _, t := range ssts {
-		db.retireSST(t)
+		t.DropCached()
+		db.retire(t.Delete)
 	}
 	for _, s := range j.salvage {
 		db.metrics.RepairBlocksSkipped.Add(int64(s.Skipped()))
@@ -515,7 +500,8 @@ func (db *DB) InternalCompactAll() error {
 			return err
 		}
 	}
-	return db.installAfterMajor()
+	_, err := db.installManifest(0)
+	return err
 }
 
 // MajorCompactAll forces a major compaction of every partition (tests and
@@ -536,5 +522,6 @@ func (db *DB) MajorCompactAll() error {
 	if err := firstError(errs); err != nil {
 		return err
 	}
-	return db.installAfterMajor()
+	_, err := db.installManifest(0)
+	return err
 }

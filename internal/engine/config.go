@@ -74,10 +74,6 @@ type Config struct {
 	// L1TargetBytes is the leveled hierarchy's L1 size target.
 	L1TargetBytes int64
 
-	// BlockCompression enables LZ compression of SSTable data blocks (the
-	// RocksDB default).
-	BlockCompression bool
-
 	// DisableWAL skips write-ahead logging (benchmarks that do not test
 	// recovery use it to isolate device effects).
 	DisableWAL bool

@@ -92,8 +92,8 @@ type DB struct {
 
 	// manifestCur/manifestPrev track the installed manifest chain so the
 	// previous manifest survives as a recovery fallback while older ones
-	// are deleted. Mutated only under lockAll (or single-threaded
-	// Open/Recover); zero means none.
+	// are deleted. Mutated only by installManifest, under every maintenance
+	// lock; zero means none.
 	manifestCur  ssd.FileID
 	manifestPrev ssd.FileID
 
@@ -103,31 +103,19 @@ type DB struct {
 	flushes   int // guarded by: flushesMu
 	flushesCv *sync.Cond
 
-	// Obsolete tables replaced by compaction whose space cannot be reclaimed
-	// yet: the durable manifest may still reference them, and recovery must
-	// be able to reopen everything the manifest names. They are freed by
-	// dropObsoleteLocked after the next manifest install. Only populated when
-	// a WAL (and therefore a manifest) is in use.
-	obsoleteMu  sync.Mutex
-	obsoletePM  []*pmtable.Table // guarded by: obsoleteMu
-	obsoleteSSD []*sstable.Table // guarded by: obsoleteMu
+	// The retirement queue (table.go): storage that left the live set — tables
+	// compaction replaced, corpses repair is done with — waiting for a durable
+	// manifest that no longer names it. retire appends, installManifest drains.
+	// Empty without a WAL.
+	obsoleteMu sync.Mutex
+	obsolete   []func() // each gives one table's storage back; guarded by: obsoleteMu
 
-	// Raw-ID obsolete queues for quarantined corpses (DESIGN.md §5.8).
-	// Corpses recovered from a manifest cannot always be reopened as table
-	// handles (the corruption may cover the metadata tail), and device-level
-	// Delete/Release by ID is idempotent, so repair retires corpses by ID
-	// rather than through the table-handle queues above.
-	obsoleteRawSSD []ssd.FileID // guarded by: obsoleteMu
-	obsoleteRawPM  []pmem.Addr  // guarded by: obsoleteMu
-
-	// Quarantine registry (DESIGN.md §5.8): tables pulled from the live sets
-	// after a corruption detection, held as corpses until RepairQuarantined
-	// salvages what their checksums still vouch for. A nil table value marks
-	// a corpse that could not be reopened after restart (record-only).
-	quarMu   sync.Mutex
-	quarSSD  map[ssd.FileID]*sstable.Table // guarded by: quarMu
-	quarPM   map[pmem.Addr]*pmtable.Table  // guarded by: quarMu
-	quarRecs []QuarantineRecord            // guarded by: quarMu
+	// The quarantine registry (DESIGN.md §5.8): tables pulled from the live
+	// sets after a corruption detection, held as corpses until
+	// RepairQuarantined salvages what their checksums still vouch for. The
+	// manifest carries their records.
+	quarMu  sync.Mutex
+	corpses []corpse // in quarantine order; guarded by: quarMu
 
 	// scrubStop/scrubDone bound the background scrub loop's lifetime; nil
 	// when ScrubInterval is 0 (the default).
@@ -261,15 +249,9 @@ func Open(cfg Config) (*DB, error) {
 		db.partitions = append(db.partitions, db.newPartition(i))
 	}
 	// Install the initial manifest before any write can be acknowledged, so
-	// a power cut at any later instant finds a recoverable root. Without a
-	// WAL nothing survives a crash anyway, so the manifest is skipped.
-	if !cfg.DisableWAL {
-		db.lockAll()
-		_, err := db.saveManifestLocked(0)
-		db.unlockAll()
-		if err != nil {
-			return nil, fmt.Errorf("engine: install initial manifest: %w", err)
-		}
+	// a power cut at any later instant finds a recoverable root.
+	if _, err := db.installManifest(0); err != nil {
+		return nil, fmt.Errorf("engine: install initial manifest: %w", err)
 	}
 	db.start()
 	return db, nil
@@ -290,7 +272,7 @@ func (db *DB) newPartition(i int) *partition {
 		Format:          db.cfg.PMTableFormat,
 		GroupSize:       db.cfg.GroupSize,
 		TargetTableSize: db.cfg.L0TableBytes,
-		Retire:          db.retirePM,
+		Retire:          func(t *pmtable.Table) { db.retire(t.Release) },
 	})
 	p.tree = levels.NewLeveled(4, db.cfg.L1TargetBytes, 10)
 	p.run() // level 1 exists in every mode
@@ -363,67 +345,6 @@ func (db *DB) loadBgErr() error {
 		return *e
 	}
 	return nil
-}
-
-// retirePM disposes a PM table that compaction replaced. With a WAL the
-// release is deferred: the durable manifest may still reference the table,
-// and recovery from a crash before the next manifest install must be able to
-// reopen it. Without a WAL nothing survives a crash, so it frees immediately.
-func (db *DB) retirePM(t *pmtable.Table) {
-	if db.cfg.DisableWAL {
-		t.Release()
-		return
-	}
-	db.obsoleteMu.Lock()
-	db.obsoletePM = append(db.obsoletePM, t)
-	db.obsoleteMu.Unlock()
-}
-
-// retireSST disposes an SSTable that compaction replaced; see retirePM for
-// the deferral rationale. Cached blocks are dropped immediately — the table
-// left the live set, so they will not be read through it again.
-func (db *DB) retireSST(t *sstable.Table) {
-	if db.cache != nil {
-		db.cache.DropFile(t.File())
-	}
-	if db.cfg.DisableWAL {
-		t.Delete()
-		return
-	}
-	db.obsoleteMu.Lock()
-	db.obsoleteSSD = append(db.obsoleteSSD, t)
-	db.obsoleteMu.Unlock()
-}
-
-// dropObsoleteLocked frees every queued obsolete table. Callers hold every
-// maintenance lock and have just durably installed a manifest, so no manifest
-// reachable by recovery references the queued tables any more. (The previous
-// manifest, kept as a fallback, may — that fallback is only consulted if the
-// freshly synced current manifest is unreadable, which the install protocol
-// prevents.)
-func (db *DB) dropObsoleteLocked() {
-	db.obsoleteMu.Lock()
-	pmQ, ssdQ := db.obsoletePM, db.obsoleteSSD
-	rawPM, rawSSD := db.obsoleteRawPM, db.obsoleteRawSSD
-	db.obsoletePM, db.obsoleteSSD = nil, nil
-	db.obsoleteRawPM, db.obsoleteRawSSD = nil, nil
-	db.obsoleteMu.Unlock()
-	for _, t := range pmQ {
-		t.Release()
-	}
-	for _, t := range ssdQ {
-		t.Delete()
-	}
-	// Corpse retirement is by raw ID: device Delete/Release are idempotent,
-	// so a corpse that was independently retired cannot be double-freed.
-	for _, a := range rawPM {
-		if db.pm != nil {
-			db.pm.Release(a)
-		}
-	}
-	for _, f := range rawSSD {
-		db.ssd.Delete(f)
-	}
 }
 
 // drainFlushes blocks until no background flush task is queued or running.

@@ -151,7 +151,7 @@ func TestRotThenScanFailsLoud(t *testing.T) {
 					defer holdViewBuilds(db)()
 				}
 				got, err := read(db)
-				var ce *sstable.CorruptionError
+				var ce *device.CorruptionError
 				if !errors.Is(err, ErrUnavailable) && !errors.As(err, &ce) {
 					t.Fatalf("%d of %d entries with error %v; want the corruption or ErrUnavailable", got, n, err)
 				}
@@ -244,8 +244,8 @@ func TestIteratorErrorContract(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, err := drain()
-			var ce *sstable.CorruptionError
-			if !errors.As(err, &ce) || ce.File != victim.File() {
+			var ce *device.CorruptionError
+			if !errors.As(err, &ce) || ce.ID != uint64(victim.File()) {
 				t.Fatalf("damaged: %d entries, err %v; want the corruption of table %d", len(got), err, victim.File())
 			}
 			if len(got) == 0 || len(got) >= len(intact) || !slices.Equal(got, intact[:len(got)]) {

@@ -14,10 +14,7 @@ import (
 	"bytes"
 	"errors"
 
-	"pmblade/internal/pmem"
-	"pmblade/internal/pmtable"
-	"pmblade/internal/ssd"
-	"pmblade/internal/sstable"
+	"pmblade/internal/device"
 )
 
 // ErrUnavailable is returned by reads whose key (or range) may only be held
@@ -30,8 +27,8 @@ var ErrUnavailable = errors.New("engine: key range unavailable: sole candidate s
 // of either resurrecting a corrupt table into the live set or silently
 // forgetting that a key range is unreadable.
 type QuarantineRecord struct {
-	// Device is the corpse's device class: "ssd" or "pm".
-	Device string `json:"device"`
+	// Device is the corpse's device class: SSD or PM.
+	Device device.Class `json:"device"`
 	// ID is the ssd.FileID or pmem.Addr of the corpse.
 	ID uint64 `json:"id"`
 	// Partition is the owning partition's index.
@@ -51,7 +48,7 @@ type QuarantineRecord struct {
 // result from a strictly newer tier cannot be shadowed by the corpse.
 type quarSource struct {
 	lo, hi []byte
-	dev    string                // "ssd" or "pm"
+	dev    device.Class
 	may    func(key []byte) bool // nil: fence check only
 }
 
@@ -79,7 +76,7 @@ func (p *partition) quarShadowed(key []byte, found bool, tier Tier) bool {
 		if s.may != nil && !s.may(key) {
 			continue
 		}
-		if found && tier == TierPM && s.dev == "ssd" {
+		if found && tier == TierPM && s.dev == device.SSD {
 			// Data only moves PM level-0 -> SSD, so a PM hit is strictly
 			// newer than anything a quarantined SSD table ever held.
 			continue
@@ -109,26 +106,30 @@ func (p *partition) quarOverlaps(start, end []byte) bool {
 	return false
 }
 
+// corpse is one entry of the quarantine registry: the durable record and, when
+// there is one, the handle repair salvages through. t is nil for a corpse a
+// restart could not reopen (or, on PM, never does: the whole-image checksum
+// that failed at quarantine time cannot pass now).
+type corpse struct {
+	QuarantineRecord
+	t table
+}
+
+func (c corpse) id() tableID { return tableID{c.Device, c.ID} }
+
 // rebuildQuarLocked republishes partition p's quarantined ranges from the
 // registry. Callers hold quarMu.
 //
 //pmblade:holds quarMu
 func (db *DB) rebuildQuarLocked(p *partition) {
 	var srcs []quarSource
-	for _, r := range db.quarRecs {
-		if r.Partition != p.id {
+	for _, c := range db.corpses {
+		if c.Partition != p.id {
 			continue
 		}
-		s := quarSource{lo: r.Smallest, hi: r.Largest, dev: r.Device}
-		switch r.Device {
-		case "ssd":
-			if t := db.quarSSD[ssd.FileID(r.ID)]; t != nil {
-				s.may = t.MayContain
-			}
-		case "pm":
-			if t := db.quarPM[pmem.Addr(r.ID)]; t != nil {
-				s.may = t.MayContain
-			}
+		s := quarSource{lo: c.Smallest, hi: c.Largest, dev: c.Device}
+		if c.t != nil {
+			s.may = c.t.MayContain
 		}
 		srcs = append(srcs, s)
 	}
@@ -139,172 +140,60 @@ func (db *DB) rebuildQuarLocked(p *partition) {
 	p.quar.Store(&srcs)
 }
 
-// quarantineSST pulls SSTable t out of partition p's live set and registers
-// the corpse. The unavailable range is published BEFORE the table leaves the
-// live structures, so no reader can observe a window where the data is both
-// unservable and unflagged. Cached blocks of the file are dropped — a block
-// cached before the corruption was detected must not outlive its table's
-// quarantine. Reports false when the table was already quarantined
-// (concurrent detection). Callers hold no engine locks (the detach takes
-// p.maint) and must follow a true return with a manifest install
-// (persistQuarantine).
-func (db *DB) quarantineSST(p *partition, t *sstable.Table, detail string) bool {
-	if !db.registerSSTCorpse(p, t, detail) {
+// quarantine pulls the table id names out of partition p's live set and
+// registers it as a corpse, all under p.maint and in this order: is it still
+// live — one that a compaction retired had its content merged forward before
+// the rot landed, and of concurrent detections exactly one finds it here; then
+// the unavailable range is published; only then does the table leave the
+// published state. A reader loads the state first and the ranges second
+// (quarShadowed, the cursor's guard), so whichever state it holds it either
+// still reads the table or already sees the range: there is no window in
+// which the data is both unservable and unflagged. No view is built for the
+// new state — quarantine runs on the read path, and the next scan builds one
+// over the surviving tables. Reports whether the quarantine took effect;
+// callers hold no engine locks and follow a true return with installManifest.
+func (db *DB) quarantine(p *partition, id tableID, detail string) bool {
+	p.maint.Lock()
+	defer p.maint.Unlock()
+	t := p.state.Load().table(id)
+	if t == nil {
 		return false
 	}
-	// The new state's stable half starts without a view and none is built
-	// here: quarantine runs on the read path. The next scan builds one over
-	// the surviving tables.
-	p.maint.Lock()
-	p.tree.Remove(t)
+	db.quarMu.Lock()
+	db.corpses = append(db.corpses, corpse{QuarantineRecord{
+		Device:    id.dev,
+		ID:        id.id,
+		Partition: p.id,
+		Detail:    detail,
+		Smallest:  append([]byte(nil), t.Smallest()...),
+		Largest:   append([]byte(nil), t.Largest()...),
+	}, t})
+	db.rebuildQuarLocked(p)
+	db.quarMu.Unlock()
+	t.detach(p)
 	db.installTables(p, nil, false)
-	p.maint.Unlock()
-	if db.cache != nil {
-		db.cache.DropFile(t.File())
-	}
 	db.metrics.QuarantineIncidents.Add(1)
 	db.metrics.QuarantinedNow.Add(1)
 	return true
 }
 
-// registerSSTCorpse records t in the quarantine registry and republishes p's
-// unavailable ranges. Reports false when the corpse was already registered
-// (concurrent detection).
-func (db *DB) registerSSTCorpse(p *partition, t *sstable.Table, detail string) bool {
-	db.quarMu.Lock()
-	defer db.quarMu.Unlock()
-	if db.quarSSD == nil {
-		db.quarSSD = make(map[ssd.FileID]*sstable.Table)
-	}
-	if _, dup := db.quarSSD[t.File()]; dup {
-		return false
-	}
-	db.quarSSD[t.File()] = t
-	db.quarRecs = append(db.quarRecs, QuarantineRecord{
-		Device:    "ssd",
-		ID:        uint64(t.File()),
-		Partition: p.id,
-		Detail:    detail,
-		Smallest:  append([]byte(nil), t.Smallest()...),
-		Largest:   append([]byte(nil), t.Largest()...),
-	})
-	db.rebuildQuarLocked(p)
-	return true
-}
-
-// quarantinePM pulls PM table t out of partition p's level-0. The Remove
-// result doubles as the liveness check: a table that already left the live
-// set (retired by a concurrent compaction) is not quarantined, because its
-// content was merged forward before the corruption landed. Reports whether
-// the quarantine took effect.
-func (db *DB) quarantinePM(p *partition, t *pmtable.Table, detail string) bool {
-	if db.pmCorpseKnown(t.Addr()) {
-		return false
-	}
-	// Remove gates registration: of any concurrent detections, exactly one
-	// caller observes the table leaving the live set and registers it.
-	p.maint.Lock()
-	removed := p.l0.Remove(t)
-	if removed {
-		db.installTables(p, nil, false)
-	}
-	p.maint.Unlock()
-	if !removed {
-		return false
-	}
-	db.registerPMCorpse(p, t, detail)
-	db.metrics.QuarantineIncidents.Add(1)
-	db.metrics.QuarantinedNow.Add(1)
-	return true
-}
-
-// pmCorpseKnown reports whether addr is already registered as a PM corpse.
-func (db *DB) pmCorpseKnown(addr pmem.Addr) bool {
-	db.quarMu.Lock()
-	defer db.quarMu.Unlock()
-	_, dup := db.quarPM[addr]
-	return dup
-}
-
-// registerPMCorpse records t in the quarantine registry and republishes p's
-// unavailable ranges.
-func (db *DB) registerPMCorpse(p *partition, t *pmtable.Table, detail string) {
-	db.quarMu.Lock()
-	defer db.quarMu.Unlock()
-	if db.quarPM == nil {
-		db.quarPM = make(map[pmem.Addr]*pmtable.Table)
-	}
-	db.quarPM[t.Addr()] = t
-	db.quarRecs = append(db.quarRecs, QuarantineRecord{
-		Device:    "pm",
-		ID:        uint64(t.Addr()),
-		Partition: p.id,
-		Detail:    detail,
-		Smallest:  append([]byte(nil), t.Smallest()...),
-		Largest:   append([]byte(nil), t.Largest()...),
-	})
-	db.rebuildQuarLocked(p)
-}
-
-// persistQuarantine makes the updated quarantine registry durable. Without a
-// WAL there is no manifest and nothing survives a crash anyway, so it
-// no-ops (installAfterMajor has the same gate). Callers hold no locks.
-func (db *DB) persistQuarantine() error {
-	return db.installAfterMajor()
-}
-
-// findLiveSST locates the live table of p backed by file id, or nil if the
-// file no longer belongs to the live set.
-func (db *DB) findLiveSST(p *partition, id ssd.FileID) *sstable.Table {
-	for _, t := range p.state.Load().ssts() {
-		if t.File() == id {
-			return t
-		}
-	}
-	return nil
-}
-
-// findLivePM locates the live PM table of p at addr, or nil.
-func (db *DB) findLivePM(p *partition, addr pmem.Addr) *pmtable.Table {
-	for _, t := range p.state.Load().pmTables() {
-		if t.Addr() == addr {
-			return t
-		}
-	}
-	return nil
-}
-
-// healCorruption is the read path's self-healing hook: when err identifies a
+// healCorruption is the read path's self-healing hook: when err locates a
 // corrupt table, the table is quarantined (with its manifest install) and
 // healCorruption reports that the caller should retry the read once against
-// the now-clean live set. Any other error reports false. Callers hold no
-// engine locks.
+// the now-clean live set — also when a concurrent detection got there first:
+// the live set no longer contains the table either way. Any other error
+// reports false. Callers hold no engine locks.
 func (db *DB) healCorruption(p *partition, err error) bool {
-	var sce *sstable.CorruptionError
-	if errors.As(err, &sce) {
-		if t := db.findLiveSST(p, sce.File); t != nil {
-			if db.quarantineSST(p, t, sce.Detail) {
-				if merr := db.persistQuarantine(); merr != nil {
-					db.setBgErr(merr)
-				}
-			}
-		}
-		// Retry even when the table was already quarantined by a concurrent
-		// detection: the live set no longer contains it either way.
-		return true
+	var ce *device.CorruptionError
+	if !errors.As(err, &ce) {
+		return false
 	}
-	var pce *pmtable.CorruptionError
-	if errors.As(err, &pce) {
-		if t := db.findLivePM(p, pce.Addr); t != nil {
-			if db.quarantinePM(p, t, pce.Detail) {
-				if merr := db.persistQuarantine(); merr != nil {
-					db.setBgErr(merr)
-				}
-			}
+	if db.quarantine(p, tableID{ce.Class, ce.ID}, ce.Detail) {
+		if _, merr := db.installManifest(0); merr != nil {
+			db.setBgErr(merr)
 		}
-		return true
 	}
-	return false
+	return true
 }
 
 // QuarantineRecords snapshots the quarantine registry (observability, tests,
@@ -312,5 +201,9 @@ func (db *DB) healCorruption(p *partition, err error) bool {
 func (db *DB) QuarantineRecords() []QuarantineRecord {
 	db.quarMu.Lock()
 	defer db.quarMu.Unlock()
-	return append([]QuarantineRecord(nil), db.quarRecs...)
+	out := make([]QuarantineRecord, len(db.corpses))
+	for i, c := range db.corpses {
+		out[i] = c.QuarantineRecord
+	}
+	return out
 }

@@ -160,17 +160,18 @@ type cursor struct {
 // after close; it keeps only its key buffer.
 func (c *cursor) open(db *DB, p *partition, from, end []byte, seq uint64, budget int) {
 	*c = cursor{end: end, seq: seq, consumedKey: c.consumedKey[:0]}
+	c.s = p.acquire()
 	// A range read cannot route around a quarantined table with Bloom precision
 	// the way point reads can: a partition whose quarantined key range overlaps
 	// the read's makes whatever it would contribute untrustworthy. The guard
 	// follows the walk — a partition the read never reaches cannot shadow its
-	// result.
+	// result — and the state: a quarantine publishes its range before the
+	// table leaves the state, so a state that lacks the table sees the range.
 	if p.quarOverlaps(from, end) {
 		db.metrics.UnavailableReads.Add(1)
 		c.err = ErrUnavailable
 		return
 	}
-	c.s = p.acquire()
 	p.reads.Add(1)
 	v, err := db.viewOf(c.s)
 	if err != nil {

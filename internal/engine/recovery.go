@@ -27,10 +27,7 @@ type Manifest struct {
 	// WALFiles are the live logs in replay order (oldest first). During a
 	// checkpoint both the retiring and the fresh WAL are listed, so a crash
 	// mid-checkpoint loses nothing.
-	WALFiles []uint64 `json:"wal_files"`
-	// WALFile is the legacy single-log field, kept for readability of dumps;
-	// recovery uses WALFiles.
-	WALFile    uint64         `json:"wal_file,omitempty"`
+	WALFiles   []uint64       `json:"wal_files"`
 	Partitions []PartManifest `json:"partitions"`
 	// Quarantine lists the tables pulled from the live sets after a
 	// corruption detection (DESIGN.md §5.8). They are NOT in Partitions; a
@@ -41,11 +38,10 @@ type Manifest struct {
 
 // PartManifest is one partition's table inventory.
 type PartManifest struct {
-	L0Unsorted []int64    `json:"l0_unsorted"` // PM table addrs, newest first
-	L0Sorted   []int64    `json:"l0_sorted"`   // PM table addrs, ascending
+	L0Unsorted []uint64   `json:"l0_unsorted"` // PM table addrs, newest first
+	L0Sorted   []uint64   `json:"l0_sorted"`   // PM table addrs, ascending
 	L0SSD      []uint64   `json:"l0_ssd"`      // SSTable files, newest first
-	Run        []uint64   `json:"run"`         // level-1 run files, ascending
-	Levels     [][]uint64 `json:"levels"`      // RocksDB mode: runs per level
+	Levels     [][]uint64 `json:"levels"`      // run files per level below level 0, each ascending
 }
 
 // RootManifest is the device root-pointer name under which the current
@@ -134,19 +130,17 @@ func (db *DB) buildManifest(extraWAL uint64) Manifest {
 	}
 	db.walMu.Lock()
 	if db.wal != nil {
-		cur := uint64(db.wal.File())
-		m.WALFiles = append(m.WALFiles, cur)
-		m.WALFile = cur
+		m.WALFiles = append(m.WALFiles, uint64(db.wal.File()))
 	}
 	db.walMu.Unlock()
 	for _, p := range db.partitions {
 		s := p.state.Load()
 		var pm PartManifest
 		for _, t := range s.pmUnsorted {
-			pm.L0Unsorted = append(pm.L0Unsorted, int64(t.Addr()))
+			pm.L0Unsorted = append(pm.L0Unsorted, uint64(t.Addr()))
 		}
 		for _, t := range s.pmSorted {
-			pm.L0Sorted = append(pm.L0Sorted, int64(t.Addr()))
+			pm.L0Sorted = append(pm.L0Sorted, uint64(t.Addr()))
 		}
 		for _, t := range s.ssdL0 {
 			pm.L0SSD = append(pm.L0SSD, uint64(t.File()))
@@ -156,65 +150,72 @@ func (db *DB) buildManifest(extraWAL uint64) Manifest {
 			for _, t := range run {
 				files = append(files, uint64(t.File()))
 			}
-			if db.cfg.RocksDB {
-				pm.Levels = append(pm.Levels, files)
-			} else {
-				pm.Run = files
-			}
+			pm.Levels = append(pm.Levels, files)
 		}
 		m.Partitions = append(m.Partitions, pm)
 	}
-	db.quarMu.Lock()
-	m.Quarantine = append([]QuarantineRecord(nil), db.quarRecs...)
-	db.quarMu.Unlock()
+	m.Quarantine = db.QuarantineRecords()
 	return m
 }
 
-// SaveManifest persists the current structure to a fresh SSD file, installs
-// it under the RootManifest pointer, and returns its id. The manifest before
-// the previous one is deleted; the previous one is retained as the recovery
-// fallback.
-func (db *DB) SaveManifest() (ssd.FileID, error) {
-	db.drainFlushes()
+// installManifest is the one way the durable root moves: under every
+// maintenance lock (it takes them itself — callers hold none) it writes the
+// current structure to a fresh SSD file, installs it under the RootManifest
+// pointer and returns its id. extraWAL is buildManifest's. The write path is
+// sync-then-rename: the file is fully synced before the root pointer moves, so
+// the installed root always names an intact manifest; the one it replaces is
+// kept as the recovery fallback and the one before that deleted. The new root
+// names none of the tables retired since the last install, so the retirement
+// queue is drained here, and only here. (The fallback may still name them; it
+// is consulted only if the freshly synced root is unreadable, which the
+// protocol prevents.) A failed install leaves root, chain and queue as they
+// were. Without a WAL there is no manifest — nothing survives a crash, and
+// retirement was immediate — so it does nothing.
+func (db *DB) installManifest(extraWAL uint64) (ssd.FileID, error) {
+	if db.cfg.DisableWAL {
+		return 0, nil
+	}
 	db.lockAll()
 	defer db.unlockAll()
-	return db.saveManifestLocked(0)
-}
-
-// saveManifestLocked writes and durably installs a manifest. Callers hold
-// lockAll (or are single-threaded during Open/Recover). The write path is
-// sync-then-rename: the manifest file is fully synced before the root
-// pointer moves, so the installed root always names an intact manifest.
-func (db *DB) saveManifestLocked(extraWAL uint64) (ssd.FileID, error) {
-	m := db.buildManifest(extraWAL)
-	raw, err := encodeManifest(m)
+	raw, err := encodeManifest(db.buildManifest(extraWAL))
 	if err != nil {
 		return 0, err
 	}
 	f := db.ssd.Create()
-	if err := db.retryDurable(func() error {
+	err = db.retryDurable(func() error {
 		_, e := db.ssd.Append(f, raw, device.CauseManifest)
 		return e
-	}); err != nil {
+	})
+	if err == nil {
+		err = db.retryDurable(func() error { return db.ssd.Sync(f) })
+	}
+	if err == nil {
+		err = db.ssd.SetRoot(RootManifest, f)
+	}
+	if err != nil {
+		db.ssd.Delete(f)
 		return 0, err
 	}
-	if err := db.retryDurable(func() error { return db.ssd.Sync(f) }); err != nil {
-		return 0, err
-	}
-	if err := db.ssd.SetRoot(RootManifest, f); err != nil {
-		return 0, err
-	}
-	// Prune the chain: keep the new manifest and its predecessor (fallback),
-	// drop the one before that.
 	if db.manifestPrev != 0 {
 		db.ssd.Delete(db.manifestPrev)
 	}
-	db.manifestPrev = db.manifestCur
-	db.manifestCur = f
-	// The new durable manifest references none of the tables compaction has
-	// retired since the last install; their space can finally be reclaimed.
-	db.dropObsoleteLocked()
+	db.manifestPrev, db.manifestCur = db.manifestCur, f
+
+	db.obsoleteMu.Lock()
+	retired := db.obsolete
+	db.obsolete = nil
+	db.obsoleteMu.Unlock()
+	for _, free := range retired {
+		free()
+	}
 	return f, nil
+}
+
+// SaveManifest installs a manifest of the current structure once every
+// scheduled flush has run, and returns its id (0 without a WAL).
+func (db *DB) SaveManifest() (ssd.FileID, error) {
+	db.drainFlushes()
+	return db.installManifest(0)
 }
 
 // Checkpoint makes the current state durable and bounds recovery work.
@@ -223,9 +224,11 @@ func (db *DB) saveManifestLocked(extraWAL uint64) (ssd.FileID, error) {
 // commit turn and a bridging manifest listing BOTH logs is installed before
 // the turn ends, so no writer can commit to the fresh log first — a crash at
 // any instant therefore finds a durable manifest covering every acknowledged
-// write. FlushAll then pushes the old log's memtables to level-0, a second
+// write. If that install fails the same turn puts the old log back and
+// deletes the fresh one: no write is ever acknowledged from a log no manifest
+// names. FlushAll then pushes the old log's memtables to level-0, a second
 // manifest drops the old log from the live set, and only then is the old log
-// deleted.
+// deleted; if that install fails both logs stay live and listed.
 func (db *DB) Checkpoint() (ssd.FileID, error) {
 	var old *wal.Writer
 	if db.wal != nil {
@@ -233,14 +236,14 @@ func (db *DB) Checkpoint() (ssd.FileID, error) {
 		// memtables cover the old log and the new one is empty.
 		var err error
 		db.turn(func() {
-			db.walMu.Lock()
-			old = db.wal
-			db.wal = wal.NewWriter(db.ssd)
-			db.walMu.Unlock()
+			fresh := wal.NewWriter(db.ssd)
+			old = db.swapWAL(fresh)
 			db.drainFlushes()
-			db.lockAll()
-			_, err = db.saveManifestLocked(uint64(old.File()))
-			db.unlockAll()
+			if _, err = db.installManifest(uint64(old.File())); err != nil {
+				db.swapWAL(old)
+				fresh.Close()
+				fresh.Delete()
+			}
 		})
 		if err != nil {
 			return 0, err
@@ -258,6 +261,16 @@ func (db *DB) Checkpoint() (ssd.FileID, error) {
 		old.Delete()
 	}
 	return mf, nil
+}
+
+// swapWAL makes w the live log and returns the one it replaces. Only a commit
+// turn calls it.
+func (db *DB) swapWAL(w *wal.Writer) *wal.Writer {
+	db.walMu.Lock()
+	defer db.walMu.Unlock()
+	old := db.wal
+	db.wal = w
+	return old
 }
 
 // manifestCandidates lists manifest files to attempt recovery from: the
@@ -301,44 +314,31 @@ func manifestCandidates(sd *ssd.Device) []ssd.FileID {
 	return out
 }
 
-// recoverQuarantine converts a live-table reopen failure into a quarantine
-// when the failure is a corruption: recovery proceeds with the table out of
-// the live set and its key range marked unavailable (bounds unknown, so the
-// whole partition is conservatively flagged), instead of abandoning an
-// otherwise-intact manifest. Non-corruption failures report false and abort
-// the candidate as before.
-func (db *DB) recoverQuarantine(devClass string, id uint64, pid int, err error) bool {
-	switch devClass {
-	case "ssd":
-		if !errors.Is(err, sstable.ErrCorrupt) {
-			return false
+// reopen opens the tables of partition pid that one manifest list names, in
+// order. A table whose reopen fails on corruption is quarantined and left out
+// — recovery proceeds with its key range marked unavailable (bounds unknown,
+// so the whole partition is conservatively flagged) instead of abandoning an
+// otherwise-intact manifest. Any other failure aborts the candidate.
+func reopen[T any](db *DB, pid int, dev device.Class, ids []uint64, open func(id uint64) (T, error)) ([]T, error) {
+	var ts []T
+	for _, id := range ids {
+		t, err := open(id)
+		var ce *device.CorruptionError
+		switch {
+		case err == nil:
+			ts = append(ts, t)
+		case errors.As(err, &ce):
+			db.quarMu.Lock()
+			db.corpses = append(db.corpses, corpse{QuarantineRecord: QuarantineRecord{
+				Device: dev, ID: id, Partition: pid, Detail: err.Error(),
+			}})
+			db.quarMu.Unlock()
+			db.metrics.QuarantineIncidents.Add(1)
+		default:
+			return nil, fmt.Errorf("engine: reopen %s table %d of partition %d: %w", dev, id, pid, err)
 		}
-	case "pm":
-		if !errors.Is(err, pmtable.ErrCorrupt) {
-			return false
-		}
-	default:
-		return false
 	}
-	db.quarMu.Lock()
-	switch devClass {
-	case "ssd":
-		if db.quarSSD == nil {
-			db.quarSSD = make(map[ssd.FileID]*sstable.Table)
-		}
-		db.quarSSD[ssd.FileID(id)] = nil
-	case "pm":
-		if db.quarPM == nil {
-			db.quarPM = make(map[pmem.Addr]*pmtable.Table)
-		}
-		db.quarPM[pmem.Addr(id)] = nil
-	}
-	db.quarRecs = append(db.quarRecs, QuarantineRecord{
-		Device: devClass, ID: id, Partition: pid, Detail: err.Error(),
-	})
-	db.quarMu.Unlock()
-	db.metrics.QuarantineIncidents.Add(1)
-	return true
+	return ts, nil
 }
 
 // RecoverCurrent rebuilds an engine over existing devices from the installed
@@ -386,39 +386,16 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	if cfg.Level0OnPM && pm == nil {
 		return nil, fmt.Errorf("engine: config wants PM level-0 but no PM device supplied")
 	}
+	openSST := func(id uint64) (*sstable.Table, error) { return sstable.Open(sd, ssd.FileID(id), db.cache) }
+	openPM := func(id uint64) (*pmtable.Table, error) {
+		if pm == nil {
+			return nil, fmt.Errorf("engine: manifest names PM table %d but no PM device supplied", id)
+		}
+		return pmtable.Open(pm, pmem.Addr(id), device.CauseUnknown)
+	}
 	for i, pmPart := range m.Partitions {
 		p := db.newPartition(i)
-		// openSSTs reopens one manifest file list in order; a corrupt table is
-		// quarantined and left out instead of failing the candidate.
-		openSSTs := func(files []uint64, what string) ([]*sstable.Table, error) {
-			var ts []*sstable.Table
-			for _, f := range files {
-				t, err := sstable.Open(sd, ssd.FileID(f), db.cache)
-				if err != nil {
-					if db.recoverQuarantine("ssd", f, i, err) {
-						continue
-					}
-					return nil, fmt.Errorf("engine: reopen %s sstable %d: %w", what, f, err)
-				}
-				ts = append(ts, t)
-			}
-			return ts, nil
-		}
-		openPMs := func(addrs []int64) ([]*pmtable.Table, error) {
-			var ts []*pmtable.Table
-			for _, a := range addrs {
-				t, err := pmtable.Open(pm, pmem.Addr(a), device.CauseUnknown)
-				if err != nil {
-					if db.recoverQuarantine("pm", uint64(a), i, err) {
-						continue
-					}
-					return nil, fmt.Errorf("engine: reopen PM table @%d: %w", a, err)
-				}
-				ts = append(ts, t)
-			}
-			return ts, nil
-		}
-		l0, err := openSSTs(pmPart.L0SSD, "L0")
+		l0, err := reopen(db, i, device.SSD, pmPart.L0SSD, openSST)
 		if err != nil {
 			return nil, err
 		}
@@ -427,28 +404,23 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		for j := len(l0) - 1; j >= 0; j-- {
 			p.tree.AddL0(l0[j])
 		}
-		runs := pmPart.Levels
-		if !cfg.RocksDB {
-			runs = [][]uint64{pmPart.Run}
-		}
-		for li, files := range runs {
-			ts, err := openSSTs(files, fmt.Sprintf("L%d", li+1))
+		for li, files := range pmPart.Levels {
+			ts, err := reopen(db, i, device.SSD, files, openSST)
 			if err != nil {
 				return nil, err
 			}
 			p.tree.Run(li+1).Replace(nil, ts)
 		}
-		if cfg.Level0OnPM {
-			unsorted, err := openPMs(pmPart.L0Unsorted)
-			if err != nil {
-				return nil, err
-			}
-			sorted, err := openPMs(pmPart.L0Sorted)
-			if err != nil {
-				return nil, err
-			}
-			p.l0.ReplaceAll(unsorted, sorted)
+		// Both lists are empty when level-0 is not on PM.
+		unsorted, err := reopen(db, i, device.PM, pmPart.L0Unsorted, openPM)
+		if err != nil {
+			return nil, err
 		}
+		sorted, err := reopen(db, i, device.PM, pmPart.L0Sorted, openPM)
+		if err != nil {
+			return nil, err
+		}
+		p.l0.ReplaceAll(unsorted, sorted)
 		db.installTables(p, nil, false)
 		db.partitions = append(db.partitions, p)
 	}
@@ -465,30 +437,18 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		if r.Partition < 0 || r.Partition >= len(db.partitions) {
 			continue
 		}
-		switch r.Device {
-		case "ssd":
-			if db.quarSSD == nil {
-				db.quarSSD = make(map[ssd.FileID]*sstable.Table)
-			}
-			var corpse *sstable.Table
+		c := corpse{QuarantineRecord: r}
+		if r.Device == device.SSD {
 			if t, err := sstable.Open(sd, ssd.FileID(r.ID), nil); err == nil {
-				corpse = t
+				c.t = ssdTable{t}
 			}
-			db.quarSSD[ssd.FileID(r.ID)] = corpse
-		case "pm":
-			if db.quarPM == nil {
-				db.quarPM = make(map[pmem.Addr]*pmtable.Table)
-			}
-			db.quarPM[pmem.Addr(r.ID)] = nil
-		default:
-			continue
 		}
-		db.quarRecs = append(db.quarRecs, r)
+		db.corpses = append(db.corpses, c)
 	}
 	for _, p := range db.partitions {
 		db.rebuildQuarLocked(p)
 	}
-	db.metrics.QuarantinedNow.Store(int64(len(db.quarRecs)))
+	db.metrics.QuarantinedNow.Store(int64(len(db.corpses)))
 	db.quarMu.Unlock()
 
 	// Replay the live WALs, oldest first, into the memtables. Entries already
@@ -496,14 +456,10 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	// every sequence above the checkpoint that switched to them, so the
 	// memtable — the first tier a read meets — ends up with the newest
 	// version of every key written since, and a table can only repeat it.
-	walFiles := m.WALFiles
-	if len(walFiles) == 0 && m.WALFile != 0 {
-		walFiles = []uint64{m.WALFile}
-	}
 	if !cfg.DisableWAL {
 		maxSeq := m.Seq
 		var replayed []kv.Entry
-		for _, wf := range walFiles {
+		for _, wf := range m.WALFiles {
 			_, err := wal.Replay(sd, ssd.FileID(wf), func(e kv.Entry) error {
 				// Recovery is single-threaded: there is no commit turn to
 				// take yet.
@@ -534,14 +490,11 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 				return nil, fmt.Errorf("engine: re-log recovered tail: %w", err)
 			}
 		}
-		db.lockAll()
-		_, err := db.saveManifestLocked(0)
-		db.unlockAll()
-		if err != nil {
+		if _, err := db.installManifest(0); err != nil {
 			return nil, fmt.Errorf("engine: install recovery manifest: %w", err)
 		}
 		// The replayed logs are fully covered by the re-log; retire them.
-		for _, wf := range walFiles {
+		for _, wf := range m.WALFiles {
 			sd.Delete(ssd.FileID(wf))
 		}
 	}

@@ -6,26 +6,19 @@
 // newest surviving version of each key regardless of which table held it. PM
 // corpses contribute nothing — their single whole-image checksum cannot
 // vouch for any sub-range once it fails. The rebuilt run installs through
-// the ordinary compaction path and the corpses retire through the deferred
-// obsolete queues, by raw device ID (idempotent), so a crash at any point
-// leaves either the quarantine or the repaired state — never a corrupt
-// table back in the live set.
+// the ordinary compaction path and the corpses retire through the retirement
+// queue, by raw device ID (idempotent), so a crash at any point leaves either
+// the quarantine or the repaired state — never a corrupt table back in the
+// live set.
 
 package engine
 
 import (
 	"fmt"
+	"slices"
 
-	"pmblade/internal/pmem"
-	"pmblade/internal/ssd"
 	"pmblade/internal/sstable"
 )
-
-// corpseKey identifies a quarantine record for targeted cleanup.
-type corpseKey struct {
-	device string
-	id     uint64
-}
 
 // RepairQuarantined rebuilds every partition holding quarantined tables and
 // releases their corpses. Keys whose only surviving copy sat in a corrupt
@@ -41,25 +34,14 @@ func (db *DB) RepairQuarantined() error {
 	defer db.repairMu.Unlock()
 
 	db.quarMu.Lock()
-	recs := append([]QuarantineRecord(nil), db.quarRecs...)
-	corpses := make(map[uint64]*sstable.Table)
-	for id, t := range db.quarSSD {
-		if t != nil {
-			corpses[uint64(id)] = t
-		}
-	}
+	corpses := slices.Clone(db.corpses)
 	db.quarMu.Unlock()
-	if len(recs) == 0 {
+	if len(corpses) == 0 {
 		return nil
 	}
-
-	byPart := make(map[int][]QuarantineRecord)
-	for _, r := range recs {
-		byPart[r.Partition] = append(byPart[r.Partition], r)
-	}
 	for _, p := range db.partitions {
-		prs := byPart[p.id]
-		if len(prs) == 0 {
+		mine := slices.DeleteFunc(slices.Clone(corpses), func(c corpse) bool { return c.Partition != p.id })
+		if len(mine) == 0 {
 			continue
 		}
 		// A major compaction with the corpses as extra sources. It is judged
@@ -71,9 +53,12 @@ func (db *DB) RepairQuarantined() error {
 		// iterators so that a skipped block is counted once.
 		err := db.maintain(p, func() error {
 			var salvage []*sstable.Iterator
-			for _, r := range prs {
-				if t := corpses[r.ID]; r.Device == "ssd" && t != nil {
-					salvage = append(salvage, t.NewSalvageIterator())
+			for _, c := range mine {
+				if c.t == nil {
+					continue
+				}
+				if it := c.t.salvage(); it != nil {
+					salvage = append(salvage, it)
 				}
 			}
 			if db.cfg.RocksDB || len(salvage) == 0 {
@@ -84,65 +69,30 @@ func (db *DB) RepairQuarantined() error {
 		if err != nil {
 			return fmt.Errorf("engine: repair partition %d: %w", p.id, err)
 		}
-		db.finishRepair(p, prs)
+		db.finishRepair(p, mine)
 	}
 	db.metrics.RepairPasses.Add(1)
 	// One manifest install drops the quarantine records from the durable
 	// root and frees the retired corpses.
-	return db.installAfterMajor()
+	_, err := db.installManifest(0)
+	return err
 }
 
-// finishRepair removes the repaired records from the quarantine registry and
-// queues their corpses for retirement. Only the snapshot's records are
-// dropped — a quarantine that landed concurrently (background scrub) stays
-// in place for the next repair pass.
-func (db *DB) finishRepair(p *partition, prs []QuarantineRecord) {
-	if db.cfg.DisableWAL {
-		// No manifest, no deferral: nothing durable references the corpses.
-		for _, r := range prs {
-			switch r.Device {
-			case "ssd":
-				db.ssd.Delete(ssd.FileID(r.ID))
-			case "pm":
-				if db.pm != nil {
-					db.pm.Release(pmem.Addr(r.ID))
-				}
-			}
-		}
-	} else {
-		db.obsoleteMu.Lock()
-		for _, r := range prs {
-			switch r.Device {
-			case "ssd":
-				db.obsoleteRawSSD = append(db.obsoleteRawSSD, ssd.FileID(r.ID))
-			case "pm":
-				db.obsoleteRawPM = append(db.obsoleteRawPM, pmem.Addr(r.ID))
-			}
-		}
-		db.obsoleteMu.Unlock()
-	}
-
-	dead := make(map[corpseKey]bool, len(prs))
-	for _, r := range prs {
-		dead[corpseKey{r.Device, r.ID}] = true
+// finishRepair removes the repaired corpses of p from the quarantine registry
+// and retires them. Only the snapshot's corpses are dropped — a quarantine
+// that landed concurrently (background scrub) stays in place for the next
+// repair pass.
+func (db *DB) finishRepair(p *partition, repaired []corpse) {
+	dead := make(map[tableID]bool, len(repaired))
+	for _, c := range repaired {
+		id := c.id()
+		dead[id] = true
+		db.retire(func() { db.freeByID(id) })
 	}
 	db.quarMu.Lock()
-	keep := db.quarRecs[:0]
-	for _, r := range db.quarRecs {
-		if dead[corpseKey{r.Device, r.ID}] {
-			switch r.Device {
-			case "ssd":
-				delete(db.quarSSD, ssd.FileID(r.ID))
-			case "pm":
-				delete(db.quarPM, pmem.Addr(r.ID))
-			}
-			continue
-		}
-		keep = append(keep, r)
-	}
-	db.quarRecs = keep
+	db.corpses = slices.DeleteFunc(db.corpses, func(c corpse) bool { return dead[c.id()] })
 	db.rebuildQuarLocked(p)
 	db.quarMu.Unlock()
-	db.metrics.QuarantinedNow.Add(-int64(len(prs)))
-	db.metrics.RepairTablesRetired.Add(int64(len(prs)))
+	db.metrics.QuarantinedNow.Add(-int64(len(repaired)))
+	db.metrics.RepairTablesRetired.Add(int64(len(repaired)))
 }

@@ -9,19 +9,17 @@
 package engine
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"pmblade/internal/device"
-	"pmblade/internal/pmtable"
 	"pmblade/internal/wal"
 )
 
 // Incident is one corruption detection of a scrub pass.
 type Incident struct {
-	// Device is "ssd", "pm", or "wal".
-	Device string
+	// Device is SSD, PM or WAL.
+	Device device.Class
 	// ID is the ssd.FileID or pmem.Addr of the corrupt object.
 	ID uint64
 	// Offset/Length locate the corrupt region within the object: the failing
@@ -70,53 +68,29 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 	quarantined := false
 	for _, p := range db.partitions {
 		// One state per partition: a table compacted away mid-pass stays
-		// readable (and its file alive) until the walk lets go of it.
+		// readable (and its file alive) until the walk lets go of it — and is
+		// not quarantined, its content having been merged forward.
 		s := p.acquire()
-		// SSD tables: per-block CRC verification straight from the device.
-		for _, t := range s.ssts() {
+		for _, t := range s.tables() {
 			db.pool.ScrubGate()
-			corrupt, err := t.VerifyBlocks(device.CauseScrub, budget)
+			id := t.id()
+			corrupt, err := t.verify(budget)
 			db.metrics.ScrubTables.Add(1)
 			if err != nil {
 				s.release()
-				return incidents, fmt.Errorf("engine: scrub sstable %d: %w", t.File(), err)
+				return incidents, fmt.Errorf("engine: scrub %s table %d: %w", id.dev, id.id, err)
 			}
 			if len(corrupt) == 0 {
 				continue
 			}
 			for _, ce := range corrupt {
 				incidents = append(incidents, Incident{
-					Device: "ssd", ID: uint64(ce.File), Offset: ce.Off, Length: ce.Len,
+					Device: ce.Class, ID: ce.ID, Offset: ce.Off, Length: ce.Len,
 					Partition: p.id, Detail: ce.Detail,
 				})
 			}
 			db.metrics.ScrubCorruptions.Add(int64(len(corrupt)))
-			if db.quarantineSST(p, t, corrupt[0].Detail) {
-				quarantined = true
-			}
-		}
-
-		// PM tables: whole-image checksum. A verification failure that is not
-		// a corruption (the region left the live set while we walked) is
-		// skipped — the table's content was merged forward before the rot.
-		for _, t := range s.pmTables() {
-			db.pool.ScrubGate()
-			err := t.Verify()
-			db.metrics.ScrubTables.Add(1)
-			budget(t.SizeBytes())
-			if err == nil {
-				continue
-			}
-			ce, ok := asPMCorruption(err)
-			if !ok {
-				continue
-			}
-			incidents = append(incidents, Incident{
-				Device: "pm", ID: uint64(ce.Addr), Offset: 0, Length: ce.Len,
-				Partition: p.id, Detail: ce.Detail,
-			})
-			db.metrics.ScrubCorruptions.Add(1)
-			if db.quarantinePM(p, t, ce.Detail) {
+			if db.quarantine(p, id, corrupt[0].Detail) {
 				quarantined = true
 			}
 		}
@@ -134,7 +108,7 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 		off, err := wal.Verify(db.ssd, w.File())
 		if err == nil && off >= 0 {
 			incidents = append(incidents, Incident{
-				Device: "wal", ID: uint64(w.File()), Offset: off,
+				Device: device.WAL, ID: uint64(w.File()), Offset: off,
 				Partition: -1, Detail: "record checksum",
 			})
 			db.metrics.ScrubCorruptions.Add(1)
@@ -142,21 +116,12 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 	}
 
 	if quarantined {
-		if err := db.persistQuarantine(); err != nil {
+		if _, err := db.installManifest(0); err != nil {
 			return incidents, err
 		}
 	}
 	db.metrics.ScrubPasses.Add(1)
 	return incidents, nil
-}
-
-// asPMCorruption extracts a located PM corruption from err.
-func asPMCorruption(err error) (*pmtable.CorruptionError, bool) {
-	var ce *pmtable.CorruptionError
-	if errors.As(err, &ce) {
-		return ce, true
-	}
-	return nil, false
 }
 
 // startScrub launches the background scrub loop when ScrubInterval is set.
@@ -204,7 +169,7 @@ func (db *DB) stopScrub() {
 // For SSD tables that is the CRC-covered data-block prefix (the metadata
 // tail carries structural checks only); PM images are checksummed whole.
 type RotTarget struct {
-	Device    string // "ssd" or "pm"
+	Device    device.Class // SSD or PM
 	ID        uint64
 	Limit     int64
 	Partition int // owning partition index
@@ -215,14 +180,10 @@ type RotTarget struct {
 func (db *DB) RotTargets() []RotTarget {
 	var out []RotTarget
 	for pi, p := range db.partitions {
-		s := p.state.Load()
-		for _, t := range s.ssts() {
-			if n := t.DataBytes(); n > 0 {
-				out = append(out, RotTarget{Device: "ssd", ID: uint64(t.File()), Limit: n, Partition: pi})
+		for _, t := range p.state.Load().tables() {
+			if id, n := t.id(), t.rotLimit(); n > 0 {
+				out = append(out, RotTarget{Device: id.dev, ID: id.id, Limit: n, Partition: pi})
 			}
-		}
-		for _, t := range s.pmTables() {
-			out = append(out, RotTarget{Device: "pm", ID: uint64(t.Addr()), Limit: t.SizeBytes(), Partition: pi})
 		}
 	}
 	return out

@@ -165,7 +165,8 @@ func TestReadStateOutlivesInstalls(t *testing.T) {
 				err = db.compactToSSD(p, leveledStep(p.tree, 0))
 				p.maint.Unlock()
 				must(err)
-				must(db.installAfterMajor())
+				_, err := db.installManifest(0)
+				must(err)
 			}
 			cur := p.state.Load()
 			if cur.stableHalf == s0.stableHalf {

@@ -35,6 +35,7 @@ import (
 	"sort"
 	"strings"
 
+	"pmblade/internal/device"
 	"pmblade/internal/engine"
 	"pmblade/internal/fault"
 	"pmblade/internal/pmem"
@@ -108,7 +109,7 @@ func (r *SoakReport) failf(format string, args ...any) {
 // rotKey identifies one corrupted byte for dedup: two rots on the same byte
 // would xor it back to its original value.
 type rotKey struct {
-	dev string
+	dev device.Class
 	id  uint64
 	off int64
 }
@@ -345,7 +346,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	// install the short output, retire the table, and the keys behind the rot
 	// would be silently gone with nothing left to scrub.
 	for _, tg := range db.RotTargets() {
-		if tg.Device != "ssd" {
+		if tg.Device != device.SSD {
 			continue
 		}
 		ev, rerr := db.SSDDevice().Rot(ssd.FileID(tg.ID), 0, tg.Limit)
@@ -366,7 +367,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		}
 		quarantined := false
 		for _, r := range db.QuarantineRecords() {
-			quarantined = quarantined || (r.Device == "ssd" && r.ID == tg.ID)
+			quarantined = quarantined || (r.Device == device.SSD && r.ID == tg.ID)
 		}
 		if !quarantined {
 			rep.failf("a major compaction read SSD image %d, rotted at offset %d, and did not quarantine it", tg.ID, ev.Off)
@@ -383,7 +384,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	// fires at most every fourth table, so a couple of rounds suffice).
 	havePMImage := func() bool {
 		for _, t := range db.RotTargets() {
-			if t.Device == "pm" {
+			if t.Device == device.PM {
 				return true
 			}
 		}
@@ -423,15 +424,15 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	for i, t := range targets {
 		if i%2 == 0 {
 			victims = append(victims, t)
-			havePM = havePM || t.Device == "pm"
-			haveSSD = haveSSD || t.Device == "ssd"
+			havePM = havePM || t.Device == device.PM
+			haveSSD = haveSSD || t.Device == device.SSD
 		}
 	}
 	for _, t := range targets {
-		if (t.Device == "pm" && !havePM) || (t.Device == "ssd" && !haveSSD) {
+		if (t.Device == device.PM && !havePM) || (t.Device == device.SSD && !haveSSD) {
 			victims = append(victims, t)
-			havePM = havePM || t.Device == "pm"
-			haveSSD = haveSSD || t.Device == "ssd"
+			havePM = havePM || t.Device == device.PM
+			haveSSD = haveSSD || t.Device == device.SSD
 		}
 	}
 	pm, sd := db.PMDevice(), db.SSDDevice()
@@ -444,13 +445,13 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 		t := victims[attempts%len(victims)]
 		var rk rotKey
 		switch t.Device {
-		case "pm":
+		case device.PM:
 			ev, rerr := pm.Rot(pmem.Addr(t.ID), 0, t.Limit)
 			if rerr != nil {
 				return nil, fmt.Errorf("soak: pm rot: %w", rerr)
 			}
-			rk = rotKey{"pm", uint64(ev.Addr), ev.Off}
-		case "ssd":
+			rk = rotKey{device.PM, uint64(ev.Addr), ev.Off}
+		case device.SSD:
 			// Alternate between the whole data region (detection spread) and
 			// the first block only (concentration: real rot clusters, and a
 			// table whose later blocks stay intact exercises partial salvage).
@@ -462,14 +463,14 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 			if rerr != nil {
 				return nil, fmt.Errorf("soak: ssd rot: %w", rerr)
 			}
-			rk = rotKey{"ssd", uint64(ev.File), ev.Off}
+			rk = rotKey{device.SSD, uint64(ev.File), ev.Off}
 		}
 		if rotted[rk] {
 			continue // same byte twice would xor the rot away
 		}
 		rotted[rk] = true
 		rotsByImage[rotKey{rk.dev, rk.id, 0}] = append(rotsByImage[rotKey{rk.dev, rk.id, 0}], rk.off)
-		if rk.dev == "pm" {
+		if rk.dev == device.PM {
 			rep.RottedPM++
 		} else {
 			rep.RottedSSD++
@@ -492,7 +493,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 			if inc.Device != rk.dev || inc.ID != rk.id {
 				continue
 			}
-			if rk.dev == "pm" || (rk.off >= inc.Offset && rk.off < inc.Offset+inc.Length) {
+			if rk.dev == device.PM || (rk.off >= inc.Offset && rk.off < inc.Offset+inc.Length) {
 				covered = true
 				break
 			}

@@ -300,15 +300,15 @@ func TestCorruptTableFailsLookupAndCompaction(t *testing.T) {
 	}
 
 	_, ok, _, err := l.Get([]byte("key-271"), kv.MaxSeq)
-	var ce *pmtable.CorruptionError
-	if ok || !errors.As(err, &ce) || ce.Addr != rotted.Addr() {
+	var ce *device.CorruptionError
+	if ok || !errors.As(err, &ce) || pmem.Addr(ce.ID) != rotted.Addr() {
 		t.Fatalf("Get = found %v, err %v; want a *CorruptionError at region %d, not the older table's version", ok, err, rotted.Addr())
 	}
 
 	unsorted, sorted := l.Tables()
 	used := dev.Used()
 	_, err = l.CompactInternal(false, nil)
-	if ce = nil; !errors.As(err, &ce) || ce.Addr != rotted.Addr() {
+	if ce = nil; !errors.As(err, &ce) || pmem.Addr(ce.ID) != rotted.Addr() {
 		t.Fatalf("CompactInternal: %v, want a *CorruptionError at region %d", err, rotted.Addr())
 	}
 	if u, s := l.Tables(); !slices.Equal(u, unsorted) || !slices.Equal(s, sorted) {

@@ -72,8 +72,8 @@ func TestCorruptGroupIsAnErrorNotAMiss(t *testing.T) {
 
 			located := func(what string, err error) {
 				t.Helper()
-				var ce *CorruptionError
-				if !errors.As(err, &ce) || ce.Addr != tbl.Addr() {
+				var ce *device.CorruptionError
+				if !errors.As(err, &ce) || ce.ID != uint64(tbl.Addr()) {
 					t.Fatalf("%s: error %v, want a *CorruptionError at region %d", what, err, tbl.Addr())
 				}
 			}

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"strings"
 
 	"pmblade/internal/bloom"
 	"pmblade/internal/device"
@@ -91,33 +90,23 @@ const (
 // ErrCorrupt reports a malformed table image.
 var ErrCorrupt = errors.New("pmtable: corrupt table")
 
-// CorruptionError is an ErrCorrupt with a location: which PM region and
-// what failed. PM tables are protected by one whole-image checksum, so
-// unlike SSD tables there is no finer-than-table attribution — Off is
-// always 0 and Len the image size. errors.Is(err, ErrCorrupt) holds
-// through Unwrap.
-type CorruptionError struct {
-	Addr   pmem.Addr
-	Len    int64
-	Detail string
+// corrupt locates a corruption of the table image at addr. PM tables are
+// protected by one whole-image checksum, so unlike SSD tables there is no
+// finer-than-table attribution: the region is the image.
+func corrupt(addr pmem.Addr, size int64, detail string) *device.CorruptionError {
+	return &device.CorruptionError{Kind: ErrCorrupt, Class: device.PM, ID: uint64(addr), Len: size, Detail: detail}
 }
-
-func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("%v: region %d (%d bytes): %s", ErrCorrupt, e.Addr, e.Len, e.Detail)
-}
-
-func (e *CorruptionError) Unwrap() error { return ErrCorrupt }
 
 // Verify re-checks the whole-image checksum of the table at addr without
 // decoding anything — the scrub primitive for the PM tier. It returns a
-// *CorruptionError on mismatch and nil when the image is intact.
+// *device.CorruptionError on mismatch and nil when the image is intact.
 func Verify(dev *pmem.Device, addr pmem.Addr) error {
 	size := dev.Size(addr)
 	if size < 0 {
 		return fmt.Errorf("pmtable: unknown region %d", addr)
 	}
 	if size < encodedHeaderSize+4 {
-		return &CorruptionError{Addr: addr, Len: size, Detail: "image too small"}
+		return corrupt(addr, size, "image too small")
 	}
 	img, err := dev.View(addr, 0, size-4, device.CauseScrub)
 	if err != nil {
@@ -128,7 +117,7 @@ func Verify(dev *pmem.Device, addr pmem.Addr) error {
 		return err
 	}
 	if crc32.Checksum(img, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
-		return &CorruptionError{Addr: addr, Len: size, Detail: "image checksum"}
+		return corrupt(addr, size, "image checksum")
 	}
 	return nil
 }
@@ -139,19 +128,7 @@ func (t *Table) Verify() error { return Verify(t.dev, t.addr) }
 // wrapCorrupt attaches the region location to a bare ErrCorrupt; other
 // errors, and errors already located, pass through unchanged.
 func wrapCorrupt(addr pmem.Addr, size int64, err error) error {
-	if err == nil || !errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	var ce *CorruptionError
-	if errors.As(err, &ce) {
-		return err
-	}
-	detail := strings.TrimPrefix(err.Error(), ErrCorrupt.Error())
-	detail = strings.TrimPrefix(detail, ": ")
-	if detail == "" {
-		detail = "image structure"
-	}
-	return &CorruptionError{Addr: addr, Len: size, Detail: detail}
+	return corrupt(addr, size, "image structure").Locate(err)
 }
 
 // Table is an immutable PM-resident sorted (or flush-ordered) table.
@@ -351,7 +328,7 @@ func Open(dev *pmem.Device, addr pmem.Addr, cause device.Cause) (*Table, error) 
 		return nil, fmt.Errorf("pmtable: unknown region %d", addr)
 	}
 	if size < encodedHeaderSize+4 {
-		return nil, &CorruptionError{Addr: addr, Len: size, Detail: "image too small"}
+		return nil, corrupt(addr, size, "image too small")
 	}
 	img, err := dev.View(addr, 0, size-4, cause)
 	if err != nil {
@@ -362,7 +339,7 @@ func Open(dev *pmem.Device, addr pmem.Addr, cause device.Cause) (*Table, error) 
 		return nil, err
 	}
 	if crc32.Checksum(img, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
-		return nil, &CorruptionError{Addr: addr, Len: size, Detail: "image checksum"}
+		return nil, corrupt(addr, size, "image checksum")
 	}
 	h, err := decodeHeader(img[:encodedHeaderSize])
 	if err != nil {
@@ -378,7 +355,7 @@ func Open(dev *pmem.Device, addr pmem.Addr, cause device.Cause) (*Table, error) 
 	tail := int64(h.smallLen) + int64(h.largeLen) + int64(h.filterLen)
 	bodyLen := size - 4 - int64(encodedHeaderSize) - tail
 	if bodyLen < 0 {
-		return nil, &CorruptionError{Addr: addr, Len: size, Detail: "inconsistent trailer lengths"}
+		return nil, corrupt(addr, size, "inconsistent trailer lengths")
 	}
 	trailer, err := dev.View(addr, encodedHeaderSize+bodyLen, tail, cause)
 	if err != nil {
@@ -437,7 +414,7 @@ func (l *lookup) touch(off int) {
 // Key is the caller's key; its Value is a view — of the table image or, in
 // the compressed formats, of the call's own decompression buffer — valid
 // while the caller holds the table, and must be copied to outlive it. A group
-// or record that does not decode on the way is a *CorruptionError, never a
+// or record that does not decode on the way is a *device.CorruptionError, never a
 // miss: the caller must not go on to an older table as if key were absent.
 func (t *Table) Get(key []byte, seq uint64) (e kv.Entry, ok bool, err error) {
 	switch {

@@ -527,11 +527,11 @@ func TestOpenRejectsInconsistentHeaderWithValidCRC(t *testing.T) {
 		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], castagnoli))
 		addr := rebuildAt(t, dev, bad)
 		_, err := Open(dev, addr, device.CauseUnknown)
-		var ce *CorruptionError
+		var ce *device.CorruptionError
 		if !errors.As(err, &ce) || !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s with recomputed CRC: got err %v, want a *CorruptionError", c.name, err)
-		} else if ce.Addr != addr {
-			t.Errorf("%s: error locates region %d, want %d", c.name, ce.Addr, addr)
+		} else if pmem.Addr(ce.ID) != addr {
+			t.Errorf("%s: error locates region %d, want %d", c.name, ce.ID, addr)
 		}
 		dev.Release(addr)
 	}

@@ -158,8 +158,8 @@ func TestGetBatchReportsFirstErrorInRequestOrder(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		before := dev.Stats().ReadOps(device.CauseClientRead)
 		_, err := GetBatch(tables, keys, kv.MaxSeq, make([]kv.Entry, len(keys)), make([]bool, len(keys)))
-		var ce *CorruptionError
-		if !errors.As(err, &ce) || ce.File != a.file || ce.Off != a.index[12].handle.off {
+		var ce *device.CorruptionError
+		if !errors.As(err, &ce) || ssd.FileID(ce.ID) != a.file || ce.Off != a.index[12].handle.off {
 			t.Fatalf("round %d: err = %v, want block crc of file %d @%d", round, err, a.file, a.index[12].handle.off)
 		}
 		// Joined, not abandoned: all six reads were made before the error came back.

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -29,40 +28,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ErrCorrupt reports a malformed table.
 var ErrCorrupt = errors.New("sstable: corrupt table")
 
-// CorruptionError is an ErrCorrupt with a location: which file, which byte
-// range, and what failed. Reads and scrubs return it so corruption reports
-// are actionable (quarantine needs the file; repair needs the block) —
-// errors.Is(err, ErrCorrupt) still holds through Unwrap.
-type CorruptionError struct {
-	File   ssd.FileID
-	Off    int64  // byte offset of the failing block or structure
-	Len    int64  // length of the failing region (0 when unknown)
-	Detail string // what check failed, e.g. "block crc"
+// corrupt locates a corruption in file: the byte range of the failing block or
+// structure and what check failed. Reads and scrubs return it so corruption
+// reports are actionable (quarantine needs the file; repair needs the block).
+func corrupt(file ssd.FileID, off, n int64, detail string) *device.CorruptionError {
+	return &device.CorruptionError{Kind: ErrCorrupt, Class: device.SSD, ID: uint64(file), Off: off, Len: n, Detail: detail}
 }
-
-func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("%v: file %d @%d+%d: %s", ErrCorrupt, e.File, e.Off, e.Len, e.Detail)
-}
-
-func (e *CorruptionError) Unwrap() error { return ErrCorrupt }
 
 // corruptAt wraps a bare ErrCorrupt from a block decode with the block's
 // location. Errors that are not corruption (device I/O) and errors already
 // carrying a location pass through unchanged.
 func corruptAt(file ssd.FileID, h blockHandle, err error) error {
-	if err == nil || !errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	var ce *CorruptionError
-	if errors.As(err, &ce) {
-		return err
-	}
-	detail := strings.TrimPrefix(err.Error(), ErrCorrupt.Error())
-	detail = strings.TrimPrefix(detail, ": ")
-	if detail == "" {
-		detail = "block structure"
-	}
-	return &CorruptionError{File: file, Off: h.off, Len: h.len, Detail: detail}
+	return corrupt(file, h.off, h.len, "block structure").Locate(err)
 }
 
 const (
@@ -361,13 +338,19 @@ func (t *Table) Ref() { t.refs.Add(1) }
 // must not be called on a table already visible to other goroutines.
 func (t *Table) AttachCache(c *BlockCache) { t.cache = c }
 
+// DropCached evicts the table's blocks from its cache, if it has one: for a
+// table that has left the live set and will not be read through again.
+func (t *Table) DropCached() {
+	if t.cache != nil {
+		t.cache.DropFile(t.file)
+	}
+}
+
 // Unref drops a reference; the last drop deletes the backing file and its
 // cached blocks.
 func (t *Table) Unref() {
 	if t.refs.Add(-1) == 0 {
-		if t.cache != nil {
-			t.cache.DropFile(t.file)
-		}
+		t.DropCached()
 		t.dev.Delete(t.file)
 	}
 }
@@ -377,14 +360,14 @@ func (t *Table) Unref() {
 func Open(dev *ssd.Device, file ssd.FileID, cache *BlockCache) (*Table, error) {
 	size := dev.Size(file)
 	if size < footerSize {
-		return nil, &CorruptionError{File: file, Off: 0, Len: size, Detail: fmt.Sprintf("file too small (%d bytes)", size)}
+		return nil, corrupt(file, 0, size, fmt.Sprintf("file too small (%d bytes)", size))
 	}
 	footer := make([]byte, footerSize)
 	if err := dev.ReadAt(file, size-footerSize, footer, device.CauseClientRead); err != nil {
 		return nil, err
 	}
 	if binary.LittleEndian.Uint32(footer[48:]) != tableMagic {
-		return nil, &CorruptionError{File: file, Off: size - footerSize, Len: footerSize, Detail: "bad magic"}
+		return nil, corrupt(file, size-footerSize, footerSize, "bad magic")
 	}
 	idxOff := int64(binary.LittleEndian.Uint64(footer[0:8]))
 	idxLen := int64(binary.LittleEndian.Uint64(footer[8:16]))
@@ -394,7 +377,7 @@ func Open(dev *ssd.Device, file ssd.FileID, cache *BlockCache) (*Table, error) {
 	pLen := int64(binary.LittleEndian.Uint64(footer[40:48]))
 	if idxOff < 0 || idxLen < 0 || fOff < 0 || fLen < 0 || pOff < 0 || pLen < 0 ||
 		idxOff+idxLen > size || fOff+fLen > size || pOff+pLen > size {
-		return nil, &CorruptionError{File: file, Off: size - footerSize, Len: footerSize, Detail: "bad footer"}
+		return nil, corrupt(file, size-footerSize, footerSize, "bad footer")
 	}
 
 	idxRaw := make([]byte, idxLen)
@@ -406,18 +389,18 @@ func Open(dev *ssd.Device, file ssd.FileID, cache *BlockCache) (*Table, error) {
 	for len(idxRaw) > 0 {
 		kl, n := binary.Uvarint(idxRaw)
 		if n <= 0 || n+int(kl) > len(idxRaw) {
-			return nil, &CorruptionError{File: file, Off: idxOff, Len: idxLen, Detail: "index entry"}
+			return nil, corrupt(file, idxOff, idxLen, "index entry")
 		}
 		ik := idxRaw[n : n+int(kl)]
 		idxRaw = idxRaw[n+int(kl):]
 		off, n := binary.Uvarint(idxRaw)
 		if n <= 0 {
-			return nil, &CorruptionError{File: file, Off: idxOff, Len: idxLen, Detail: "index handle"}
+			return nil, corrupt(file, idxOff, idxLen, "index handle")
 		}
 		idxRaw = idxRaw[n:]
 		blen, n := binary.Uvarint(idxRaw)
 		if n <= 0 {
-			return nil, &CorruptionError{File: file, Off: idxOff, Len: idxLen, Detail: "index handle len"}
+			return nil, corrupt(file, idxOff, idxLen, "index handle len")
 		}
 		idxRaw = idxRaw[n:]
 		t.index = append(t.index, indexEntry{
@@ -426,7 +409,7 @@ func Open(dev *ssd.Device, file ssd.FileID, cache *BlockCache) (*Table, error) {
 		})
 	}
 	if len(t.index) == 0 {
-		return nil, &CorruptionError{File: file, Off: idxOff, Len: idxLen, Detail: "empty index"}
+		return nil, corrupt(file, idxOff, idxLen, "empty index")
 	}
 
 	fRaw := make([]byte, fLen)
@@ -441,19 +424,19 @@ func Open(dev *ssd.Device, file ssd.FileID, cache *BlockCache) (*Table, error) {
 		return nil, err
 	}
 	if len(pRaw) < 8 {
-		return nil, &CorruptionError{File: file, Off: pOff, Len: pLen, Detail: "properties"}
+		return nil, corrupt(file, pOff, pLen, "properties")
 	}
 	t.count = int(binary.LittleEndian.Uint64(pRaw))
 	rest := pRaw[8:]
 	sl, n := binary.Uvarint(rest)
 	if n <= 0 || n+int(sl) > len(rest) {
-		return nil, &CorruptionError{File: file, Off: pOff, Len: pLen, Detail: "properties smallest"}
+		return nil, corrupt(file, pOff, pLen, "properties smallest")
 	}
 	t.smallest = append([]byte(nil), rest[n:n+int(sl)]...)
 	rest = rest[n+int(sl):]
 	ll, n := binary.Uvarint(rest)
 	if n <= 0 || n+int(ll) > len(rest) {
-		return nil, &CorruptionError{File: file, Off: pOff, Len: pLen, Detail: "properties largest"}
+		return nil, corrupt(file, pOff, pLen, "properties largest")
 	}
 	t.largest = append([]byte(nil), rest[n:n+int(ll)]...)
 	return t, nil
@@ -505,8 +488,8 @@ func (t *Table) MayContain(key []byte) bool {
 // multi-rot table attributes every incident). budget, when non-nil, is
 // called with each device read's byte count so callers can rate-limit.
 // The error result is reserved for device I/O failures.
-func (t *Table) VerifyBlocks(cause device.Cause, budget func(n int64)) ([]*CorruptionError, error) {
-	var bad []*CorruptionError
+func (t *Table) VerifyBlocks(cause device.Cause, budget func(n int64)) ([]*device.CorruptionError, error) {
+	var bad []*device.CorruptionError
 	var raw []byte
 	for _, ie := range t.index {
 		h := ie.handle
@@ -521,12 +504,12 @@ func (t *Table) VerifyBlocks(cause device.Cause, budget func(n int64)) ([]*Corru
 			budget(h.len)
 		}
 		if h.len < 5 {
-			bad = append(bad, &CorruptionError{File: t.file, Off: h.off, Len: h.len, Detail: "block too short"})
+			bad = append(bad, corrupt(t.file, h.off, h.len, "block too short"))
 			continue
 		}
 		body, crcBytes := buf[:h.len-4], buf[h.len-4:]
 		if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
-			bad = append(bad, &CorruptionError{File: t.file, Off: h.off, Len: h.len, Detail: "block crc"})
+			bad = append(bad, corrupt(t.file, h.off, h.len, "block crc"))
 		}
 	}
 	return bad, nil
@@ -1044,7 +1027,7 @@ func (t *Table) NewScanIterator() *Iterator {
 }
 
 // Err implements kv.Iterator: the first I/O or corruption error the iterator
-// hit since it was last seeked — a *CorruptionError naming the file and block
+// hit since it was last seeked — a *device.CorruptionError naming the file and block
 // when the bytes were at fault. A salvage iterator reports I/O errors only.
 func (it *Iterator) Err() error { return it.err }
 
