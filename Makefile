@@ -85,7 +85,8 @@ stress-snapshot:
 	$(GO) test -race -count=3 -run 'TestGetReturnsPublishedVersionUnderAppends' ./internal/memtable
 
 # Code-diet scoreboard: non-test Go lines per internal package, the number of
-# engine.Config fields, the engine-mode branch sites outside tests, three
+# engine.Config fields, the engine-mode branch sites outside tests (where
+# level-0 is built, and the internal-compaction trigger switches), three
 # structural counts — where internal/engine calls compaction.Run, where it
 # builds a merging iterator (one: the range-read cursor) and how many
 # functions it marks as doing compaction I/O — the synchronisation fields
@@ -93,7 +94,7 @@ stress-snapshot:
 # counts that say table lifecycle is written once: the lines of internal/engine
 # (tests and metrics.go's Tier.String aside) that spell a device class as a
 # string literal, and the retirement queues / corpse registries engine.DB keeps.
-MODE_BRANCH := cfg\.RocksDB|cfg\.Level0OnPM
+MODE_BRANCH := cfg\.(Level0OnPM|InternalCompaction|CostBased)
 DB_FIELDS = awk '/^type DB struct/{f=1;next} f&&/^}/{f=0} f&&$$1~RE&&$$2!~/Mutex/{n++} END{print n+0}'
 scoreboard:
 	@for d in internal/*/; do \

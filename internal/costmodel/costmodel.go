@@ -46,22 +46,6 @@ type Params struct {
 	MinUnsortedWrite int
 }
 
-// DefaultParams returns parameters scaled for the simulated devices: a PM
-// binary-search probe costs ~1 unit, internal compaction ~0.5 units/record,
-// major compaction ~10 units/record (SSD I/O dominates), with τ thresholds
-// set relative to the given PM capacity.
-func DefaultParams(pmCapacity int64) Params {
-	return Params{
-		Ib:   1.0,
-		Ip:   0.5,
-		Is:   10.0,
-		Tp:   0.5,
-		TauW: pmCapacity / 8,
-		TauM: pmCapacity * 8 / 10,
-		TauT: pmCapacity / 2,
-	}
-}
-
 // PartitionState is the observed state of one partition that the models
 // consume (Table II's notation).
 type PartitionState struct {
@@ -186,17 +170,4 @@ func Victims(parts []PartitionState, preserved map[int]bool) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// PreservedTotalReads reports Σ n_i^r over a chosen subset — the objective
-// value of Eq. 3, used by tests to bound the greedy solution against brute
-// force.
-func PreservedTotalReads(parts []PartitionState, chosen map[int]bool) int64 {
-	var t int64
-	for _, s := range parts {
-		if chosen[s.ID] {
-			t += s.Reads
-		}
-	}
-	return t
 }

@@ -134,6 +134,18 @@ func TestSelectPreservedRespectsBudget(t *testing.T) {
 	}
 }
 
+// preservedTotalReads reports Σ n_i^r over a chosen subset — the objective
+// value of Eq. 3.
+func preservedTotalReads(parts []PartitionState, chosen map[int]bool) int64 {
+	var t int64
+	for _, s := range parts {
+		if chosen[s.ID] {
+			t += s.Reads
+		}
+	}
+	return t
+}
+
 // TestSelectPreservedNearOptimal bounds the greedy heuristic against brute
 // force: greedy-by-density is not optimal for 0/1 knapsack, but on the
 // paper's workloads it should stay within 2x of optimal (and usually match).
@@ -146,7 +158,7 @@ func TestSelectPreservedNearOptimal(t *testing.T) {
 		for i := range parts {
 			parts[i] = PartitionState{ID: i, Size: int64(rng.Intn(200) + 1), Reads: int64(rng.Intn(500))}
 		}
-		greedy := PreservedTotalReads(parts, p.SelectPreserved(parts))
+		greedy := preservedTotalReads(parts, p.SelectPreserved(parts))
 
 		// Brute force over all subsets.
 		var best int64
@@ -176,13 +188,6 @@ func TestZeroSizePartitionsAlwaysPreserved(t *testing.T) {
 	}
 	if chosen[1] {
 		t.Fatal("oversized partition must not be preserved")
-	}
-}
-
-func TestDefaultParamsScale(t *testing.T) {
-	p := DefaultParams(1 << 30)
-	if p.TauM <= p.TauW || p.TauT <= 0 || p.TauM > 1<<30 {
-		t.Fatalf("default thresholds implausible: %+v", p)
 	}
 }
 

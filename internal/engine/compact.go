@@ -24,30 +24,22 @@ import (
 )
 
 // localCompactionStrategy applies the per-partition half of Algorithm 1
-// after a flush touched p: leveled compaction (RocksDB mode), the SSD
-// level-0 threshold, or internal compaction per the cost models. It touches
-// only p, so partitions maintain themselves in parallel. Callers hold
-// p.maint and must NOT hold majorMu.
+// after a flush touched p: the SSD tree's own steps (its level-0 trigger —
+// never reached while level-0 lives on PM — and, in a hierarchy, its level
+// targets), then internal compaction per the cost models or the threshold.
+// It touches only p, so partitions maintain themselves in parallel. Callers
+// hold p.maint and must NOT hold majorMu.
 func (db *DB) localCompactionStrategy(p *partition) error {
-	s := p.state.Load()
-	switch {
-	case db.cfg.RocksDB:
-		return db.runLeveledCompactions(p)
-	case len(s.ssdL0) >= db.cfg.L0TriggerTables:
-		// PMBlade-SSD: threshold strategy on the SSD level-0, which stays
-		// empty while level-0 lives on PM.
-		return db.majorCompact(p, nil)
+	if err := db.runLeveledCompactions(p); err != nil || !db.cfg.InternalCompaction {
+		return err
 	}
-
-	if db.cfg.InternalCompaction {
-		if db.cfg.CostBased {
-			st := db.partitionCostState(p)
-			if ok, _ := db.cfg.Cost.ShouldInternalCompact(st); ok {
-				return db.internalCompact(p)
-			}
-		} else if len(s.pmUnsorted) >= db.cfg.L0TriggerTables {
+	if db.cfg.CostBased {
+		st := db.partitionCostState(p)
+		if ok, _ := db.cfg.Cost.ShouldInternalCompact(st); ok {
 			return db.internalCompact(p)
 		}
+	} else if len(p.state.Load().pmUnsorted) >= db.cfg.L0TriggerTables {
+		return db.internalCompact(p)
 	}
 	return nil
 }
@@ -56,14 +48,12 @@ func (db *DB) localCompactionStrategy(p *partition) error {
 // the cost-based eviction trigger (τ_m) or the conventional global-wipe
 // threshold. Callers must hold NO maintenance locks. Both triggers funnel
 // into evictOnce, so concurrent checks join one eviction pass instead of
-// queueing up behind majorMu.
+// queueing up behind majorMu. Without PM neither fires: nothing is in use
+// and there is no table to count.
 func (db *DB) globalCompactionCheck() error {
-	if db.cfg.RocksDB || !db.cfg.Level0OnPM {
-		return nil
-	}
 	var err error
 	if db.cfg.CostBased {
-		if db.cfg.Cost.NeedMajor(db.pm.Used()) {
+		if db.cfg.Cost.NeedMajor(db.PMUsed()) {
 			_, err = db.evictOnce(db.costVictims)
 		}
 	} else if db.pmTableCount() >= db.cfg.L0TriggerTables {
@@ -250,15 +240,16 @@ func (db *DB) maintain(p *partition, job func() error) error {
 // the whole SSD tier, so tombstones go only when that tier is empty (level 1
 // down: no SSD level-0 exists under a PM level-0). If PM lacks the transient
 // space the compaction needs, the partition is major-compacted instead
-// (which frees PM rather than consuming it). Callers hold p.maint.
+// (which frees PM rather than consuming it). With no PM table there is no
+// input: it installs nothing and counts nothing. Callers hold p.maint.
 //
 //pmblade:compacts
 func (db *DB) internalCompact(p *partition) error {
-	_, err := p.l0.CompactInternal(!p.mayDropTombstones(1, nil), db.retentionBounds())
+	stats, err := p.l0.CompactInternal(!p.mayDropTombstones(1, nil), db.retentionBounds())
 	if errors.Is(err, pmem.ErrOutOfSpace) {
 		return db.majorCompact(p, nil)
 	}
-	if err != nil {
+	if err != nil || stats.TablesIn == 0 {
 		return err
 	}
 	db.metrics.InternalCount.Add(1)
@@ -327,13 +318,13 @@ const compactionReadahead = 256 << 10
 // description (DESIGN.md §5.6 has the table): trigger, inputs and
 // granularity are parameters of one procedure, not separate programs.
 type ssdJob struct {
-	// from is the level the inputs leave; the outputs land in from+1. Level
-	// 0 is the PM level-0 and the SSD level-0 together — a mode fills one of
-	// them, the other is empty — and it always leaves whole.
-	from int
-	// inputs are the SSD tables leaving level from, newest first.
+	// The inputs leave levels from through to-1 and the outputs land in to.
+	// Level 0 is the PM level-0 and the SSD level-0 together — a layout fills
+	// one of them, the other is empty — and it always leaves whole.
+	from, to int
+	// inputs are the SSD tables leaving those levels, newest first.
 	inputs []*sstable.Table
-	// merged are the tables of level from+1 rewritten together with them.
+	// merged are the tables of level to rewritten together with them.
 	merged []*sstable.Table
 	// salvage (repair only) yields the entries of quarantined corpses whose
 	// block CRCs still verify. A salvage iterator cannot be reopened per
@@ -343,17 +334,21 @@ type ssdJob struct {
 	cause   device.Cause
 }
 
-// majorCompact moves p's whole level 0 into the sorted run, rewriting the
-// run (narrowing that is ROADMAP item 4), then evicts level-0 from PM.
-// PM-Blade's major compaction and PMBlade-SSD's are this same job — one of
-// the two level-0 containers is simply empty — and repair is this job plus
-// the salvage iterators of the partition's corpses. Callers hold p.maint —
-// required, since the install drops every level-0 table and must not race a
-// concurrent flush installing one.
+// majorCompact is the one full compaction: p's whole level 0 and every SSD
+// level above the bottom merge into the bottom level, which is rewritten
+// whole, and level-0 is evicted from PM. In a one-run layout the bottom is
+// level 1 and this is PM-Blade's major compaction — one of the two level-0
+// containers is simply empty. Repair is this job plus the salvage iterators
+// of the partition's corpses. Callers hold p.maint — required, since the
+// install drops every level-0 table and must not race a concurrent flush
+// installing one.
 func (db *DB) majorCompact(p *partition, salvage []*sstable.Iterator) error {
+	runs := p.tree.RunTables()
+	bottom := len(runs)
 	return db.compactToSSD(p, ssdJob{
-		inputs:  p.tree.L0Tables(),
-		merged:  p.run().Tables(),
+		to:      bottom,
+		inputs:  slices.Concat(p.tree.L0Tables(), slices.Concat(runs[:bottom-1]...)),
+		merged:  runs[bottom-1],
 		salvage: salvage,
 		cause:   device.CauseMajor,
 	})
@@ -364,7 +359,7 @@ func (db *DB) majorCompact(p *partition, salvage []*sstable.Iterator) error {
 // first-table keeps it deterministic), with the tables of the next level
 // that their key range overlaps.
 func leveledStep(tree *levels.Leveled, level int) ssdJob {
-	j := ssdJob{from: level, inputs: tree.L0Tables(), cause: device.CauseLeveled}
+	j := ssdJob{from: level, to: level + 1, inputs: tree.L0Tables(), cause: device.CauseLeveled}
 	if level > 0 {
 		src := tree.Run(level).Tables()
 		j.inputs = src[:min(1, len(src))]
@@ -378,12 +373,12 @@ func leveledStep(tree *levels.Leveled, level int) ssdJob {
 			hi = t.Largest()
 		}
 	}
-	j.merged = tree.Run(level+1).Overlapping(lo, hi)
+	j.merged = tree.Run(j.to).Overlapping(lo, hi)
 	return j
 }
 
-// runLeveledCompactions drives the RocksDB-emulation hierarchy until no
-// level is over its trigger.
+// runLeveledCompactions runs leveled steps on p's SSD tree until no level is
+// over its trigger. A one-run tree has one: level 0 into the run.
 func (db *DB) runLeveledCompactions(p *partition) error {
 	for {
 		level, ok := p.tree.PickCompaction()
@@ -446,7 +441,7 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 	params := compaction.Params{
 		Dev:            db.ssd,
 		Cause:          j.cause,
-		DropTombstones: p.mayDropTombstones(j.from+1, j.merged),
+		DropTombstones: p.mayDropTombstones(j.to, j.merged),
 		// One retention snapshot for the whole job: subtasks cover disjoint
 		// key ranges, but every key's versions must be judged against the
 		// same boundary set.
@@ -468,12 +463,10 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 
 	// Install the outputs, then retire the inputs (DB.retire); their cached
 	// blocks go at once — they will not be read through these tables again.
-	p.tree.Run(j.from+1).Replace(j.merged, out)
+	p.tree.Run(j.to).Replace(j.merged, out)
+	p.tree.Remove(j.inputs...)
 	if j.from == 0 {
-		p.tree.RemoveL0(j.inputs)
 		p.l0.Evict()
-	} else {
-		p.tree.Run(j.from).Replace(j.inputs, nil)
 	}
 	db.installTables(p, nil, true)
 	for _, t := range ssts {
@@ -490,11 +483,7 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 
 // InternalCompactAll forces an internal compaction on every partition
 // regardless of the cost models (Table IV triggers compaction manually).
-// Without a PM level-0 there is nothing to compact internally.
 func (db *DB) InternalCompactAll() error {
-	if !db.cfg.Level0OnPM {
-		return nil
-	}
 	for _, p := range db.partitions {
 		if err := db.maintain(p, func() error { return db.internalCompact(p) }); err != nil {
 			return err
@@ -512,12 +501,7 @@ func (db *DB) MajorCompactAll() error {
 	errs := make([]error, len(db.partitions))
 	db.fanPartitions(len(db.partitions), func(i int) {
 		p := db.partitions[i]
-		errs[i] = db.maintain(p, func() error {
-			if db.cfg.RocksDB {
-				return db.runLeveledCompactions(p)
-			}
-			return db.majorCompact(p, nil)
-		})
+		errs[i] = db.maintain(p, func() error { return db.majorCompact(p, nil) })
 	})
 	if err := firstError(errs); err != nil {
 		return err

@@ -56,7 +56,8 @@ type Config struct {
 	// Cost holds the model parameters; zero-value fields are defaulted.
 	Cost costmodel.Params
 	// L0TriggerTables is the table-count trigger of the threshold strategy
-	// (RocksDB's default of 4 for SSD level-0; larger for PM).
+	// and of the SSD tier's level 0 (RocksDB's default of 4 for SSD level-0;
+	// larger for PM).
 	L0TriggerTables int
 
 	// SchedMode selects thread, basic-coroutine, or PM-Blade compaction
@@ -67,11 +68,10 @@ type Config struct {
 	// QMax is q, the device I/O concurrency budget of the admission policy.
 	QMax int
 
-	// RocksDB switches the SSD tier to a conventional leveled hierarchy
-	// (L0 trigger 4, x10 fanout) — the RocksDB-emulation baseline. It
-	// implies Level0OnPM=false and disables internal compaction.
-	RocksDB bool
-	// L1TargetBytes is the leveled hierarchy's L1 size target.
+	// L1TargetBytes is the size target of the SSD tier's level 1. Zero — the
+	// default — keeps the tier one sorted run (PM-Blade, PMBlade-SSD); a
+	// positive target grows a leveled hierarchy below it, x10 a level (the
+	// RocksDB emulation: with level-0 on SSD and no internal compaction).
 	L1TargetBytes int64
 
 	// DisableWAL skips write-ahead logging (benchmarks that do not test
@@ -96,20 +96,6 @@ type Config struct {
 	// FaultInjector, when set, is attached to both devices at Open/Recover
 	// (faultkit). nil disables fault injection.
 	FaultInjector *fault.Injector
-}
-
-// mode returns a short name for logs.
-func (c Config) mode() string {
-	switch {
-	case c.RocksDB:
-		return "rocksdb"
-	case !c.Level0OnPM:
-		return "pmblade-ssd"
-	case !c.InternalCompaction:
-		return "pmblade-pm"
-	default:
-		return "pmblade"
-	}
 }
 
 // withDefaults fills unset fields.
@@ -142,16 +128,8 @@ func (c Config) withDefaults() Config {
 	if c.QMax == 0 {
 		c.QMax = 8
 	}
-	if c.L1TargetBytes == 0 {
-		c.L1TargetBytes = 64 << 20
-	}
 	if c.Cost == (costmodel.Params{}) {
 		c.Cost = DefaultCostParams(c.PMCapacity, len(c.PartitionBoundaries)+1)
-	}
-	if c.RocksDB {
-		c.Level0OnPM = false
-		c.InternalCompaction = false
-		c.CostBased = false
 	}
 	return c
 }

@@ -160,8 +160,8 @@ type partition struct {
 	// The maintenance-side table containers, touched only under maint; every
 	// edit is followed by installTables, which publishes them. l0 is the PM
 	// level-0 (empty unless Level0OnPM). tree is the SSD tier: its level 0
-	// takes flushes when level-0 is not on PM, and below it sits the single
-	// sorted run — or, in RocksDB mode, the leveled hierarchy.
+	// takes flushes when level-0 is not on PM, and below it sits one sorted
+	// run — or, with a positive L1TargetBytes, a leveled hierarchy.
 	l0   *level0.Level0
 	tree *levels.Leveled
 
@@ -179,9 +179,6 @@ type partition struct {
 	// atomic load on a miss. Rebuilt under DB.quarMu.
 	quar atomic.Pointer[[]quarSource]
 }
-
-// run is the level-1 sorted run (the whole SSD tier outside RocksDB mode).
-func (p *partition) run() *levels.Run { return p.tree.Run(1) }
 
 // noteKeyWrite records a write in the update detector, reporting whether the
 // key was already written since the last reset.
@@ -274,8 +271,7 @@ func (db *DB) newPartition(i int) *partition {
 		TargetTableSize: db.cfg.L0TableBytes,
 		Retire:          func(t *pmtable.Table) { db.retire(t.Release) },
 	})
-	p.tree = levels.NewLeveled(4, db.cfg.L1TargetBytes, 10)
-	p.run() // level 1 exists in every mode
+	p.tree = levels.NewLeveled(db.cfg.L0TriggerTables, db.cfg.L1TargetBytes)
 	p.statsSince.Store(clock.NowNanos())
 	p.publish(&readState{mem: memtable.New(), stableHalf: &stableHalf{}})
 	return p
@@ -369,7 +365,7 @@ func (db *DB) flushDone() {
 // Metrics exposes engine metrics.
 func (db *DB) Metrics() *Metrics { return db.metrics }
 
-// PMDevice exposes the PM device (nil in SSD-level-0 modes).
+// PMDevice exposes the PM device (nil when level-0 is on SSD).
 func (db *DB) PMDevice() *pmem.Device { return db.pm }
 
 // SSDDevice exposes the SSD device.
@@ -411,17 +407,6 @@ func (db *DB) span(start, end []byte) []*partition {
 
 // PartitionCount reports the number of range partitions.
 func (db *DB) PartitionCount() int { return len(db.partitions) }
-
-// DebugString summarizes engine state for logs.
-func (db *DB) DebugString() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "engine mode=%s partitions=%d seq=%d", db.cfg.mode(), len(db.partitions), db.seq.Load())
-	if db.pm != nil {
-		fmt.Fprintf(&b, " pm=%d/%dMB", db.pm.Used()>>20, db.pm.Capacity()>>20)
-	}
-	fmt.Fprintf(&b, " ssd=%dMB", db.ssd.UsedBytes()>>20)
-	return b.String()
-}
 
 // PMUsed reports live PM bytes (0 without PM).
 func (db *DB) PMUsed() int64 {

@@ -48,7 +48,9 @@ func allModeConfigs() map[string]Config {
 	pmbladeSSD.L0TriggerTables = 4
 
 	rocks := fastConfig()
-	rocks.RocksDB = true
+	rocks.Level0OnPM = false
+	rocks.InternalCompaction = false
+	rocks.CostBased = false
 	rocks.L1TargetBytes = 1 << 20
 	rocks.SchedMode = sched.ModeThread
 
@@ -307,6 +309,71 @@ func TestMajorCompactionMovesDataToSSD(t *testing.T) {
 	}
 	if db.Metrics().ReadsBy(TierSSD) == 0 {
 		t.Fatal("read should have been served by SSD tier")
+	}
+}
+
+// TestMajorCompactAllLeavesOnlyTheBottom: in every layout a full compaction
+// merges PM level-0, SSD level 0 and every level above the bottom into the
+// bottom level, and what it leaves reads like the oracle.
+func TestMajorCompactAllLeavesOnlyTheBottom(t *testing.T) {
+	for name, cfg := range allModeConfigs() {
+		t.Run(name, func(t *testing.T) {
+			cfg.SyncFlush = true
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			rng := rand.New(rand.NewSource(5))
+			want := map[string]string{}
+			for i := 0; i < 15000; i++ {
+				k := fmt.Sprintf("key-%05d", rng.Intn(5000))
+				if rng.Intn(10) == 0 {
+					if err := db.Delete([]byte(k)); err != nil {
+						t.Fatal(err)
+					}
+					delete(want, k)
+					continue
+				}
+				v := fmt.Sprintf("%s-%d-%0300d", k, i, 0)
+				if err := db.Put([]byte(k), []byte(v)); err != nil {
+					t.Fatal(err)
+				}
+				want[k] = v
+			}
+			if err := db.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.L1TargetBytes > 0 && db.partitions[0].tree.Levels() < 2 {
+				t.Fatal("setup: the workload grew no level below level 1")
+			}
+			if err := db.MajorCompactAll(); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range db.partitions {
+				s := p.state.Load()
+				if len(s.pmTables())+len(s.ssdL0) != 0 {
+					t.Fatalf("partition %d: %d PM and %d SSD level-0 tables after the full compaction",
+						p.id, len(s.pmTables()), len(s.ssdL0))
+				}
+				for l, run := range s.runs {
+					if bottom := l == len(s.runs)-1; bottom != (len(run) > 0) {
+						t.Fatalf("partition %d: level %d of %d holds %d tables; only the bottom may, and must", p.id, l+1, len(s.runs), len(run))
+					}
+				}
+			}
+			checkAll(t, db, want)
+			res, err := db.Scan(nil, nil, 0)
+			if err != nil || len(res) != len(want) {
+				t.Fatalf("Scan = %d entries, err %v; want %d", len(res), err, len(want))
+			}
+			for _, r := range res {
+				if want[string(r.Key)] != string(r.Value) {
+					t.Fatalf("Scan: %s = %q, want %q", r.Key, r.Value, want[string(r.Key)])
+				}
+			}
+			checkTierOrder(t, db, false)
+		})
 	}
 }
 

@@ -180,7 +180,7 @@ func TestEvictionVictimFaultIsolation(t *testing.T) {
 	t.Run("pass", victimPassIsolatesFailure)
 }
 
-// failedJobKeepsInputs runs one major (or, in RocksDB mode, level-0 leveled)
+// failedJobKeepsInputs runs one major (or, in a leveled layout, level-0 leveled)
 // job whose range subtasks hit a permanent SSD fault: the job returns the
 // fault, every key still reads from the inputs, the outputs its subtasks
 // finished are gone from the device, and the same job then succeeds.
@@ -191,7 +191,7 @@ func failedJobKeepsInputs(t *testing.T, cfg Config) {
 	cfg.MemtableBytes = 4 << 20    // only FlushAll flushes: one table per round
 	cfg.SSTableBytes = 16 << 10    // several output tables per range subtask
 	cfg.InternalCompaction = false // park every automatic trigger but
-	cfg.L0TriggerTables = 1 << 20  // RocksDB mode's fixed level-0 count of 4
+	cfg.L0TriggerTables = 1 << 20  // the SSD tree's level-0 trigger too
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func failedJobKeepsInputs(t *testing.T, cfg Config) {
 	defer db.Close()
 	p := db.partitions[0]
 	job, cause := func() error { return db.majorCompact(p, nil) }, device.CauseMajor
-	if cfg.RocksDB {
+	if cfg.L1TargetBytes > 0 {
 		job, cause = func() error { return db.compactToSSD(p, leveledStep(p.tree, 0)) }, device.CauseLeveled
 	}
 	locked := func() error {
@@ -372,7 +372,7 @@ func TestConcurrentEvictTriggersJoinOnePass(t *testing.T) {
 func TestStressCompactEvict(t *testing.T) {
 	cfg := fastConfig()
 	cfg.PartitionBoundaries = [][]byte{[]byte("c"), []byte("f"), []byte("j"), []byte("n")}
-	cfg.PMCapacity = 2 << 20 // DefaultCostParams: τ_m at 80%, τ_t at 50%
+	cfg.PMCapacity = 2 << 20 // DefaultCostParams: τ_m at 70%, τ_t at 50%
 	cfg.MemtableBytes = 32 << 10
 	db, err := Open(cfg)
 	if err != nil {

@@ -380,8 +380,10 @@ func tableSet(db *DB) (files []uint64) {
 // job, it may not shorten it.
 func TestCompactionReadFaultInstallsNothing(t *testing.T) {
 	modes := map[string]func(*Config){
-		"major":   func(*Config) {},
-		"leveled": func(c *Config) { c.RocksDB, c.L1TargetBytes = true, 1<<20 },
+		"major": func(*Config) {},
+		"leveled": func(c *Config) {
+			c.Level0OnPM, c.InternalCompaction, c.CostBased, c.L1TargetBytes = false, false, false, 1<<20
+		},
 	}
 	for mode, set := range modes {
 		for _, kind := range []error{fault.ErrPermanent, fault.ErrTransient} {
@@ -410,7 +412,7 @@ func TestCompactionReadFaultInstallsNothing(t *testing.T) {
 						t.Fatal(err)
 					}
 					compact := db.MajorCompactAll
-					if cfg.RocksDB {
+					if cfg.L1TargetBytes > 0 {
 						// The CauseLeveled job, run on demand: level 0 into level 1.
 						p := db.partitions[0]
 						if len(p.tree.L0Tables()) == 0 {
@@ -473,7 +475,7 @@ func TestCompactionReadFaultInstallsNothing(t *testing.T) {
 func TestBackgroundMaintenanceQuarantinesRot(t *testing.T) {
 	cfg := scrubConfig(fault.New(33))
 	cfg.SyncFlush = false
-	cfg.Level0OnPM, cfg.InternalCompaction = false, false // PMBlade-SSD: every fourth flush major-compacts
+	cfg.Level0OnPM, cfg.InternalCompaction = false, false // PMBlade-SSD: every fourth flush compacts level 0 into the run
 	db, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +490,7 @@ func TestBackgroundMaintenanceQuarantinesRot(t *testing.T) {
 		if i == 20000 {
 			t.Fatal("20000 writes triggered no compaction over the rotted run")
 		}
-		k := fmt.Sprintf("new-%05d", i)
+		k := fmt.Sprintf("key-%04d-new-%05d", i%1000, i) // inside the rotted run's range: level 0 overlaps it
 		if err := db.Put([]byte(k), pad); err != nil {
 			t.Fatalf("Put %d: %v (rot met by a background task must not fail writes)", i, err)
 		}

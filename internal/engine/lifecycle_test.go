@@ -438,3 +438,99 @@ func TestCorpseLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestLeveledRepairSalvagesOverDeeperLevels: in a leveled layout a level-1
+// table holds the newest versions of keys a level-2 table also holds. When
+// one of the level-1 table's blocks rots, scrub quarantines the table and
+// repair must rebuild the partition from everything that is left, the corpse's
+// intact blocks included: their keys keep reading the newest version, and only
+// the keys of the rotted block revert to the older version below. A repair
+// that drops the salvage and retires the corpse serves the older version for
+// every key the corpse held.
+func TestLeveledRepairSalvagesOverDeeperLevels(t *testing.T) {
+	cfg := scrubConfig(fault.New(47))
+	cfg.Level0OnPM, cfg.InternalCompaction, cfg.CostBased = false, false, false
+	cfg.L1TargetBytes = 1 << 30   // no level is ever over its target
+	cfg.L0TriggerTables = 1 << 20 // every step below is driven by hand
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	p := db.partitions[0]
+	step := func(level int) {
+		t.Helper()
+		if err := db.maintain(p, func() error { return db.compactToSSD(p, leveledStep(p.tree, level)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 200
+	value := func(gen, i int) string { return fmt.Sprintf("gen%d-%04d-%0100d", gen, i, 0) }
+	write := func(gen int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := db.Put([]byte(fmt.Sprintf("key-%04d", i)), []byte(value(gen, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.FlushAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(1)
+	step(0)
+	step(1) // generation 1 in level 2
+	write(2)
+	step(0) // generation 2 in level 1
+	if _, err := db.installManifest(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(p.tree.L0Tables()) != 0 || p.tree.Run(1).Len() != 1 || p.tree.Run(2).Len() != 1 {
+		t.Fatalf("setup: %d level-0, %d level-1, %d level-2 tables, want 0, 1, 1",
+			len(p.tree.L0Tables()), p.tree.Run(1).Len(), p.tree.Run(2).Len())
+	}
+	l1 := p.tree.Run(1).Tables()[0]
+	rotTable(t, db, RotTarget{Device: device.SSD, ID: uint64(l1.File()), Limit: l1.DataBytes()})
+
+	// What the corpse's checksums still vouch for, read before the scrub.
+	intact := map[string]bool{}
+	it := l1.NewSalvageIterator()
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		intact[string(it.Entry().Key)] = true
+	}
+	if it.Err() != nil || it.Skipped() != 1 || len(intact) == 0 || len(intact) == n {
+		t.Fatalf("setup: salvage kept %d of %d keys, skipped %d blocks, err %v; want one rotted block of several",
+			len(intact), n, it.Skipped(), it.Err())
+	}
+
+	incidents, err := db.ScrubOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(incidents) != 1 || incidents[0].ID != uint64(l1.File()) {
+		t.Fatalf("scrub incidents %+v, want one on the level-1 table %d", incidents, l1.File())
+	}
+	if err := db.RepairQuarantined(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("key-%04d", i)
+		want := value(1, i) // the documented revert: the next older version
+		if intact[k] {
+			want = value(2, i)
+		}
+		if got, ok, err := db.Get([]byte(k)); err != nil || !ok || string(got) != want {
+			t.Fatalf("after repair Get(%s) = %q, found %v, err %v; want %q", k, got, ok, err, want)
+		}
+	}
+	if recs := db.QuarantineRecords(); len(recs) != 0 {
+		t.Fatalf("quarantine records %+v after repair", recs)
+	}
+	if got := db.metrics.RepairBlocksSkipped.Load(); got != 1 {
+		t.Fatalf("RepairBlocksSkipped = %d, want 1", got)
+	}
+	checkTierOrder(t, db, false)
+	if stray := strays(t, db); len(stray) != 0 {
+		t.Fatalf("unaccounted SSD files after repair: %v", stray)
+	}
+}

@@ -2,14 +2,14 @@
 // partition that holds quarantined corpses. Salvage iterators walk each
 // openable SSD corpse and yield only the entries whose block CRCs still
 // verify; those entries join the partition's major compaction — every live
-// source below the memtables — so sequence-number dedup keeps exactly the
-// newest surviving version of each key regardless of which table held it. PM
-// corpses contribute nothing — their single whole-image checksum cannot
-// vouch for any sub-range once it fails. The rebuilt run installs through
-// the ordinary compaction path and the corpses retire through the retirement
-// queue, by raw device ID (idempotent), so a crash at any point leaves either
-// the quarantine or the repaired state — never a corrupt table back in the
-// live set.
+// source below the memtables, in any layout of the SSD tier — so
+// sequence-number dedup keeps exactly the newest surviving version of each
+// key regardless of which table held it. PM corpses contribute nothing —
+// their single whole-image checksum cannot vouch for any sub-range once it
+// fails. The rebuilt bottom level installs through the ordinary compaction
+// path and the corpses retire through the retirement queue, by raw device ID
+// (idempotent), so a crash at any point leaves either the quarantine or the
+// repaired state — never a corrupt table back in the live set.
 
 package engine
 
@@ -21,11 +21,10 @@ import (
 )
 
 // RepairQuarantined rebuilds every partition holding quarantined tables and
-// releases their corpses. Keys whose only surviving copy sat in a corrupt
-// block (or in a PM corpse) come back as not-found instead of ErrUnavailable
-// — the loss is acknowledged, not hidden. In RocksDB-emulation mode the
-// record is dropped without a rebuild (no salvage; the leveled hierarchy is
-// a baseline, not a durability target). Callers hold no engine locks.
+// releases their corpses. A key whose newest surviving copy sat in a corrupt
+// block (or in a PM corpse) reverts to the next older version a live table
+// holds, or comes back as not-found instead of ErrUnavailable — the loss is
+// acknowledged, not hidden. Callers hold no engine locks.
 func (db *DB) RepairQuarantined() error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -61,7 +60,7 @@ func (db *DB) RepairQuarantined() error {
 					salvage = append(salvage, it)
 				}
 			}
-			if db.cfg.RocksDB || len(salvage) == 0 {
+			if len(salvage) == 0 {
 				return nil
 			}
 			return db.majorCompact(p, salvage)

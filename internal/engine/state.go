@@ -14,8 +14,8 @@ import (
 
 // readState is one immutable version of a partition's LSM column, newest
 // tier first. It is the only way a reader reaches the partition's memtables
-// and tables: acquire it, walk its slices, release it. The three engine modes
-// differ only in which slices are empty. Every install point builds a new
+// and tables: acquire it, walk its slices, release it. The layouts differ
+// only in which slices are empty and how many runs there are. Every install point builds a new
 // state from the current one and publishes it with one atomic store, so a
 // reader can never pair tables from two different moments.
 //

@@ -154,7 +154,7 @@ func TestReadStateOutlivesInstalls(t *testing.T) {
 			must(db.FlushAll())
 			must(db.InternalCompactAll())
 			must(db.MajorCompactAll())
-			if cfg.RocksDB {
+			if cfg.L1TargetBytes > 0 {
 				for round := 0; round < 2; round++ {
 					for i := round; i < n; i += 2 {
 						put(i, "later")

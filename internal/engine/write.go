@@ -268,7 +268,7 @@ func (db *DB) flushOne(p *partition, m *memtable.Memtable) error {
 			return fmt.Errorf("engine: flush %d-byte memtable to PM level-0: %w", m.ApproximateSize(), err)
 		}
 		p.l0.AddUnsorted(res.Table)
-	} else { // PMBlade-SSD and RocksDB modes: SSTable level-0
+	} else { // level-0 on SSD: the SSD tree's level 0
 		t, err := buildSSTable(db, entries, device.CauseFlush)
 		if err != nil {
 			return err

@@ -156,7 +156,8 @@ func SystemConfig(name string, p EngineParams) engine.Config {
 		base.InternalCompaction = true
 		base.CostBased = true
 	case SysRocksDB:
-		base.RocksDB = true
+		// SSD level-0 (trigger 4) over a leveled hierarchy, x10 a level.
+		base.L1TargetBytes = 64 << 20
 	default:
 		panic("experiments: unknown system " + name)
 	}

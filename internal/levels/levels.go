@@ -1,11 +1,13 @@
-// Package levels manages the SSD tier of the LSM-tree in the two shapes the
-// paper compares:
+// Package levels manages the SSD tier of the LSM-tree. A Run is one sorted
+// run of non-overlapping SSTables; a Leveled tree is an overlapping level 0
+// over one or more runs, and its level-1 target says which of the two shapes
+// the paper compares it has:
 //
-//   - Run: a single sorted run of non-overlapping SSTables — PM-Blade's
-//     level-1 (Section III adopts a three-tier structure to avoid the write
-//     amplification and read cost of deep level hierarchies).
-//   - Leveled: a conventional multi-level hierarchy (overlapping L0, leveled
-//     L1..Ln with a x10 fanout) — the RocksDB-emulation baseline.
+//   - l1Target == 0: one sorted run — PM-Blade's level-1 (Section III adopts
+//     a three-tier structure to avoid the write amplification and read cost
+//     of deep level hierarchies).
+//   - l1Target > 0: a conventional hierarchy, L1..Ln growing x10 — the
+//     RocksDB-emulation baseline.
 //
 // Run and Leveled are the maintenance-side containers; the probe functions
 // (Covering, Get, GetBatch) work on the immutable table slices they publish.
@@ -133,36 +135,30 @@ func sortTables(ts []*sstable.Table) {
 	}
 }
 
-// Leveled is an SSD hierarchy: level 0 holds overlapping tables in flush
-// order (newest first); levels >= 1 are sorted runs. The RocksDB-emulation
-// baseline grows it by the Fanout size ratio; the PM-Blade modes keep a
-// single run (and, with level-0 on PM, an always-empty level 0). Like Run it
-// carries no lock and installs fresh slices on every mutation.
+// fanout is the size ratio between adjacent levels of a hierarchy (RocksDB's).
+const fanout = 10
+
+// Leveled is an SSD tree: level 0 holds overlapping tables in flush order
+// (newest first); levels >= 1 are sorted runs, and the deepest is the bottom.
+// With a zero level-1 target level 1 is the only run (and, with level-0 on
+// PM, level 0 stays empty); with a positive one it grows by fanout. Like Run
+// it carries no lock and installs fresh slices on every mutation.
 type Leveled struct {
 	// l0 is newest-first and may overlap.
 	l0 []*sstable.Table
-	// runs[i] is level i+1.
+	// runs[i] is level i+1; level 1 always exists.
 	runs []*Run
 
-	// L0TriggerLen is the table count that triggers L0→L1 compaction (the
-	// paper configures RocksDB's default of 4).
-	L0TriggerLen int
-	// L1TargetBytes is the target size of level 1; level n targets
-	// L1TargetBytes * Fanout^(n-1).
-	L1TargetBytes int64
-	// Fanout is the size ratio between adjacent levels (10 in RocksDB).
-	Fanout int64
+	// l0Trigger is the table count that triggers L0→L1 compaction.
+	l0Trigger int
+	// l1Target is the target size of level 1, level n targets
+	// l1Target * fanout^(n-1); 0 means level 1 has no target.
+	l1Target int64
 }
 
-// NewLeveled returns an empty hierarchy with the given triggers.
-func NewLeveled(l0Trigger int, l1Target int64, fanout int64) *Leveled {
-	if l0Trigger <= 0 {
-		l0Trigger = 4
-	}
-	if fanout <= 0 {
-		fanout = 10
-	}
-	return &Leveled{L0TriggerLen: l0Trigger, L1TargetBytes: l1Target, Fanout: fanout}
+// NewLeveled returns a tree with an empty level 0 over an empty level 1.
+func NewLeveled(l0Trigger int, l1Target int64) *Leveled {
+	return &Leveled{runs: []*Run{NewRun()}, l0Trigger: l0Trigger, l1Target: l1Target}
 }
 
 // AddL0 installs a freshly flushed table as the newest L0 table.
@@ -198,11 +194,11 @@ func (l *Leveled) RemoveL0(ts []*sstable.Table) {
 	l.l0 = without(l.l0, ts)
 }
 
-// Remove detaches t from whichever level holds it (quarantine).
-func (l *Leveled) Remove(t *sstable.Table) {
-	l.RemoveL0([]*sstable.Table{t})
+// Remove detaches ts from whichever levels hold them (compaction, quarantine).
+func (l *Leveled) Remove(ts ...*sstable.Table) {
+	l.RemoveL0(ts)
 	for _, r := range l.runs {
-		r.Replace([]*sstable.Table{t}, nil)
+		r.Replace(ts, nil)
 	}
 }
 
@@ -210,15 +206,15 @@ func (l *Leveled) Remove(t *sstable.Table) {
 // trigger, otherwise the shallowest level over its size target. It returns
 // the source level (0 for L0) and ok=false when nothing needs compaction.
 func (l *Leveled) PickCompaction() (level int, ok bool) {
-	if len(l.l0) >= l.L0TriggerLen {
+	if len(l.l0) > 0 && len(l.l0) >= l.l0Trigger {
 		return 0, true
 	}
-	target := l.L1TargetBytes
+	target := l.l1Target
 	for i, r := range l.runs {
 		if target > 0 && r.SizeBytes() > target {
 			return i + 1, true
 		}
-		target *= l.Fanout
+		target *= fanout
 	}
 	return 0, false
 }

@@ -112,7 +112,7 @@ func TestRunReplaceSwapsAtomically(t *testing.T) {
 
 func TestLeveledL0NewestFirst(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
-	l := NewLeveled(4, 1<<20, 10)
+	l := NewLeveled(4, 1<<20)
 	older := buildSST(t, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("old"), Seq: 1}})
 	newer := buildSST(t, dev, []kv.Entry{{Key: []byte("k"), Value: []byte("new"), Seq: 2}})
 	l.AddL0(older)
@@ -128,7 +128,7 @@ func TestLeveledL0NewestFirst(t *testing.T) {
 
 func TestRunTablesFallThroughLevels(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
-	l := NewLeveled(4, 1<<20, 10)
+	l := NewLeveled(4, 1<<20)
 	l.Run(1).Replace(nil, []*sstable.Table{buildSST(t, dev, rangeEntries(0, 50, 100))})
 	l.Run(2).Replace(nil, []*sstable.Table{buildSST(t, dev, rangeEntries(50, 100, 0))})
 	runs := l.RunTables()
@@ -179,7 +179,7 @@ func TestGetBatchMatchesGet(t *testing.T) {
 
 func TestLeveledRemoveDetachesFromAnyLevel(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
-	l := NewLeveled(4, 1<<20, 10)
+	l := NewLeveled(4, 1<<20)
 	inL0 := buildSST(t, dev, rangeEntries(0, 10, 100))
 	inL2 := buildSST(t, dev, rangeEntries(50, 100, 0))
 	l.AddL0(inL0)
@@ -193,7 +193,7 @@ func TestLeveledRemoveDetachesFromAnyLevel(t *testing.T) {
 
 func TestLeveledPickCompaction(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
-	l := NewLeveled(2, 100, 10)
+	l := NewLeveled(2, 100)
 	if _, ok := l.PickCompaction(); ok {
 		t.Fatal("empty tree needs no compaction")
 	}
@@ -214,7 +214,7 @@ func TestLeveledPickCompaction(t *testing.T) {
 
 func TestLeveledRemoveL0(t *testing.T) {
 	dev := ssd.New(ssd.FastProfile)
-	l := NewLeveled(4, 1<<20, 10)
+	l := NewLeveled(4, 1<<20)
 	t1 := buildSST(t, dev, rangeEntries(0, 10, 0))
 	t2 := buildSST(t, dev, rangeEntries(0, 10, 100))
 	l.AddL0(t1)

@@ -31,7 +31,8 @@ import (
 )
 
 // Options configures a DB. The zero value is not usable; start from
-// DefaultOptions, FastOptions, or one of the baseline presets.
+// DefaultOptions or FastOptions (ablations and baselines open through
+// OpenEngine).
 type Options struct {
 	// PMCapacityBytes is the persistent-memory budget for level-0.
 	PMCapacityBytes int64
@@ -49,9 +50,6 @@ type Options struct {
 	Workers, QMax int
 	// BlockCacheBytes sizes the SSD block cache.
 	BlockCacheBytes int64
-
-	cfg engine.Config // fully resolved configuration
-	set bool
 }
 
 // DefaultOptions returns the full PM-Blade configuration: prefix-compressed
@@ -74,9 +72,6 @@ func FastOptions() Options {
 
 // resolve builds the engine config.
 func (o Options) resolve() engine.Config {
-	if o.set {
-		return o.cfg
-	}
 	cfg := engine.Config{
 		PMCapacity:          o.PMCapacityBytes,
 		MemtableBytes:       o.MemtableBytes,
