@@ -21,7 +21,7 @@ type commitReq struct {
 	wake sync.Cond // on commitMu
 }
 
-// walBatchBytes caps the payload one turn coalesces into one WAL append+sync.
+// walBatchBytes caps the payload one turn coalesces into one WAL write+fence.
 const walBatchBytes = 1 << 20
 
 // entriesBytes estimates the WAL payload of a batch.
@@ -75,9 +75,10 @@ func (db *DB) endTurn(group []*commitReq, err error) {
 	defer db.commitMu.Unlock()
 	for _, r := range group {
 		// Acking a writer publishes its batch as durable: the writer may
-		// acknowledge its client, which must never happen with WAL bytes
-		// still unsynced. persistorder checks every path to this statement.
-		//pmblade:publish ssd
+		// acknowledge its client, which must never happen with log bytes
+		// still unfenced in the PM tail or unsynced in the file.
+		// persistorder checks every path to this statement.
+		//pmblade:publish pm ssd
 		r.err = err
 		r.done = true
 		r.wake.Signal()
@@ -92,8 +93,8 @@ func (db *DB) endTurn(group []*commitReq, err error) {
 
 // commitGroup is a turn's work for a group of writes, in the order that makes
 // log, memtables and read watermark agree by construction: the group takes
-// one contiguous ascending sequence block, goes to the WAL as one append and
-// one sync (Section IV-D's group commit; each batch keeps its own atomic
+// one contiguous ascending sequence block, goes to the WAL as one write and
+// one fence (Section IV-D's group commit; each batch keeps its own atomic
 // record), is inserted in sequence order, becomes visible all at once, and
 // only then may a memtable it filled rotate — no other turn runs meanwhile,
 // so a newer memtable never receives an older sequence. A group that fails is
@@ -140,13 +141,10 @@ func (db *DB) commitGroup(group []*commitReq) error {
 	return nil
 }
 
-// logGroup writes batches to the WAL, if there is one, as one device append
-// and one sync. Transient device faults are retried with bounded backoff.
-// Anything else — torn append, permanent failure, power cut — must NOT be
-// retried: re-appending after a torn record would bury it behind garbage the
-// replay scan cannot cross, silently orphaning every later record. Instead
-// the engine degrades: this group fails, and the sticky error fails every
-// later turn while reads stay up.
+// logGroup writes batches to the WAL, if there is one, as one write and one
+// fence — a PM write into the log tail when the group fits there, an SSD
+// append and sync otherwise. Transient device faults are retried with bounded
+// backoff; anything else degrades the engine (logFailed).
 func (db *DB) logGroup(batches [][]kv.Entry, entries int64) error {
 	if db.wal == nil {
 		return nil
@@ -160,11 +158,22 @@ func (db *DB) logGroup(batches [][]kv.Entry, entries int64) error {
 		err = db.retryDurable(func() error { return db.wal.Sync() })
 	}
 	db.walMu.Unlock()
-	if err != nil && !fault.IsTransient(err) {
-		db.setBgErr(fmt.Errorf("engine: WAL degraded, writes disabled: %w", err))
-	}
+	db.logFailed(err)
 	db.metrics.WALCommitCount.Add(1)
 	db.metrics.WALCommitBatches.Add(int64(len(batches)))
 	db.metrics.WALCommitEntries.Add(entries)
 	return err
+}
+
+// logFailed handles a log write that failed for good. A transient failure
+// that ran out of retries applied nothing, and only its own turn fails.
+// Anything else — torn append, permanent failure, power cut — must NOT be
+// retried: re-appending after a torn record would bury it behind garbage the
+// replay scan cannot cross, silently orphaning every later record. Instead
+// the engine degrades: the sticky error fails every later turn while reads
+// stay up.
+func (db *DB) logFailed(err error) {
+	if err != nil && !fault.IsTransient(err) {
+		db.setBgErr(fmt.Errorf("engine: WAL degraded, writes disabled: %w", err))
+	}
 }

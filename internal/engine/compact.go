@@ -53,7 +53,7 @@ func (db *DB) localCompactionStrategy(p *partition) error {
 func (db *DB) globalCompactionCheck() error {
 	var err error
 	if db.cfg.CostBased {
-		if db.cfg.Cost.NeedMajor(db.PMUsed()) {
+		if db.cfg.Cost.NeedMajor(db.level0PM()) {
 			_, err = db.evictOnce(db.costVictims)
 		}
 	} else if db.pmTableCount() >= db.cfg.L0TriggerTables {

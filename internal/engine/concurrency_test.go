@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pmblade/internal/pmem"
+	"pmblade/internal/wal"
 )
 
 // TestConcurrentReadsDuringCompaction hammers Get/Scan from several
@@ -188,7 +189,7 @@ func TestPMTooSmallForOneFlushFailsPut(t *testing.T) {
 		t.Run(fmt.Sprintf("SyncFlush=%v", syncFlush), func(t *testing.T) {
 			cfg := fastConfig()
 			cfg.SyncFlush = syncFlush
-			cfg.PMCapacity = 16 << 10 // MemtableBytes is 64 KiB
+			cfg.PMCapacity = wal.TailBytes + 16<<10 // the log tail, and 16 KiB: MemtableBytes is 64 KiB
 			db, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -213,7 +214,7 @@ func TestPMTooSmallForOneFlushFailsPut(t *testing.T) {
 			if !errors.Is(err, pmem.ErrOutOfSpace) {
 				t.Fatalf("Put error = %v, want pmem.ErrOutOfSpace", err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, "PMCapacity 16384") ||
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("PMCapacity %d", cfg.PMCapacity)) ||
 				!regexp.MustCompile(`flush \d+-byte memtable`).MatchString(msg) {
 				t.Fatalf("error does not name PMCapacity and the flush size: %v", err)
 			}

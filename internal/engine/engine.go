@@ -59,9 +59,12 @@ type DB struct {
 	snapRefs map[uint64]int // pinned seq -> refcount; guarded by: snapMu
 
 	// wal is the live log, replaced only inside a turn (Checkpoint), under
-	// walMu for its readers outside the queue (manifest, scrub).
-	wal   *wal.Writer
-	walMu sync.Mutex
+	// walMu for its readers outside the queue (manifest, scrub). walTail is its
+	// active segment in PM (DESIGN.md §5.2), nil without PM: one region for the
+	// engine's life, set by Open or Recover, which every writer in turn owns.
+	wal     *wal.Writer
+	walMu   sync.Mutex
+	walTail *wal.Tail
 
 	partitions []*partition
 
@@ -239,7 +242,14 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db := newDB(cfg, pm, ssd.New(cfg.SSDProfile))
 	if !cfg.DisableWAL {
-		db.wal = wal.NewWriter(db.ssd)
+		if pm != nil {
+			t, err := wal.NewTail(pm)
+			if err != nil {
+				return nil, fmt.Errorf("engine: %w", err)
+			}
+			db.walTail = t
+		}
+		db.wal = wal.NewTailWriter(db.ssd, db.walTail)
 	}
 
 	for i := 0; i <= len(cfg.PartitionBoundaries); i++ {
@@ -408,12 +418,22 @@ func (db *DB) span(start, end []byte) []*partition {
 // PartitionCount reports the number of range partitions.
 func (db *DB) PartitionCount() int { return len(db.partitions) }
 
-// PMUsed reports live PM bytes (0 without PM).
+// PMUsed reports live PM bytes (0 without PM): level-0's tables and the log
+// tail's fixed region.
 func (db *DB) PMUsed() int64 {
 	if db.pm == nil {
 		return 0
 	}
 	return db.pm.Used()
+}
+
+// level0PM reports the PM level-0's tables occupy: everything in use but the
+// log tail, whose footprint never changes — Eq. 3's input.
+func (db *DB) level0PM() int64 {
+	if db.walTail == nil {
+		return db.PMUsed()
+	}
+	return db.PMUsed() - wal.TailBytes
 }
 
 // collectEntries drains it, from where it stands, into a slice that owns its

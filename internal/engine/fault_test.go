@@ -161,47 +161,64 @@ func TestTransientManifestFaultRetried(t *testing.T) {
 	}
 }
 
-// TestPermanentWALFaultDegradesWrites: a permanent failure on the WAL append
-// fails the commit group and puts the engine in degraded mode — subsequent
-// writes are refused, reads still serve.
+// TestPermanentWALFaultDegradesWrites: a permanent failure on the log write —
+// into the PM tail, or the SSD append without PM — fails the commit group and
+// puts the engine in degraded mode — subsequent writes are refused, reads
+// still serve.
 func TestPermanentWALFaultDegradesWrites(t *testing.T) {
-	in := fault.New(23)
-	db, err := Open(faultConfig(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	want := fillKeys(t, db, 20)
-	in.AddRule(fault.Rule{Point: fault.SSDAppend, Cause: device.CauseWAL,
-		Decision: fault.Decision{Err: fault.ErrPermanent}})
-	if err := db.Put([]byte("doomed"), []byte("x")); !errors.Is(err, fault.ErrPermanent) {
-		t.Fatalf("write during permanent WAL failure: %v", err)
-	}
-	if err := db.Put([]byte("after"), []byte("x")); err == nil {
-		t.Fatal("degraded engine must refuse writes")
-	}
-	for k, v := range want {
-		got, ok, err := db.Get([]byte(k))
-		if err != nil || !ok || string(got) != v {
-			t.Fatalf("degraded engine must still read %s: %q %v %v", k, got, ok, err)
-		}
+	for name, cfg := range logConfigs(faultConfig(nil)) {
+		t.Run(name, func(t *testing.T) {
+			in := fault.New(23)
+			cfg.FaultInjector = in
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			want := fillKeys(t, db, 20)
+			in.AddRule(fault.Rule{Point: logWritePoint(cfg), Cause: device.CauseWAL,
+				Decision: fault.Decision{Err: fault.ErrPermanent}})
+			if err := db.Put([]byte("doomed"), []byte("x")); !errors.Is(err, fault.ErrPermanent) {
+				t.Fatalf("write during permanent WAL failure: %v", err)
+			}
+			if err := db.Put([]byte("after"), []byte("x")); err == nil {
+				t.Fatal("degraded engine must refuse writes")
+			}
+			for k, v := range want {
+				got, ok, err := db.Get([]byte(k))
+				if err != nil || !ok || string(got) != v {
+					t.Fatalf("degraded engine must still read %s: %q %v %v", k, got, ok, err)
+				}
+			}
+		})
 	}
 }
 
-// TestTransientWALFaultInvisible: one transient WAL failure is retried by the
-// committer and the client write succeeds.
+// TestTransientWALFaultInvisible: a transient failure of the log write and
+// one of its fence are retried by the committer and the client write
+// succeeds.
 func TestTransientWALFaultInvisible(t *testing.T) {
-	in := fault.New(29)
-	db, err := Open(faultConfig(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	in.FailOp(fault.SSDAppend, device.CauseWAL, 1, fault.Decision{Err: fault.ErrTransient})
-	if err := db.Put([]byte("k"), []byte("v")); err != nil {
-		t.Fatalf("transient WAL fault must be retried: %v", err)
-	}
-	if got, ok, _ := db.Get([]byte("k")); !ok || string(got) != "v" {
-		t.Fatalf("write lost: %q %v", got, ok)
+	for name, cfg := range logConfigs(faultConfig(nil)) {
+		t.Run(name, func(t *testing.T) {
+			in := fault.New(29)
+			cfg.FaultInjector = in
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			in.FailOp(logWritePoint(cfg), device.CauseWAL, 1, fault.Decision{Err: fault.ErrTransient})
+			in.FailPoint(logFencePoint(cfg), 1, fault.Decision{Err: fault.ErrTransient})
+			ops := in.Points()
+			if err := db.Put([]byte("k"), []byte("v")); err != nil {
+				t.Fatalf("transient WAL fault must be retried: %v", err)
+			}
+			if got, ok, _ := db.Get([]byte("k")); !ok || string(got) != "v" {
+				t.Fatalf("write lost: %q %v", got, ok)
+			}
+			if ops = in.Points() - ops; ops != 4 {
+				t.Fatalf("the Put cost %d device operations, want a failed and a retried write and fence", ops)
+			}
+		})
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"pmblade/internal/fault"
 	"pmblade/internal/pmem"
 	"pmblade/internal/ssd"
+	"pmblade/internal/wal"
 )
 
 // TestFailedCheckpointLosesNothing: a Checkpoint whose manifest install fails
@@ -27,7 +28,9 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 			in.FailOp(fault.SSDAppend, device.CauseManifest, hit, fault.Decision{Err: fault.ErrPermanent})
 		}},
 		{"sync", func(in *fault.Injector, hit int) {
-			in.FailOp(fault.SSDSync, device.CauseUnknown, hit, fault.Decision{Err: fault.ErrPermanent})
+			// The checkpoint's destage of the log tail syncs the old log
+			// file first.
+			in.FailOp(fault.SSDSync, device.CauseUnknown, hit+1, fault.Decision{Err: fault.ErrPermanent})
 		}},
 		{"setroot", func(in *fault.Injector, hit int) {
 			in.FailPoint(fault.SSDRoot, hit, fault.Decision{Err: fault.ErrPermanent})
@@ -35,7 +38,8 @@ func TestFailedCheckpointLosesNothing(t *testing.T) {
 	}
 	// The rules count from here on, and nothing between the fill and the
 	// second install syncs or roots anything else (50 keys flush to one PM
-	// table): hit 1 is the bridging manifest's op, hit 2 the final one's.
+	// table), bar the destage: hit 1 is the bridging manifest's op, hit 2 the
+	// final one's.
 	for i, install := range []string{"bridging", "final"} {
 		hit := i + 1
 		for _, op := range ops {
@@ -263,9 +267,12 @@ func strays(t *testing.T, db *DB) []ssd.FileID {
 }
 
 // livePM is what the PM device must report in use when nothing but the live
-// level-0 tables holds a region.
+// level-0 tables and the log tail holds a region.
 func livePM(db *DB) int64 {
 	var n int64
+	if db.walTail != nil {
+		n = wal.TailBytes
+	}
 	for _, p := range db.partitions {
 		for _, tbl := range p.state.Load().pmTables() {
 			n += (tbl.SizeBytes() + pmem.LineSize - 1) / pmem.LineSize * pmem.LineSize

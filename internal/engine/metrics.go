@@ -206,13 +206,15 @@ func (m *Metrics) ResetLatencies() {
 type WriteAmp struct {
 	// UserBytes is the logical payload written by the client (keys+values).
 	UserBytes int64
-	// PMBytes / SSDBytes are total device write bytes.
+	// PMBytes is the PM write bytes of everything but the log tail; SSDBytes
+	// is the total SSD write bytes.
 	PMBytes  int64
 	SSDBytes int64
-	// SSDWALBytes is the WAL portion of SSDBytes.
+	// SSDWALBytes is the log files' portion of SSDBytes.
 	SSDWALBytes int64
-	// ByCause breaks down device writes per cause label ("flush",
-	// "internal", "major", "leveled", "wal").
+	// ByCause breaks down device writes, both devices summed, per cause label
+	// ("flush", "internal", "major", "leveled", "wal"); "wal" includes the
+	// log tail's PM writes.
 	ByCause map[string]int64
 }
 
@@ -248,7 +250,7 @@ func (db *DB) WriteAmp() WriteAmp {
 		}
 	}
 	if db.pm != nil {
-		wa.PMBytes = db.pm.Stats().TotalWriteBytes()
+		wa.PMBytes = db.pm.Stats().TotalWriteBytes() - db.pm.Stats().WriteBytes(device.CauseWAL)
 	}
 	wa.SSDBytes = db.ssd.Stats().TotalWriteBytes()
 	wa.SSDWALBytes = db.ssd.Stats().WriteBytes(device.CauseWAL)

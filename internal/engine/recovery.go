@@ -27,7 +27,10 @@ type Manifest struct {
 	// WALFiles are the live logs in replay order (oldest first). During a
 	// checkpoint both the retiring and the fresh WAL are listed, so a crash
 	// mid-checkpoint loses nothing.
-	WALFiles   []uint64       `json:"wal_files"`
+	WALFiles []uint64 `json:"wal_files"`
+	// WALTail is the PM address of the log tail, replayed after WALFiles;
+	// absent without PM.
+	WALTail    *uint64        `json:"wal_tail,omitempty"`
 	Partitions []PartManifest `json:"partitions"`
 	// Quarantine lists the tables pulled from the live sets after a
 	// corruption detection (DESIGN.md §5.8). They are NOT in Partitions; a
@@ -133,6 +136,10 @@ func (db *DB) buildManifest(extraWAL uint64) Manifest {
 		m.WALFiles = append(m.WALFiles, uint64(db.wal.File()))
 	}
 	db.walMu.Unlock()
+	if db.walTail != nil {
+		addr := uint64(db.walTail.Addr())
+		m.WALTail = &addr
+	}
 	for _, p := range db.partitions {
 		s := p.state.Load()
 		var pm PartManifest
@@ -224,11 +231,14 @@ func (db *DB) SaveManifest() (ssd.FileID, error) {
 // commit turn and a bridging manifest listing BOTH logs is installed before
 // the turn ends, so no writer can commit to the fresh log first — a crash at
 // any instant therefore finds a durable manifest covering every acknowledged
-// write. If that install fails the same turn puts the old log back and
-// deletes the fresh one: no write is ever acknowledged from a log no manifest
-// names. FlushAll then pushes the old log's memtables to level-0, a second
-// manifest drops the old log from the live set, and only then is the old log
-// deleted; if that install fails both logs stay live and listed.
+// write. The turn first destages the log tail into the old log's file, so the
+// old log is whole in its file and the tail the fresh writer takes over is
+// empty — unless the engine is degraded, when the tail is handed over as it
+// is. If the install fails the same turn puts the old log back and deletes
+// the fresh one: no write is ever acknowledged from a log no manifest names.
+// FlushAll then pushes the old log's memtables to level-0, a second manifest
+// drops the old log from the live set, and only then is the old log deleted;
+// if that install fails both logs stay live and listed.
 func (db *DB) Checkpoint() (ssd.FileID, error) {
 	var old *wal.Writer
 	if db.wal != nil {
@@ -236,7 +246,17 @@ func (db *DB) Checkpoint() (ssd.FileID, error) {
 		// memtables cover the old log and the new one is empty.
 		var err error
 		db.turn(func() {
-			fresh := wal.NewWriter(db.ssd)
+			// A degraded engine's old file may end in a torn record that a
+			// destage would bury its records behind. It takes no more writes,
+			// so its tail passes to the fresh writer as it is and replays
+			// above the files.
+			if db.loadBgErr() == nil {
+				if err = db.retryDurable(db.wal.Destage); err != nil {
+					db.logFailed(err)
+					return
+				}
+			}
+			fresh := wal.NewTailWriter(db.ssd, db.walTail)
 			old = db.swapWAL(fresh)
 			db.drainFlushes()
 			if _, err = db.installManifest(uint64(old.File())); err != nil {
@@ -451,34 +471,47 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	db.metrics.QuarantinedNow.Store(int64(len(db.corpses)))
 	db.quarMu.Unlock()
 
-	// Replay the live WALs, oldest first, into the memtables. Entries already
-	// flushed to level-0 are re-applied, which is harmless: the live logs hold
-	// every sequence above the checkpoint that switched to them, so the
-	// memtable — the first tier a read meets — ends up with the newest
-	// version of every key written since, and a table can only repeat it.
+	// Replay the live WALs — the files oldest first, then the tail — into the
+	// memtables. Entries already flushed to level-0 are re-applied, which is
+	// harmless: the live logs hold every sequence above the checkpoint that
+	// switched to them, so the memtable — the first tier a read meets — ends up
+	// with the newest version of every key written since, and a table can only
+	// repeat it.
 	if !cfg.DisableWAL {
-		maxSeq := m.Seq
-		var replayed []kv.Entry
-		for _, wf := range m.WALFiles {
-			_, err := wal.Replay(sd, ssd.FileID(wf), func(e kv.Entry) error {
-				// Recovery is single-threaded: there is no commit turn to
-				// take yet.
-				db.route(e.Key).state.Load().mem.Add(e)
-				if e.Seq > maxSeq {
-					maxSeq = e.Seq
-				}
-				replayed = append(replayed, e)
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("engine: wal %d replay: %w", wf, err)
+		if m.WALTail != nil {
+			if pm == nil {
+				return nil, fmt.Errorf("engine: manifest names a log tail at PM address %d but no PM device supplied", *m.WALTail)
+			}
+			if db.walTail, err = wal.OpenTail(pm, pmem.Addr(*m.WALTail)); err != nil {
+				return nil, fmt.Errorf("engine: %w", err)
 			}
 		}
+		files := make([]ssd.FileID, len(m.WALFiles))
+		for i, wf := range m.WALFiles {
+			files[i] = ssd.FileID(wf)
+		}
+		maxSeq := m.Seq
+		var replayed []kv.Entry
+		if _, err := wal.ReplayLog(sd, files, db.walTail, func(e kv.Entry) error {
+			// Recovery is single-threaded: there is no commit turn to take
+			// yet.
+			db.route(e.Key).state.Load().mem.Add(e)
+			if e.Seq > maxSeq {
+				maxSeq = e.Seq
+			}
+			replayed = append(replayed, e)
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("engine: wal replay: %w", err)
+		}
 		db.seq.Store(maxSeq)
-		db.wal = wal.NewWriter(sd)
-		// Make the recovered state durable in its own right: re-log the
-		// replayed tail into the fresh WAL and install a manifest naming it,
-		// so an immediate second crash recovers to the same state.
+		// Make the recovered state durable in its own right: re-log what was
+		// replayed into the fresh writer's file — an adopted tail takes no
+		// records until it is destaged — and install a manifest naming it, so
+		// an immediate second crash recovers to the same state. Only then is
+		// the tail emptied for new writes: until that manifest is installed,
+		// the one recovery started from still needs it.
+		db.wal = wal.NewTailWriter(sd, db.walTail)
 		if len(replayed) > 0 {
 			if err := db.retryDurable(func() error {
 				_, e := db.wal.AppendBatches([][]kv.Entry{replayed})
@@ -492,6 +525,9 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 		}
 		if _, err := db.installManifest(0); err != nil {
 			return nil, fmt.Errorf("engine: install recovery manifest: %w", err)
+		}
+		if err := db.retryDurable(db.wal.Destage); err != nil {
+			return nil, fmt.Errorf("engine: empty the log tail: %w", err)
 		}
 		// The replayed logs are fully covered by the re-log; retire them.
 		for _, wf := range m.WALFiles {

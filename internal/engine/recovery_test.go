@@ -2,8 +2,15 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
+
+	"pmblade/internal/device"
+	"pmblade/internal/fault"
+	"pmblade/internal/kv"
+	"pmblade/internal/ssd"
+	"pmblade/internal/wal"
 )
 
 func TestRecoverFromManifestAndWAL(t *testing.T) {
@@ -194,80 +201,96 @@ func TestCheckpointRotatesWALAndBoundsReplay(t *testing.T) {
 	}
 }
 
+// liveLog replays db's live log — file and tail — through the device-neutral
+// replay and returns the number of entries it holds.
+func liveLog(t *testing.T, db *DB) int {
+	t.Helper()
+	n, err := wal.ReplayLog(db.ssd, []ssd.FileID{db.wal.File()}, db.walTail, func(kv.Entry) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 // TestRecoverTornGroupCommit simulates a crash in the middle of a group
 // commit: the process dies without Close while the last WAL batch record is
-// only partially on the device. Every batch whose record was fully appended
-// must recover completely; the torn batch must be invisible in its entirety —
-// group commit batches are atomic units of recovery, never split.
+// only partially on the device — in the PM tail, or in the SSD file without
+// PM. Every batch whose record was fully written must recover completely; the
+// torn batch must be invisible in its entirety — group commit batches are
+// atomic units of recovery, never split.
 func TestRecoverTornGroupCommit(t *testing.T) {
-	cfg := fastConfig()
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := db.SaveManifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd := db.SSDDevice()
-	walFile := db.wal.File()
-
-	// Each Apply is one atomic batch sharing a single WAL record.
-	const batches, perBatch = 5, 10
-	sizeAfter := make([]int64, batches)
-	val := bytes.Repeat([]byte("v"), 64)
-	for k := 0; k < batches; k++ {
-		var b Batch
-		for j := 0; j < perBatch; j++ {
-			b.Put([]byte(fmt.Sprintf("batch%d-key-%02d", k, j)), val)
-		}
-		if err := db.Apply(&b); err != nil {
-			t.Fatal(err)
-		}
-		sizeAfter[k] = sd.Size(walFile)
-	}
-	if sizeAfter[batches-1] <= sizeAfter[batches-2] {
-		t.Fatalf("WAL did not grow per batch: %v", sizeAfter)
-	}
-
-	// Crash: no Close. Tear the tail mid-way through the final batch record,
-	// as a power cut during the device append would.
-	torn := (sizeAfter[batches-2] + sizeAfter[batches-1]) / 2
-	if err := sd.Truncate(walFile, torn); err != nil {
-		t.Fatal(err)
-	}
-	pm := db.PMDevice()
-
-	re, err := Recover(cfg, pm, sd, mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	// Synced batches recover fully.
-	for k := 0; k < batches-1; k++ {
-		for j := 0; j < perBatch; j++ {
-			key := []byte(fmt.Sprintf("batch%d-key-%02d", k, j))
-			got, ok, err := re.Get(key)
+	for name, cfg := range logConfigs(fastConfig()) {
+		t.Run(name, func(t *testing.T) {
+			in := fault.New(31)
+			cfg.FaultInjector = in
+			db, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok || !bytes.Equal(got, val) {
-				t.Fatalf("batch %d key %d lost after torn-tail recovery", k, j)
+			mf, err := db.SaveManifest()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	// The torn batch is atomically absent: not one of its keys survives.
-	for j := 0; j < perBatch; j++ {
-		key := []byte(fmt.Sprintf("batch%d-key-%02d", batches-1, j))
-		if _, ok, _ := re.Get(key); ok {
-			t.Fatalf("torn batch key %d visible after recovery — batch split", j)
-		}
-	}
-	// The recovered engine accepts new writes.
-	if err := re.Put([]byte("post-crash"), []byte("ok")); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := re.Get([]byte("post-crash")); !ok {
-		t.Fatal("post-crash write lost")
+
+			// Each Apply is one atomic batch sharing a single WAL record.
+			const batches, perBatch = 5, 10
+			val := bytes.Repeat([]byte("v"), 64)
+			apply := func(k int) error {
+				var b Batch
+				for j := 0; j < perBatch; j++ {
+					b.Put([]byte(fmt.Sprintf("batch%d-key-%02d", k, j)), val)
+				}
+				return db.Apply(&b)
+			}
+			for k := 0; k < batches-1; k++ {
+				if err := apply(k); err != nil {
+					t.Fatal(err)
+				}
+				if n := liveLog(t, db); n != (k+1)*perBatch {
+					t.Fatalf("the log holds %d entries after %d batches of %d", n, k+1, perBatch)
+				}
+			}
+
+			// Crash: the final batch's log write is torn mid-record, as a
+			// power cut during the device write would, and the process dies
+			// without Close.
+			in.FailOp(logWritePoint(cfg), device.CauseWAL, 1, fault.Decision{Err: fault.ErrTorn, Tear: 400})
+			if err := apply(batches - 1); !errors.Is(err, fault.ErrTorn) {
+				t.Fatalf("torn batch = %v, want ErrTorn", err)
+			}
+			cfg.FaultInjector = nil
+			re, err := Recover(cfg, db.PMDevice(), db.SSDDevice(), mf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			// Synced batches recover fully.
+			for k := 0; k < batches-1; k++ {
+				for j := 0; j < perBatch; j++ {
+					key := []byte(fmt.Sprintf("batch%d-key-%02d", k, j))
+					got, ok, err := re.Get(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok || !bytes.Equal(got, val) {
+						t.Fatalf("batch %d key %d lost after torn-tail recovery", k, j)
+					}
+				}
+			}
+			// The torn batch is atomically absent: not one of its keys survives.
+			for j := 0; j < perBatch; j++ {
+				key := []byte(fmt.Sprintf("batch%d-key-%02d", batches-1, j))
+				if _, ok, _ := re.Get(key); ok {
+					t.Fatalf("torn batch key %d visible after recovery — batch split", j)
+				}
+			}
+			// The recovered engine accepts new writes.
+			if err := re.Put([]byte("post-crash"), []byte("ok")); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok, _ := re.Get([]byte("post-crash")); !ok {
+				t.Fatal("post-crash write lost")
+			}
+		})
 	}
 }

@@ -20,11 +20,12 @@ import (
 type Incident struct {
 	// Device is SSD, PM or WAL.
 	Device device.Class
-	// ID is the ssd.FileID or pmem.Addr of the corrupt object.
+	// ID is the ssd.FileID or pmem.Addr of the corrupt object: for a WAL
+	// incident, the log file's, or the log tail's address.
 	ID uint64
 	// Offset/Length locate the corrupt region within the object: the failing
 	// block for SSD tables, the whole image for PM tables, the first corrupt
-	// record for a WAL.
+	// record (or, in the tail, header) for a WAL.
 	Offset int64
 	Length int64
 	// Partition is the owning partition, -1 for WAL incidents.
@@ -97,9 +98,10 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 		s.release()
 	}
 
-	// WAL: record-CRC walk over the active log. The WAL is an early warning,
-	// not a quarantine target — its content is re-logged or flushed at the
-	// next checkpoint, and recovery already stops at the corrupt record.
+	// WAL: record-CRC walk over the active log, its file and its tail. The WAL
+	// is an early warning, not a quarantine target — its content is re-logged
+	// or flushed at the next checkpoint, and recovery already stops at the
+	// corrupt record.
 	db.walMu.Lock()
 	w := db.wal
 	db.walMu.Unlock()
@@ -110,6 +112,18 @@ func (db *DB) ScrubOnce() ([]Incident, error) {
 			incidents = append(incidents, Incident{
 				Device: device.WAL, ID: uint64(w.File()), Offset: off,
 				Partition: -1, Detail: "record checksum",
+			})
+			db.metrics.ScrubCorruptions.Add(1)
+		}
+		// The tail is the live writer's: a checkpoint may have handed it on
+		// since w was read, and walMu keeps it from doing so mid-walk.
+		db.walMu.Lock()
+		off, err = db.wal.VerifyTail()
+		db.walMu.Unlock()
+		if err == nil && off >= 0 {
+			incidents = append(incidents, Incident{
+				Device: device.WAL, ID: uint64(db.walTail.Addr()), Offset: off,
+				Partition: -1, Detail: "log tail checksum",
 			})
 			db.metrics.ScrubCorruptions.Add(1)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pmblade/internal/kv"
+	"pmblade/internal/ssd"
 	"pmblade/internal/sstable"
 	"pmblade/internal/wal"
 )
@@ -157,36 +158,46 @@ func TestTierOrderIsSequenceOrder(t *testing.T) {
 }
 
 // TestLogOrderIsSequenceOrder: the log of a multi-writer run replays in
-// strictly ascending sequence order — record order is commit order.
+// strictly ascending sequence order — record order is commit order — across
+// the records destaged to the file and those still in the PM tail, or in the
+// file alone without PM.
 func TestLogOrderIsSequenceOrder(t *testing.T) {
 	cfg := tierOrderConfig()
 	cfg.MemtableBytes = 1 << 20
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	writeConcurrently(t, db, 8, 150)
-	var b Batch
-	for i := 0; i < 4; i++ {
-		b.Put(key6(i), []byte("batch"))
-	}
-	if err := db.Apply(&b); err != nil {
-		t.Fatal(err)
-	}
-	var last uint64
-	n, err := wal.Replay(db.ssd, db.wal.File(), func(e kv.Entry) error {
-		if e.Seq <= last {
-			return fmt.Errorf("record with seq %d follows seq %d", e.Seq, last)
-		}
-		last = e.Seq
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 8*150 + 4; n != want || last != uint64(want) {
-		t.Fatalf("replayed %d entries up to seq %d, want %d of each", n, last, want)
+	for name, cfg := range logConfigs(cfg) {
+		t.Run(name, func(t *testing.T) {
+			db, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			const perWriter = 300 // more than one tail's worth
+			writeConcurrently(t, db, 8, perWriter)
+			var b Batch
+			for i := 0; i < 4; i++ {
+				b.Put(key6(i), []byte("batch"))
+			}
+			if err := db.Apply(&b); err != nil {
+				t.Fatal(err)
+			}
+			if db.ssd.Size(db.wal.File()) == 0 {
+				t.Fatal("nothing reached the log file: the log does not span both devices")
+			}
+			var last uint64
+			n, err := wal.ReplayLog(db.ssd, []ssd.FileID{db.wal.File()}, db.walTail, func(e kv.Entry) error {
+				if e.Seq <= last {
+					return fmt.Errorf("record with seq %d follows seq %d", e.Seq, last)
+				}
+				last = e.Seq
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := 8*perWriter + 4; n != want || last != uint64(want) {
+				t.Fatalf("replayed %d entries up to seq %d, want %d of each", n, last, want)
+			}
+		})
 	}
 }
 

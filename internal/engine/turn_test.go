@@ -95,120 +95,171 @@ func TestRotationBetweenTwoWritersKeepsTierOrder(t *testing.T) {
 	}
 }
 
-// TestQueuedWritersShareOneLogWrite: sixteen writers waiting in the queue are
-// one turn — one contiguous sequence block, one WAL append, one sync — and
-// each of them is acked with its write readable.
-func TestQueuedWritersShareOneLogWrite(t *testing.T) {
-	in := fault.New(1)
-	cfg := fastConfig()
-	cfg.FaultInjector = in
-	db, err := Open(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-
-	const writers = 16
-	release := holdTurn(db)
-	var acks []<-chan error
-	for w := 0; w < writers; w++ {
-		w := w
-		acks = append(acks, queueBehind(db, 2+w, func() error {
-			if w%2 == 0 {
-				return db.Put(key6(w), []byte(fmt.Sprint(w)))
-			}
-			var b Batch
-			b.Put(key6(w), []byte(fmt.Sprint(w)))
-			b.Put(key6(100+w), []byte(fmt.Sprint(w)))
-			return db.Apply(&b)
-		}))
-	}
-	m := db.Metrics()
-	groups, batches, deviceOps, seq := m.WALCommitCount.Load(), m.WALCommitBatches.Load(), in.Points(), db.Seq()
-	release()
-	for w, ack := range acks {
-		if err := <-ack; err != nil {
-			t.Fatalf("writer %d: %v", w, err)
-		}
-	}
-	if g, b := m.WALCommitCount.Load()-groups, m.WALCommitBatches.Load()-batches; g != 1 || b != writers {
-		t.Fatalf("%d writers committed as %d batches in %d groups, want %d in 1", writers, b, g, writers)
-	}
-	if ops := in.Points() - deviceOps; ops != 2 {
-		t.Fatalf("the group cost %d device operations, want one append and one sync", ops)
-	}
-	if got, want := db.Seq()-seq, uint64(writers+writers/2); got != want || db.VisibleSeq() != db.Seq() {
-		t.Fatalf("group took %d sequences (visible %d, seq %d), want %d", got, db.VisibleSeq(), db.Seq(), want)
-	}
-	for w := 0; w < writers; w++ {
-		got, ok, err := db.Get(key6(w))
-		if err != nil || !ok || string(got) != fmt.Sprint(w) {
-			t.Fatalf("writer %d: Get = %q (%v, %v)", w, got, ok, err)
-		}
-	}
+// logConfigs is cfg as the two logs an engine can have: with PM, groups go to
+// the log tail; without it, straight to the SSD file.
+func logConfigs(cfg Config) map[string]Config {
+	noPM := cfg
+	noPM.Level0OnPM = false
+	return map[string]Config{"pm": cfg, "ssd": noPM}
 }
 
-// TestFailedGroupFailsEveryMember: a WAL failure fails the whole turn — every
-// queued member gets the error, none of their entries is readable, the
-// group's sequence block stays burned with the watermark moved past it — and
-// a non-transient failure is sticky while one that merely ran out of retries
-// is not.
-func TestFailedGroupFailsEveryMember(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		fail   error
-		times  int // consecutive WAL appends that fail
-		sticky bool
-	}{
-		{"permanent", fault.ErrPermanent, 1, true},
-		{"transient", fault.ErrTransient, faultRetries + 1, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			in := fault.New(7)
-			db, err := Open(faultConfig(in))
+// TestQueuedWritersShareOneLogWrite: sixteen writers waiting in the queue are
+// one turn — one contiguous sequence block, one log write and one fence: a PM
+// write and a flush into the log tail, or an SSD append and a sync without
+// PM — and each of them is acked with its write readable.
+func TestQueuedWritersShareOneLogWrite(t *testing.T) {
+	for name, cfg := range logConfigs(fastConfig()) {
+		t.Run(name, func(t *testing.T) {
+			in := fault.New(1)
+			cfg.FaultInjector = in
+			db, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer db.Close()
-			if err := db.Put([]byte("before"), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-			seq := db.Seq()
 
-			const writers = 3
+			const writers = 16
 			release := holdTurn(db)
 			var acks []<-chan error
 			for w := 0; w < writers; w++ {
 				w := w
-				acks = append(acks, queueBehind(db, 2+w, func() error { return db.Put(key6(w), []byte("lost")) }))
+				acks = append(acks, queueBehind(db, 2+w, func() error {
+					if w%2 == 0 {
+						return db.Put(key6(w), []byte(fmt.Sprint(w)))
+					}
+					var b Batch
+					b.Put(key6(w), []byte(fmt.Sprint(w)))
+					b.Put(key6(100+w), []byte(fmt.Sprint(w)))
+					return db.Apply(&b)
+				}))
 			}
-			for i := 0; i < tc.times; i++ {
-				in.AddRule(fault.Rule{Point: fault.SSDAppend, Cause: device.CauseWAL, Once: true,
-					Decision: fault.Decision{Err: tc.fail}})
+			m := db.Metrics()
+			groups, batches, deviceOps, seq := m.WALCommitCount.Load(), m.WALCommitBatches.Load(), in.Points(), db.Seq()
+			logWrites := func() (pm, ssd int64) {
+				if db.pm != nil {
+					pm = db.pm.Stats().WriteOps(device.CauseWAL)
+				}
+				return pm, db.ssd.Stats().WriteOps(device.CauseWAL)
 			}
+			pmWrites, ssdWrites := logWrites()
 			release()
 			for w, ack := range acks {
-				if err := <-ack; !errors.Is(err, tc.fail) {
-					t.Fatalf("writer %d of the failed group got %v, want %v", w, err, tc.fail)
+				if err := <-ack; err != nil {
+					t.Fatalf("writer %d: %v", w, err)
 				}
 			}
-			if db.Seq() != seq+writers || db.VisibleSeq() != db.Seq() {
-				t.Fatalf("after the failed group seq = %d, visible = %d; want both %d", db.Seq(), db.VisibleSeq(), seq+writers)
+			if g, b := m.WALCommitCount.Load()-groups, m.WALCommitBatches.Load()-batches; g != 1 || b != writers {
+				t.Fatalf("%d writers committed as %d batches in %d groups, want %d in 1", writers, b, g, writers)
+			}
+			pmAfter, ssdAfter := logWrites()
+			wantPM := map[string]int64{"pm": 1, "ssd": 0}[name]
+			if ops := in.Points() - deviceOps; ops != 2 || pmAfter-pmWrites != wantPM || ssdAfter-ssdWrites != 1-wantPM {
+				t.Fatalf("the group cost %d device operations, %d PM and %d SSD log writes; want one %s log write and one fence",
+					ops, pmAfter-pmWrites, ssdAfter-ssdWrites, name)
+			}
+			if got, want := db.Seq()-seq, uint64(writers+writers/2); got != want || db.VisibleSeq() != db.Seq() {
+				t.Fatalf("group took %d sequences (visible %d, seq %d), want %d", got, db.VisibleSeq(), db.Seq(), want)
 			}
 			for w := 0; w < writers; w++ {
-				if _, ok, err := db.Get(key6(w)); ok || err != nil {
-					t.Fatalf("failed write %d is readable (%v, %v)", w, ok, err)
+				got, ok, err := db.Get(key6(w))
+				if err != nil || !ok || string(got) != fmt.Sprint(w) {
+					t.Fatalf("writer %d: Get = %q (%v, %v)", w, got, ok, err)
 				}
 			}
-			if got, ok, err := db.Get([]byte("before")); err != nil || !ok || string(got) != "v" {
-				t.Fatalf("reads must keep serving: %q (%v, %v)", got, ok, err)
-			}
-			err = db.Put([]byte("after"), []byte("v"))
-			if tc.sticky && !errors.Is(err, tc.fail) {
-				t.Fatalf("a degraded engine must refuse writes with the cause, got %v", err)
-			}
-			if !tc.sticky && (err != nil || db.Seq() != seq+writers+1) {
-				t.Fatalf("write after exhausted retries: %v at seq %d, want success at %d", err, db.Seq(), seq+writers+1)
+		})
+	}
+}
+
+// logWritePoint is the failpoint of a log write in an engine built from cfg:
+// the PM write into the log tail, or the SSD append without PM.
+func logWritePoint(cfg Config) fault.Point {
+	if cfg.Level0OnPM {
+		return fault.PMWrite
+	}
+	return fault.SSDAppend
+}
+
+// logFencePoint is the failpoint that makes logWritePoint's write durable.
+func logFencePoint(cfg Config) fault.Point {
+	if cfg.Level0OnPM {
+		return fault.PMFlush
+	}
+	return fault.SSDSync
+}
+
+// TestFailedGroupFailsEveryMember: a WAL failure — of the log write or of its
+// fence, in the PM tail or the SSD file — fails the whole turn: every queued
+// member gets the error, none of their entries is readable, the group's
+// sequence block stays burned with the watermark moved past it. A
+// non-transient failure is sticky while one that merely ran out of retries is
+// not.
+func TestFailedGroupFailsEveryMember(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		fail   error
+		times  int  // consecutive log writes (or fences) that fail
+		fence  bool // the fence fails, not the write
+		sticky bool
+	}{
+		{"permanent", fault.ErrPermanent, 1, false, true},
+		{"transient", fault.ErrTransient, faultRetries + 1, false, false},
+		{"fence", fault.ErrPermanent, 1, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for log, cfg := range logConfigs(faultConfig(nil)) {
+				t.Run(log, func(t *testing.T) {
+					in := fault.New(7)
+					cfg.FaultInjector = in
+					db, err := Open(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer db.Close()
+					if err := db.Put([]byte("before"), []byte("v")); err != nil {
+						t.Fatal(err)
+					}
+					seq := db.Seq()
+
+					const writers = 3
+					release := holdTurn(db)
+					var acks []<-chan error
+					for w := 0; w < writers; w++ {
+						w := w
+						acks = append(acks, queueBehind(db, 2+w, func() error { return db.Put(key6(w), []byte("lost")) }))
+					}
+					rule := fault.Rule{Point: logWritePoint(cfg), Cause: device.CauseWAL, Once: true,
+						Decision: fault.Decision{Err: tc.fail}}
+					if tc.fence { // a fence carries no cause
+						rule.Point, rule.AnyCause = logFencePoint(cfg), true
+					}
+					for i := 0; i < tc.times; i++ {
+						in.AddRule(rule)
+					}
+					release()
+					for w, ack := range acks {
+						if err := <-ack; !errors.Is(err, tc.fail) {
+							t.Fatalf("writer %d of the failed group got %v, want %v", w, err, tc.fail)
+						}
+					}
+					if db.Seq() != seq+writers || db.VisibleSeq() != db.Seq() {
+						t.Fatalf("after the failed group seq = %d, visible = %d; want both %d", db.Seq(), db.VisibleSeq(), seq+writers)
+					}
+					for w := 0; w < writers; w++ {
+						if _, ok, err := db.Get(key6(w)); ok || err != nil {
+							t.Fatalf("failed write %d is readable (%v, %v)", w, ok, err)
+						}
+					}
+					if got, ok, err := db.Get([]byte("before")); err != nil || !ok || string(got) != "v" {
+						t.Fatalf("reads must keep serving: %q (%v, %v)", got, ok, err)
+					}
+					err = db.Put([]byte("after"), []byte("v"))
+					if tc.sticky && !errors.Is(err, tc.fail) {
+						t.Fatalf("a degraded engine must refuse writes with the cause, got %v", err)
+					}
+					if !tc.sticky && (err != nil || db.Seq() != seq+writers+1) {
+						t.Fatalf("write after exhausted retries: %v at seq %d, want success at %d", err, db.Seq(), seq+writers+1)
+					}
+				})
 			}
 		})
 	}
