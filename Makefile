@@ -59,15 +59,15 @@ bench-smoke:
 # stress alone, 50 times on one P without the detector (about 10 s): that is
 # where a writer that treats a full PM as a failure instead of a stall shows
 # up as "pmem: out of space" (5-10 % of such runs before the flush loop).
-# The quarantine race rides along: readers spinning on a table while it is
-# quarantined under them, under the detector with the corpse-lifecycle table,
-# then 10 times on real scheduling (400 rounds per device and detection path;
-# a quarantine that detaches before it publishes its range lied in a third of
-# them).
+# The quarantine races ride along: readers spinning on a table while it is
+# quarantined under them, and a state held across a repair, under the
+# detector with the corpse-lifecycle table, then 10 times on real scheduling
+# (400 rounds per device and detection path; a quarantine that detaches before
+# it publishes its range lied in a third of them).
 stress-compact:
-	$(GO) test -race -count=1 -run 'TestStressCompactEvict|TestEvictionDoesNotBlockPreservedPuts|TestEvictionVictimFaultIsolation|TestConcurrentEvictTriggersJoinOnePass|TestQuarantineNeverLiesMidDetach|TestCorpseLifecycle' ./internal/engine
+	$(GO) test -race -count=1 -run 'TestStressCompactEvict|TestEvictionDoesNotBlockPreservedPuts|TestEvictionVictimFaultIsolation|TestConcurrentEvictTriggersJoinOnePass|TestQuarantineNeverLiesMidDetach|TestRepairNeverLiesToAHeldState|TestCorpseLifecycle' ./internal/engine
 	GOMAXPROCS=1 $(GO) test -count=50 -run TestStressCompactEvict ./internal/engine
-	$(GO) test -count=10 -run TestQuarantineNeverLiesMidDetach ./internal/engine
+	$(GO) test -count=10 -run 'TestQuarantineNeverLiesMidDetach|TestRepairNeverLiesToAHeldState' ./internal/engine
 
 # Snapshot-isolation stress: concurrent batch writers against snapshot
 # Scan/MultiGet readers and plain Scans that walk two partitions (no torn
@@ -93,9 +93,10 @@ stress-snapshot:
 # (Mutex, RWMutex, Cond, chan) of engine.DB and engine.partition, and the two
 # counts that say table lifecycle is written once: the lines of internal/engine
 # (tests and metrics.go's Tier.String aside) that spell a device class as a
-# string literal, and the retirement queues / corpse registries engine.DB keeps.
+# string literal, and the retirement queues / corpse containers engine.DB and
+# engine.partition keep.
 MODE_BRANCH := cfg\.(Level0OnPM|InternalCompaction|CostBased)
-DB_FIELDS = awk '/^type DB struct/{f=1;next} f&&/^}/{f=0} f&&$$1~RE&&$$2!~/Mutex/{n++} END{print n+0}'
+DB_FIELDS = awk '/^type (DB|partition) struct/{f=1;next} f&&/^}/{f=0} f&&$$1~RE&&$$2!~/Mutex/{n++} END{print n+0}'
 scoreboard:
 	@for d in internal/*/; do \
 		printf '%-28s %6d\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l); \
@@ -107,7 +108,7 @@ scoreboard:
 	@printf '%-28s %6d\n' '//pmblade:compacts roots' $$(grep -n '^//pmblade:compacts' internal/engine/*.go | grep -v _test | wc -l)
 	@printf '%-28s %6d\n' 'DB+partition sync fields' $$(awk '/^type (DB|partition) struct/{f=1;next} f&&/^}/{f=0} f&&/^\t[A-Za-z]/&&$$0~SYNC{n++} END{print n}' SYNC='[ \t*](sync\.(RW)?Mutex|sync\.Cond|chan )' internal/engine/engine.go)
 	@printf '%-28s %6d\n' 'device-literal sites' $$(cat $$(ls internal/engine/*.go | grep -v -e _test.go -e metrics.go) | grep -cE '"ssd"|"pm"')
-	@printf '%-28s %4d/%d\n' 'retire queues/corpse regs' $$($(DB_FIELDS) RE='^obsolete' internal/engine/engine.go) $$($(DB_FIELDS) RE='^(quar|corpse)' internal/engine/engine.go)
+	@printf '%-28s %4d/%d\n' 'retire queues/corpse regs' $$($(DB_FIELDS) RE='^obsolete' internal/engine/engine.go) $$($(DB_FIELDS) RE='^corpses$$' internal/engine/engine.go)
 
 # verify is the pre-merge gate: everything CI checks, in one target.
 verify: build vet pmblade-vet race stress-compact stress-snapshot crash scrub-soak bench-smoke

@@ -206,15 +206,16 @@ func resetPartitionStats(p *partition) {
 // deletion markers can go. They can only when nothing older than the
 // compaction's output is left for them to shadow: every SSD table from level
 // dest down is being rewritten by this very job (merged are its tables of
-// level dest), and p has no quarantine record — a corpse awaiting salvage
-// sits logically below everything, and a tombstone dropped above it lets
-// repair bring the deleted value back.
+// level dest), and p holds no corpse — one awaiting salvage sits logically
+// below everything, and a tombstone dropped above it lets repair bring the
+// deleted value back. Repair's own job still holds the corpses it salvages:
+// they leave at its install.
 func (p *partition) mayDropTombstones(dest int, merged []*sstable.Table) bool {
 	older := -len(merged)
 	for l := dest; l <= p.tree.Levels(); l++ {
 		older += p.tree.Run(l).Len()
 	}
-	return older == 0 && p.quar.Load() == nil
+	return older == 0 && len(p.corpses) == 0
 }
 
 // maintain runs job — a flush or a compaction of p — under p.maint, and again
@@ -247,7 +248,7 @@ func (db *DB) maintain(p *partition, job func() error) error {
 func (db *DB) internalCompact(p *partition) error {
 	stats, err := p.l0.CompactInternal(!p.mayDropTombstones(1, nil), db.retentionBounds())
 	if errors.Is(err, pmem.ErrOutOfSpace) {
-		return db.majorCompact(p, nil)
+		return db.majorCompact(p, nil, nil)
 	}
 	if err != nil || stats.TablesIn == 0 {
 		return err
@@ -279,7 +280,7 @@ func (db *DB) compactVictims(victims []*partition) error {
 		errs[i] = db.maintain(p, func() error {
 			db.metrics.EvictVictimsInFlight.Add(1)
 			defer db.metrics.EvictVictimsInFlight.Add(-1)
-			return db.majorCompact(p, nil)
+			return db.majorCompact(p, nil, nil)
 		})
 		db.metrics.VictimStallNanos.Add(int64(sw.Elapsed()))
 	})
@@ -329,8 +330,10 @@ type ssdJob struct {
 	// salvage (repair only) yields the entries of quarantined corpses whose
 	// block CRCs still verify. A salvage iterator cannot be reopened per
 	// range, so a job that carries any runs as a single range, which also
-	// keeps its skip counter attributable.
+	// keeps its skip counter attributable. corpses are the corpses repaired:
+	// they leave the partition in the install that adds the outputs.
 	salvage []*sstable.Iterator
+	corpses []corpse
 	cause   device.Cause
 }
 
@@ -339,10 +342,10 @@ type ssdJob struct {
 // whole, and level-0 is evicted from PM. In a one-run layout the bottom is
 // level 1 and this is PM-Blade's major compaction — one of the two level-0
 // containers is simply empty. Repair is this job plus the salvage iterators
-// of the partition's corpses. Callers hold p.maint — required, since the
+// of the corpses it releases. Callers hold p.maint — required, since the
 // install drops every level-0 table and must not race a concurrent flush
 // installing one.
-func (db *DB) majorCompact(p *partition, salvage []*sstable.Iterator) error {
+func (db *DB) majorCompact(p *partition, salvage []*sstable.Iterator, corpses []corpse) error {
 	runs := p.tree.RunTables()
 	bottom := len(runs)
 	return db.compactToSSD(p, ssdJob{
@@ -350,6 +353,7 @@ func (db *DB) majorCompact(p *partition, salvage []*sstable.Iterator) error {
 		inputs:  slices.Concat(p.tree.L0Tables(), slices.Concat(runs[:bottom-1]...)),
 		merged:  runs[bottom-1],
 		salvage: salvage,
+		corpses: corpses,
 		cause:   device.CauseMajor,
 	})
 }
@@ -461,18 +465,21 @@ func (db *DB) compactToSSD(p *partition, j ssdJob) error {
 		t.AttachCache(db.cache)
 	}
 
-	// Install the outputs, then retire the inputs (DB.retire); their cached
-	// blocks go at once — they will not be read through these tables again.
+	// Install the outputs in place of the inputs and the repaired corpses,
+	// then retire both (DB.retire); the inputs' cached blocks go at once —
+	// they will not be read through these tables again.
 	p.tree.Run(j.to).Replace(j.merged, out)
 	p.tree.Remove(j.inputs...)
 	if j.from == 0 {
 		p.l0.Evict()
 	}
+	p.dropCorpses(j.corpses)
 	db.installTables(p, nil, true)
 	for _, t := range ssts {
 		t.DropCached()
 		db.retire(t.Delete)
 	}
+	db.retireCorpses(j.corpses)
 	for _, s := range j.salvage {
 		db.metrics.RepairBlocksSkipped.Add(int64(s.Skipped()))
 	}
@@ -501,7 +508,7 @@ func (db *DB) MajorCompactAll() error {
 	errs := make([]error, len(db.partitions))
 	db.fanPartitions(len(db.partitions), func(i int) {
 		p := db.partitions[i]
-		errs[i] = db.maintain(p, func() error { return db.majorCompact(p, nil) })
+		errs[i] = db.maintain(p, func() error { return db.majorCompact(p, nil, nil) })
 	})
 	if err := firstError(errs); err != nil {
 		return err

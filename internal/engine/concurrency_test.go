@@ -240,7 +240,7 @@ func TestPartitionStatsLifecycle(t *testing.T) {
 	}
 	db.FlushAll()
 	p.maint.Lock()
-	err = db.majorCompact(p, nil)
+	err = db.majorCompact(p, nil, nil)
 	p.maint.Unlock()
 	if err != nil {
 		t.Fatal(err)

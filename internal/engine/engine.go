@@ -113,20 +113,10 @@ type DB struct {
 	obsoleteMu sync.Mutex
 	obsolete   []func() // each gives one table's storage back; guarded by: obsoleteMu
 
-	// The quarantine registry (DESIGN.md §5.8): tables pulled from the live
-	// sets after a corruption detection, held as corpses until
-	// RepairQuarantined salvages what their checksums still vouch for. The
-	// manifest carries their records.
-	quarMu  sync.Mutex
-	corpses []corpse // in quarantine order; guarded by: quarMu
-
 	// scrubStop/scrubDone bound the background scrub loop's lifetime; nil
 	// when ScrubInterval is 0 (the default).
 	scrubStop chan struct{}
 	scrubDone chan struct{}
-
-	// repairMu serializes RepairQuarantined passes.
-	repairMu sync.Mutex
 }
 
 // evictState is one in-flight eviction pass. The owner writes err and then
@@ -164,9 +154,15 @@ type partition struct {
 	// edit is followed by installTables, which publishes them. l0 is the PM
 	// level-0 (empty unless Level0OnPM). tree is the SSD tier: its level 0
 	// takes flushes when level-0 is not on PM, and below it sits one sorted
-	// run — or, with a positive L1TargetBytes, a leveled hierarchy.
-	l0   *level0.Level0
-	tree *levels.Leveled
+	// run — or, with a positive L1TargetBytes, a leveled hierarchy. corpses
+	// is the quarantine (DESIGN.md §5.8): the tables pulled from l0 and tree
+	// after a corruption detection, in quarantine order, held until
+	// RepairQuarantined salvages what their checksums still vouch for. A
+	// published state shares its slice, so it is replaced, never edited in
+	// place.
+	l0      *level0.Level0
+	tree    *levels.Leveled
+	corpses []corpse
 
 	// Stats for the cost models (Table II), reset on compaction.
 	reads, writes, updates atomic.Int64
@@ -176,11 +172,6 @@ type partition struct {
 	// update detector feeding n_i^u (Eq. 2).
 	seenMu sync.Mutex
 	seen   map[uint64]struct{} // guarded by: seenMu
-
-	// quar publishes this partition's quarantined key ranges to the read
-	// path: nil when nothing is quarantined, so the common case costs one
-	// atomic load on a miss. Rebuilt under DB.quarMu.
-	quar atomic.Pointer[[]quarSource]
 }
 
 // noteKeyWrite records a write in the update detector, reporting whether the

@@ -198,7 +198,7 @@ func failedJobKeepsInputs(t *testing.T, cfg Config) {
 	}
 	defer db.Close()
 	p := db.partitions[0]
-	job, cause := func() error { return db.majorCompact(p, nil) }, device.CauseMajor
+	job, cause := func() error { return db.majorCompact(p, nil, nil) }, device.CauseMajor
 	if cfg.L1TargetBytes > 0 {
 		job, cause = func() error { return db.compactToSSD(p, leveledStep(p.tree, 0)) }, device.CauseLeveled
 	}

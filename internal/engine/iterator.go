@@ -59,7 +59,7 @@ func (db *DB) newIteratorAt(start, end []byte, seq uint64) (*Iterator, error) {
 	// while the iterator hops.
 	it := &Iterator{db: db, seq: seq, start: bytes.Clone(start), end: bytes.Clone(end), parts: db.span(start, end)}
 	for _, p := range it.parts {
-		if p.quarOverlaps(start, end) {
+		if p.state.Load().quarOverlaps(start, end) {
 			db.metrics.UnavailableReads.Add(1)
 			it.Close()
 			return nil, ErrUnavailable

@@ -10,6 +10,7 @@ import (
 
 	"pmblade/internal/device"
 	"pmblade/internal/fault"
+	"pmblade/internal/kv"
 	"pmblade/internal/pmem"
 	"pmblade/internal/ssd"
 	"pmblade/internal/wal"
@@ -231,6 +232,68 @@ func quarantineUnderReaders(t *testing.T, dev device.Class, byScrub bool, n int,
 	wg.Wait()
 	if recs := db.QuarantineRecords(); len(recs) != 1 || recs[0].Device != tg.Device || recs[0].ID != tg.ID {
 		t.Fatalf("quarantine records %+v, want the rotted %s table %d", recs, tg.Device, tg.ID)
+	}
+}
+
+// TestRepairNeverLiesToAHeldState: a reader that acquired a partition's state
+// before RepairQuarantined resolves every key against that state afterwards,
+// the way get does — lookup, then the state's own quarantine verdict. It may
+// answer ErrUnavailable, but never a clean not-found for a key the repair
+// salvaged. (When the corpses left the read path after the rebuilt tables had
+// been installed, through a second pointer, 200 of these 300 keys read
+// not-found from the held state while Get found them.)
+func TestRepairNeverLiesToAHeldState(t *testing.T) {
+	db, err := Open(scrubConfig(fault.New(25)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	want := fillSSD(t, db, 300)
+	if rotEverySST(t, db) == 0 {
+		t.Fatal("no SSD tables to rot")
+	}
+	if _, err := db.ScrubOnce(); err != nil {
+		t.Fatal(err)
+	}
+	held := make([]*readState, len(db.partitions))
+	for i, p := range db.partitions {
+		held[i] = p.acquire()
+	}
+	defer func() {
+		for _, s := range held {
+			s.release()
+		}
+	}()
+	if err := db.RepairQuarantined(); err != nil {
+		t.Fatal(err)
+	}
+	seq := db.beginRead()
+	defer db.endRead(seq)
+	lies, salvaged := 0, 0
+	for k := range want {
+		key := []byte(k)
+		s := held[db.route(key).id]
+		e, tier, err := db.lookup(s, key, seq)
+		if err != nil {
+			t.Fatalf("lookup(%s) in the held state: %v", k, err)
+		}
+		_, now, err := db.Get(key)
+		if err != nil {
+			t.Fatalf("Get(%s) after repair: %v", k, err)
+		}
+		if now {
+			salvaged++
+		}
+		heldMiss := tier == TierMiss || e.Kind == kv.KindDelete
+		if heldMiss && now && !s.quarShadowed(key, tier != TierMiss, tier) {
+			lies++
+		}
+	}
+	if salvaged == 0 {
+		t.Fatal("repair salvaged nothing: the test proves nothing")
+	}
+	if lies != 0 {
+		t.Fatalf("%d of %d keys read not-found in the state held across repair, found by Get after it (%d salvaged)", lies, len(want), salvaged)
 	}
 }
 

@@ -166,7 +166,7 @@ func (db *DB) multiGetPartition(p *partition, keys [][]byte, idxs []int, seq uin
 	for j, i := range idxs {
 		db.metrics.CountRead(subTiers[j])
 		switch {
-		case p.quarShadowed(keys[i], subFound[j], subTiers[j]):
+		case s.quarShadowed(keys[i], subFound[j], subTiers[j]):
 			db.metrics.UnavailableReads.Add(1)
 			results[i] = GetResult{Err: ErrUnavailable}
 		case subFound[j] && subEntries[j].Kind != kv.KindDelete:

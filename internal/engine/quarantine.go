@@ -13,6 +13,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"slices"
 
 	"pmblade/internal/device"
 )
@@ -42,41 +43,38 @@ type QuarantineRecord struct {
 	Largest  []byte `json:"largest"`
 }
 
-// quarSource is one quarantined table's read-path footprint: its key range
-// plus, when the corpse is still openable, its MayContain filter for
-// fence+Bloom precision. dev orders the source against serving tiers: a
-// result from a strictly newer tier cannot be shadowed by the corpse.
-type quarSource struct {
-	lo, hi []byte
-	dev    device.Class
-	may    func(key []byte) bool // nil: fence check only
+// corpse is one quarantined table: the durable record and, when there is one,
+// the handle repair salvages through and reads filter with. t is nil for a
+// corpse a restart could not reopen (or, on PM, never does: the whole-image
+// checksum that failed at quarantine time cannot pass now).
+type corpse struct {
+	QuarantineRecord
+	t table
 }
 
+func (c corpse) id() tableID { return tableID{c.Device, c.ID} }
+
 // quarShadowed reports whether a read outcome for key may be wrong because a
-// quarantined source of p could have held a newer version. A miss inside any
-// matching source is shadowed (the key may exist unreadably); a hit is
-// shadowed unless it came from a tier strictly newer than every matching
-// source — the memtable always is, and the PM level-0 is newer than any SSD
-// table. Fast path: one atomic load, nil when nothing is quarantined.
-func (p *partition) quarShadowed(key []byte, found bool, tier Tier) bool {
-	srcs := p.quar.Load()
-	if srcs == nil {
+// corpse of s could have held a newer version. A miss inside any corpse that
+// may contain key — its fences, and its Bloom filter when it has a handle — is
+// shadowed (the key may exist unreadably); a hit is shadowed unless it came
+// from a tier strictly newer than every such corpse — the memtable always is,
+// and the PM level-0 is newer than any SSD table.
+func (s *readState) quarShadowed(key []byte, found bool, tier Tier) bool {
+	if len(s.corpses) == 0 || (found && tier == TierMemtable) {
 		return false
 	}
-	if found && tier == TierMemtable {
-		return false
-	}
-	for _, s := range *srcs {
-		if s.lo != nil && bytes.Compare(key, s.lo) < 0 {
+	for _, c := range s.corpses {
+		if c.Smallest != nil && bytes.Compare(key, c.Smallest) < 0 {
 			continue
 		}
-		if s.hi != nil && bytes.Compare(key, s.hi) > 0 {
+		if c.Largest != nil && bytes.Compare(key, c.Largest) > 0 {
 			continue
 		}
-		if s.may != nil && !s.may(key) {
+		if c.t != nil && !c.t.MayContain(key) {
 			continue
 		}
-		if found && tier == TierPM && s.dev == device.SSD {
+		if found && tier == TierPM && c.Device == device.SSD {
 			// Data only moves PM level-0 -> SSD, so a PM hit is strictly
 			// newer than anything a quarantined SSD table ever held.
 			continue
@@ -86,19 +84,15 @@ func (p *partition) quarShadowed(key []byte, found bool, tier Tier) bool {
 	return false
 }
 
-// quarOverlaps reports whether any quarantined source of p intersects the
-// scan range [start, end). Scans are conservative: Bloom filters cannot
-// prune a range, so any overlap makes the scan unavailable.
-func (p *partition) quarOverlaps(start, end []byte) bool {
-	srcs := p.quar.Load()
-	if srcs == nil {
-		return false
-	}
-	for _, s := range *srcs {
-		if end != nil && s.lo != nil && bytes.Compare(s.lo, end) >= 0 {
+// quarOverlaps reports whether any corpse of s intersects the scan range
+// [start, end). Scans are conservative: Bloom filters cannot prune a range,
+// so any overlap makes the scan unavailable.
+func (s *readState) quarOverlaps(start, end []byte) bool {
+	for _, c := range s.corpses {
+		if end != nil && c.Smallest != nil && bytes.Compare(c.Smallest, end) >= 0 {
 			continue
 		}
-		if start != nil && s.hi != nil && bytes.Compare(s.hi, start) < 0 {
+		if start != nil && c.Largest != nil && bytes.Compare(c.Largest, start) < 0 {
 			continue
 		}
 		return true
@@ -106,52 +100,15 @@ func (p *partition) quarOverlaps(start, end []byte) bool {
 	return false
 }
 
-// corpse is one entry of the quarantine registry: the durable record and, when
-// there is one, the handle repair salvages through. t is nil for a corpse a
-// restart could not reopen (or, on PM, never does: the whole-image checksum
-// that failed at quarantine time cannot pass now).
-type corpse struct {
-	QuarantineRecord
-	t table
-}
-
-func (c corpse) id() tableID { return tableID{c.Device, c.ID} }
-
-// rebuildQuarLocked republishes partition p's quarantined ranges from the
-// registry. Callers hold quarMu.
-//
-//pmblade:holds quarMu
-func (db *DB) rebuildQuarLocked(p *partition) {
-	var srcs []quarSource
-	for _, c := range db.corpses {
-		if c.Partition != p.id {
-			continue
-		}
-		s := quarSource{lo: c.Smallest, hi: c.Largest, dev: c.Device}
-		if c.t != nil {
-			s.may = c.t.MayContain
-		}
-		srcs = append(srcs, s)
-	}
-	if len(srcs) == 0 {
-		p.quar.Store(nil)
-		return
-	}
-	p.quar.Store(&srcs)
-}
-
-// quarantine pulls the table id names out of partition p's live set and
-// registers it as a corpse, all under p.maint and in this order: is it still
-// live — one that a compaction retired had its content merged forward before
-// the rot landed, and of concurrent detections exactly one finds it here; then
-// the unavailable range is published; only then does the table leave the
-// published state. A reader loads the state first and the ranges second
-// (quarShadowed, the cursor's guard), so whichever state it holds it either
-// still reads the table or already sees the range: there is no window in
-// which the data is both unservable and unflagged. No view is built for the
-// new state — quarantine runs on the read path, and the next scan builds one
-// over the surviving tables. Reports whether the quarantine took effect;
-// callers hold no engine locks and follow a true return with installManifest.
+// quarantine pulls the table id names out of partition p's live set and keeps
+// it as a corpse, under p.maint. A table that is no longer live is left alone:
+// one that a compaction retired had its content merged forward before the rot
+// landed, and of concurrent detections exactly one finds it here. One install
+// publishes both edits, so a reader's state either still lists the table or
+// already holds its corpse. No view is built for the new state — quarantine
+// runs on the read path, and the next scan builds one over the surviving
+// tables. Reports whether the quarantine took effect; callers hold no engine
+// locks and follow a true return with installManifest.
 func (db *DB) quarantine(p *partition, id tableID, detail string) bool {
 	p.maint.Lock()
 	defer p.maint.Unlock()
@@ -159,8 +116,8 @@ func (db *DB) quarantine(p *partition, id tableID, detail string) bool {
 	if t == nil {
 		return false
 	}
-	db.quarMu.Lock()
-	db.corpses = append(db.corpses, corpse{QuarantineRecord{
+	t.detach(p)
+	p.corpses = append(slices.Clip(p.corpses), corpse{QuarantineRecord{
 		Device:    id.dev,
 		ID:        id.id,
 		Partition: p.id,
@@ -168,9 +125,6 @@ func (db *DB) quarantine(p *partition, id tableID, detail string) bool {
 		Smallest:  append([]byte(nil), t.Smallest()...),
 		Largest:   append([]byte(nil), t.Largest()...),
 	}, t})
-	db.rebuildQuarLocked(p)
-	db.quarMu.Unlock()
-	t.detach(p)
 	db.installTables(p, nil, false)
 	db.metrics.QuarantineIncidents.Add(1)
 	db.metrics.QuarantinedNow.Add(1)
@@ -196,14 +150,14 @@ func (db *DB) healCorruption(p *partition, err error) bool {
 	return true
 }
 
-// QuarantineRecords snapshots the quarantine registry (observability, tests,
-// and the scrub soak's oracle).
+// QuarantineRecords lists the quarantined tables, partition by partition
+// (observability, tests, and the scrub soak's oracle).
 func (db *DB) QuarantineRecords() []QuarantineRecord {
-	db.quarMu.Lock()
-	defer db.quarMu.Unlock()
-	out := make([]QuarantineRecord, len(db.corpses))
-	for i, c := range db.corpses {
-		out[i] = c.QuarantineRecord
+	var out []QuarantineRecord
+	for _, p := range db.partitions {
+		for _, c := range p.state.Load().corpses {
+			out = append(out, c.QuarantineRecord)
+		}
 	}
 	return out
 }

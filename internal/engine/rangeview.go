@@ -165,9 +165,9 @@ func (c *cursor) open(db *DB, p *partition, from, end []byte, seq uint64, budget
 	// the way point reads can: a partition whose quarantined key range overlaps
 	// the read's makes whatever it would contribute untrustworthy. The guard
 	// follows the walk — a partition the read never reaches cannot shadow its
-	// result — and the state: a quarantine publishes its range before the
-	// table leaves the state, so a state that lacks the table sees the range.
-	if p.quarOverlaps(from, end) {
+	// result — and asks the state it reads: a table leaves it in the same
+	// store that adds its corpse.
+	if c.s.quarOverlaps(from, end) {
 		db.metrics.UnavailableReads.Add(1)
 		c.err = ErrUnavailable
 		return

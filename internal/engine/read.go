@@ -39,10 +39,6 @@ func (db *DB) getAt(key []byte, seq uint64) (value []byte, ok bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	if p.quarShadowed(key, ok, tier) {
-		db.metrics.UnavailableReads.Add(1)
-		return nil, false, ErrUnavailable
-	}
 	db.metrics.ReadLatency.Record(time.Since(start))
 	db.metrics.CountRead(tier)
 	p.reads.Add(1)
@@ -53,7 +49,8 @@ func (db *DB) getAt(key []byte, seq uint64) (value []byte, ok bool, err error) {
 }
 
 // get resolves key at a snapshot in p's current state, reporting the serving
-// tier. It returns tombstones to the caller (Kind). Copy-out boundary: every
+// tier. It returns tombstones to the caller (Kind), and ErrUnavailable when a
+// corpse of the same state may shadow the outcome. Copy-out boundary: every
 // tier's lookup returns a view — of a memtable node, a PM-table image, a
 // cached block — so the value is copied here, once, before the state — and
 // with it the tables' references — is released.
@@ -61,6 +58,10 @@ func (db *DB) get(p *partition, key []byte, seq uint64) (kv.Entry, bool, Tier, e
 	s := p.acquire()
 	defer s.release()
 	e, tier, err := db.lookup(s, key, seq)
+	if err == nil && s.quarShadowed(key, tier != TierMiss, tier) {
+		db.metrics.UnavailableReads.Add(1)
+		err = ErrUnavailable
+	}
 	if err != nil || tier == TierMiss {
 		return kv.Entry{}, false, TierMiss, err
 	}

@@ -334,12 +334,13 @@ func manifestCandidates(sd *ssd.Device) []ssd.FileID {
 	return out
 }
 
-// reopen opens the tables of partition pid that one manifest list names, in
-// order. A table whose reopen fails on corruption is quarantined and left out
-// — recovery proceeds with its key range marked unavailable (bounds unknown,
-// so the whole partition is conservatively flagged) instead of abandoning an
-// otherwise-intact manifest. Any other failure aborts the candidate.
-func reopen[T any](db *DB, pid int, dev device.Class, ids []uint64, open func(id uint64) (T, error)) ([]T, error) {
+// reopen opens the tables of partition p that one manifest list names, in
+// order. A table whose reopen fails on corruption becomes one of p's corpses
+// and is left out — recovery proceeds with its key range marked unavailable
+// (bounds unknown, so the whole partition is conservatively flagged) instead
+// of abandoning an otherwise-intact manifest. Any other failure aborts the
+// candidate.
+func reopen[T any](db *DB, p *partition, dev device.Class, ids []uint64, open func(id uint64) (T, error)) ([]T, error) {
 	var ts []T
 	for _, id := range ids {
 		t, err := open(id)
@@ -348,14 +349,12 @@ func reopen[T any](db *DB, pid int, dev device.Class, ids []uint64, open func(id
 		case err == nil:
 			ts = append(ts, t)
 		case errors.As(err, &ce):
-			db.quarMu.Lock()
-			db.corpses = append(db.corpses, corpse{QuarantineRecord: QuarantineRecord{
-				Device: dev, ID: id, Partition: pid, Detail: err.Error(),
+			p.corpses = append(p.corpses, corpse{QuarantineRecord: QuarantineRecord{
+				Device: dev, ID: id, Partition: p.id, Detail: err.Error(),
 			}})
-			db.quarMu.Unlock()
 			db.metrics.QuarantineIncidents.Add(1)
 		default:
-			return nil, fmt.Errorf("engine: reopen %s table %d of partition %d: %w", dev, id, pid, err)
+			return nil, fmt.Errorf("engine: reopen %s table %d of partition %d: %w", dev, id, p.id, err)
 		}
 	}
 	return ts, nil
@@ -403,6 +402,11 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	if want := len(cfg.PartitionBoundaries) + 1; len(m.Partitions) != want {
 		return nil, fmt.Errorf("engine: manifest has %d partitions, config wants %d", len(m.Partitions), want)
 	}
+	for _, r := range m.Quarantine {
+		if r.Partition < 0 || r.Partition >= len(m.Partitions) {
+			return nil, fmt.Errorf("engine: manifest quarantines %s table %d in partition %d of %d", r.Device, r.ID, r.Partition, len(m.Partitions))
+		}
+	}
 	if cfg.Level0OnPM && pm == nil {
 		return nil, fmt.Errorf("engine: config wants PM level-0 but no PM device supplied")
 	}
@@ -415,7 +419,7 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 	}
 	for i, pmPart := range m.Partitions {
 		p := db.newPartition(i)
-		l0, err := reopen(db, i, device.SSD, pmPart.L0SSD, openSST)
+		l0, err := reopen(db, p, device.SSD, pmPart.L0SSD, openSST)
 		if err != nil {
 			return nil, err
 		}
@@ -425,51 +429,46 @@ func Recover(cfg Config, pm *pmem.Device, sd *ssd.Device, manifestFile ssd.FileI
 			p.tree.AddL0(l0[j])
 		}
 		for li, files := range pmPart.Levels {
-			ts, err := reopen(db, i, device.SSD, files, openSST)
+			ts, err := reopen(db, p, device.SSD, files, openSST)
 			if err != nil {
 				return nil, err
 			}
 			p.tree.Run(li+1).Replace(nil, ts)
 		}
 		// Both lists are empty when level-0 is not on PM.
-		unsorted, err := reopen(db, i, device.PM, pmPart.L0Unsorted, openPM)
+		unsorted, err := reopen(db, p, device.PM, pmPart.L0Unsorted, openPM)
 		if err != nil {
 			return nil, err
 		}
-		sorted, err := reopen(db, i, device.PM, pmPart.L0Sorted, openPM)
+		sorted, err := reopen(db, p, device.PM, pmPart.L0Sorted, openPM)
 		if err != nil {
 			return nil, err
 		}
 		p.l0.ReplaceAll(unsorted, sorted)
+		// Re-establish the partition's quarantine from the manifest, behind
+		// the corpses reopen just found, before its first install publishes
+		// the unavailable ranges. SSD corpses are reopened when their metadata
+		// tail is still intact (block-level rot) so repair can salvage their
+		// verifiable blocks; an unopenable corpse stays record-only and repair
+		// retires it without salvage. PM corpses never reopen — the
+		// whole-image checksum that failed at quarantine time cannot pass now.
+		// Corpses read without a cache: quarantined blocks must not pollute it.
+		for _, r := range m.Quarantine {
+			if r.Partition != i {
+				continue
+			}
+			c := corpse{QuarantineRecord: r}
+			if r.Device == device.SSD {
+				if t, err := sstable.Open(sd, ssd.FileID(r.ID), nil); err == nil {
+					c.t = ssdTable{t}
+				}
+			}
+			p.corpses = append(p.corpses, c)
+		}
+		db.metrics.QuarantinedNow.Add(int64(len(p.corpses)))
 		db.installTables(p, nil, false)
 		db.partitions = append(db.partitions, p)
 	}
-
-	// Re-establish the quarantine registry from the manifest, then publish
-	// the unavailable ranges. SSD corpses are reopened when their metadata
-	// tail is still intact (block-level rot) so repair can salvage their
-	// verifiable blocks; an unopenable corpse stays record-only and repair
-	// retires it without salvage. PM corpses never reopen — the whole-image
-	// checksum that failed at quarantine time cannot pass now. Corpses read
-	// without a cache: quarantined blocks must not pollute it.
-	db.quarMu.Lock()
-	for _, r := range m.Quarantine {
-		if r.Partition < 0 || r.Partition >= len(db.partitions) {
-			continue
-		}
-		c := corpse{QuarantineRecord: r}
-		if r.Device == device.SSD {
-			if t, err := sstable.Open(sd, ssd.FileID(r.ID), nil); err == nil {
-				c.t = ssdTable{t}
-			}
-		}
-		db.corpses = append(db.corpses, c)
-	}
-	for _, p := range db.partitions {
-		db.rebuildQuarLocked(p)
-	}
-	db.metrics.QuarantinedNow.Store(int64(len(db.corpses)))
-	db.quarMu.Unlock()
 
 	// Replay the live WALs — the files oldest first, then the tail — into the
 	// memtables. Entries already flushed to level-0 are re-applied, which is

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pmblade/internal/device"
@@ -146,6 +147,46 @@ func TestRecoverRejectsPartitionMismatch(t *testing.T) {
 	bad.PartitionBoundaries = [][]byte{[]byte("m")}
 	if _, err := Recover(bad, pm, sd, mf); err == nil {
 		t.Fatal("expected error for partition-count mismatch")
+	}
+}
+
+// TestRecoverRejectsQuarantineOfUnknownPartition: a quarantine record naming
+// a partition the manifest does not have fails the recovery. Skipping it would
+// leak the corpse's storage and read its range as a clean not-found.
+func TestRecoverRejectsQuarantineOfUnknownPartition(t *testing.T) {
+	cfg := fastConfig()
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	mf, err := db.SaveManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm, sd := db.PMDevice(), db.SSDDevice()
+	db.Close()
+
+	m, err := readManifest(sd, mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Quarantine = append(m.Quarantine, QuarantineRecord{Device: device.SSD, ID: 12345, Partition: 99, Detail: "test"})
+	raw, err := encodeManifest(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := sd.Create()
+	if _, err := sd.Append(bad, raw, device.CauseManifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := sd.Sync(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(cfg, pm, sd, bad); err == nil || !strings.Contains(err.Error(), "partition 99") {
+		t.Fatalf("Recover with a quarantine record of partition 99: %v, want an error naming it", err)
 	}
 }
 

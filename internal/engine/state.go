@@ -42,6 +42,10 @@ type readState struct {
 	pmUnsorted []*pmtable.Table     // newest first
 	ssdL0      []*sstable.Table     // newest first, may overlap
 	*stableHalf
+	// corpses are the partition's quarantined tables (quarantine.go): a key
+	// one of them may hold reads as unavailable, never as an older version
+	// or a miss. They enter and leave in the same store as the tables.
+	corpses []corpse
 }
 
 // stableHalf is the part of a state only compaction, repair and quarantine
@@ -122,20 +126,21 @@ func (p *partition) rotate(minBytes int64) bool {
 		pmUnsorted: s.pmUnsorted,
 		ssdL0:      s.ssdL0,
 		stableHalf: s.stableHalf,
+		corpses:    s.corpses,
 	})
 	return true
 }
 
-// installTables publishes p's table containers (edited by the caller under
-// p.maint) as a new state. flushed, when non-nil, is the oldest immutable
-// memtable, whose contents the new tables now hold: it leaves the state in
-// the same store that adds its table, so no reader sees it twice or not at
-// all. If the stable half changed and the old one had a view, rebuild builds
+// installTables publishes p's table containers and its corpses (edited by
+// the caller under p.maint) as a new state. flushed, when non-nil, is the
+// oldest immutable memtable, whose contents the new tables now hold: it
+// leaves the state in the same store that adds its table, so no reader sees
+// it twice or not at all. If the stable half changed and the old one had a view, rebuild builds
 // the new one right here, so a steady scan workload sees no fallback window.
 func (db *DB) installTables(p *partition, flushed *memtable.Memtable, rebuild bool) {
 	p.mu.Lock()
 	old := p.state.Load()
-	s := &readState{mem: old.mem, imm: old.imm, stableHalf: old.stableHalf}
+	s := &readState{mem: old.mem, imm: old.imm, stableHalf: old.stableHalf, corpses: p.corpses}
 	if flushed != nil {
 		s.imm = old.imm[:len(old.imm)-1]
 	}

@@ -17,7 +17,7 @@
 //     inside quarantined ranges is deleted and compacted to SSD before
 //     repair, and none of them may come back — a tombstone dropped above a
 //     corpse would let salvage resurrect the value;
-//   - RepairQuarantined drains the registry completely; afterwards every
+//   - RepairQuarantined drains the quarantine completely; afterwards every
 //     key reads without error, keys served correctly before repair stay
 //     exactly correct (zero lost acked writes when an intact source of the
 //     range survives), and keys that were unavailable resolve to the newest
@@ -575,7 +575,7 @@ func RunSoak(opts SoakOptions) (*SoakReport, error) {
 	}
 	logf("deleted %d keys inside quarantined ranges, compacted to SSD", len(deletedQ))
 
-	// Phase 6: repair must drain the registry and restore full readability.
+	// Phase 6: repair must drain the quarantine and restore full readability.
 	if err := re.RepairQuarantined(); err != nil {
 		return nil, fmt.Errorf("soak repair: %w", err)
 	}
