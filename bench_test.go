@@ -11,6 +11,7 @@ package pmblade
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -371,18 +372,30 @@ func BenchmarkEngineMultiGet(b *testing.B) {
 }
 
 // BenchmarkEngineMultiGetSSDCold is the SSD side of BenchmarkEngineMultiGet
-// (whose records all sit in PM): 16 uniform keys per batch
-// over a run of at least 8 tables on the NVMe profile, with a block cache a
-// twentieth of the data, so nearly every key costs a device read and ns/key
-// is set by how the batch's reads wait for the device — one behind the other,
-// or together. reads/op says how many there were.
+// (whose records all sit in PM): 16 uniform keys per batch over a run of at
+// least 8 tables on the NVMe profile, with a block cache a small fraction of
+// the data, so nearly every key costs a device read and ns/key is set by how
+// the batch's reads wait for the device — one behind the other, or together.
+// It runs on one partition, and on four with the data 14 times the cache, the
+// shape of bench's cold-read workload. reads/op says how many reads a batch
+// made; x-floor divides ns/op by the device rounds those reads need at the
+// least — ⌈reads/op ÷ Parallelism⌉ times one 4 KiB read's service time — so
+// 1.0 is a batch that waits for its device rounds and nothing else.
 func BenchmarkEngineMultiGetSSDCold(b *testing.B) {
+	b.Run("partitions=1", func(b *testing.B) { benchMultiGetSSDCold(b, 1, 256<<10) })
+	b.Run("partitions=4", func(b *testing.B) { benchMultiGetSSDCold(b, 4, 384<<10) })
+}
+
+func benchMultiGetSSDCold(b *testing.B, parts int, cache int64) {
 	const n = 20000
 	const batch = 16
 	cfg := FastOptions().resolve()
 	cfg.SSDProfile = ssd.NVMeProfile // PM stays zero-latency: the load is not what is measured
 	cfg.SSTableBytes = 512 << 10
-	cfg.BlockCacheBytes = 256 << 10
+	cfg.BlockCacheBytes = cache
+	for i := 1; i < parts; i++ {
+		cfg.PartitionBoundaries = append(cfg.PartitionBoundaries, []byte(fmt.Sprintf("key-%06d", i*n/parts)))
+	}
 	db, err := OpenEngine(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -419,8 +432,14 @@ func BenchmarkEngineMultiGetSSDCold(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/key")
-	b.ReportMetric(float64(db.Engine().SSDDevice().Stats().ReadOps(device.CauseClientRead)-reads)/float64(b.N), "reads/op")
+	nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	readsPerOp := float64(db.Engine().SSDDevice().Stats().ReadOps(device.CauseClientRead)-reads) / float64(b.N)
+	p := ssd.NVMeProfile
+	oneRead := p.ReadLatency + time.Duration(ssd.PageSize*int64(time.Second)/p.ReadBandwidth)
+	rounds := max(1, math.Ceil(readsPerOp/float64(p.Parallelism)))
+	b.ReportMetric(nsPerOp/batch, "ns/key")
+	b.ReportMetric(readsPerOp, "reads/op")
+	b.ReportMetric(nsPerOp/(rounds*float64(oneRead.Nanoseconds())), "x-floor")
 }
 
 // BenchmarkEngineScan10 measures short range scans against SSD-resident data:

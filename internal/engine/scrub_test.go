@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"pmblade/internal/device"
 	"pmblade/internal/fault"
 	"pmblade/internal/pmem"
 	"pmblade/internal/ssd"
@@ -642,5 +643,67 @@ func TestDeleteUnderQuarantineStaysDeleted(t *testing.T) {
 				t.Fatalf("%d of %d deleted keys came back after repair", back, len(want))
 			}
 		})
+	}
+}
+
+// TestRotAfterCacheKeepsCachedBlocks: the block cache is DRAM. Blocks cached
+// before a byte of their table rots on the drive keep what was read and
+// verified, so the Gets they serve still return the acked values; once the
+// table's cached blocks are dropped, the next read of the rotted block meets
+// the rot — as a CorruptionError naming the table, or, once the engine has
+// quarantined it, ErrUnavailable — and no Get ever returns a wrong value.
+func TestRotAfterCacheKeepsCachedBlocks(t *testing.T) {
+	db, err := Open(scrubConfig(fault.New(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	want := fillSSD(t, db, 400)
+	var victim ssd.FileID
+	for _, tg := range db.RotTargets() {
+		if tg.Device == device.SSD {
+			victim = ssd.FileID(tg.ID)
+			break
+		}
+	}
+	if victim == 0 {
+		t.Fatal("no SSD table to rot")
+	}
+	// getAll reads every key and fails on a wrong value; it returns the
+	// errors the Gets reported.
+	getAll := func(stage string) (errs []error) {
+		t.Helper()
+		for k, v := range want {
+			got, ok, err := db.Get([]byte(k))
+			switch {
+			case err != nil:
+				errs = append(errs, err)
+			case !ok || string(got) != v:
+				t.Fatalf("%s: Get(%s) = %q, %v; want %q", stage, k, got, ok, v)
+			}
+		}
+		return errs
+	}
+	if errs := getAll("before the rot"); len(errs) > 0 {
+		t.Fatalf("before the rot: %v", errs[0])
+	}
+	// One seeded byte of the first block's entries (the flag byte at offset
+	// 0 is not part of a cached body).
+	if _, err := db.SSDDevice().Rot(victim, 1, 2000); err != nil {
+		t.Fatal(err)
+	}
+	if errs := getAll("rotted, cached"); len(errs) > 0 {
+		t.Fatalf("rotted, cached: %v; the cached block must keep the bytes it verified", errs[0])
+	}
+	db.cache.DropFile(victim)
+	errs := getAll("rotted, dropped")
+	if len(errs) == 0 {
+		t.Fatal("rotted, dropped: every Get succeeded; the rotted block was not read again")
+	}
+	for _, err := range errs {
+		var ce *device.CorruptionError
+		if !errors.Is(err, ErrUnavailable) && (!errors.As(err, &ce) || ce.ID != uint64(victim)) {
+			t.Fatalf("rotted, dropped: %v; want the corruption of table %d or ErrUnavailable", err, victim)
+		}
 	}
 }

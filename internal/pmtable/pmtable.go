@@ -330,14 +330,13 @@ func Open(dev *pmem.Device, addr pmem.Addr, cause device.Cause) (*Table, error) 
 	if size < encodedHeaderSize+4 {
 		return nil, corrupt(addr, size, "image too small")
 	}
-	img, err := dev.View(addr, 0, size-4, cause)
+	// One view of the whole image: the trailer and the body below are
+	// sub-slices of the bytes the checksum covers, so each byte is read once.
+	whole, err := dev.View(addr, 0, size, cause)
 	if err != nil {
 		return nil, err
 	}
-	crcBytes, err := dev.View(addr, size-4, 4, cause)
-	if err != nil {
-		return nil, err
-	}
+	img, crcBytes := whole[:size-4:size-4], whole[size-4:]
 	if crc32.Checksum(img, castagnoli) != binary.LittleEndian.Uint32(crcBytes) {
 		return nil, corrupt(addr, size, "image checksum")
 	}
@@ -357,20 +356,14 @@ func Open(dev *pmem.Device, addr pmem.Addr, cause device.Cause) (*Table, error) 
 	if bodyLen < 0 {
 		return nil, corrupt(addr, size, "inconsistent trailer lengths")
 	}
-	trailer, err := dev.View(addr, encodedHeaderSize+bodyLen, tail, cause)
-	if err != nil {
-		return nil, err
-	}
+	mid := encodedHeaderSize + bodyLen
+	body, trailer := img[encodedHeaderSize:mid:mid], img[mid:]
 	t.smallest = append([]byte(nil), trailer[:h.smallLen]...)
 	t.largest = append([]byte(nil), trailer[h.smallLen:h.smallLen+h.largeLen]...)
 	if h.filterLen > 0 {
 		t.filter = bloom.Decode(trailer[h.smallLen+h.largeLen:])
 	}
 
-	body, err := dev.View(addr, encodedHeaderSize, bodyLen, cause)
-	if err != nil {
-		return nil, err
-	}
 	switch h.format {
 	case FormatPrefix:
 		t.prefix, err = openPrefixMeta(body, int(h.groupSize), int(h.count))

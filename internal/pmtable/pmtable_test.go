@@ -263,6 +263,25 @@ func TestOpenAfterRestart(t *testing.T) {
 	_ = e
 }
 
+// TestOpenReadsImageOnce: opening a table reads each byte of its image once
+// — the PM read bytes one Open counts equal the image size, in every format.
+func TestOpenReadsImageOnce(t *testing.T) {
+	for _, f := range []Format{FormatPrefix, FormatArray, FormatArraySnappy, FormatArraySnappyGroup} {
+		dev := testDevice()
+		res, err := Build(dev, makeEntries(500, 9), f, DefaultGroupSize, device.CauseFlush)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := dev.Stats().ReadBytes(device.CauseUnknown)
+		if _, err := Open(dev, res.Table.Addr(), device.CauseUnknown); err != nil {
+			t.Fatal(err)
+		}
+		if got, size := dev.Stats().ReadBytes(device.CauseUnknown)-before, dev.Size(res.Table.Addr()); got != size {
+			t.Fatalf("%v: Open read %d bytes of a %d-byte image", f, got, size)
+		}
+	}
+}
+
 func TestBuildEmptyFails(t *testing.T) {
 	dev := testDevice()
 	if _, err := Build(dev, nil, FormatPrefix, 8, device.CauseFlush); err == nil {

@@ -4,13 +4,25 @@
 // grows under concurrent load — the I/O-contention behaviour the paper's
 // coroutine scheduler exploits (Table III, Figure 9).
 //
+// The device is a booked first-come-first-served queue over Parallelism
+// channels. A request is booked on the channel that frees first, under one
+// mutex: it starts at max(now, that channel's free instant) and completes
+// one service time later. Its caller then waits, once, until that completion
+// instant (clock.Spin). Nothing holds a slot and nothing but the waiting
+// caller runs while a request is queued or in service.
+//
 // Files are extents of pages identified by a FileID; contents live in heap
 // memory. Byte counters are attributed per cause for write-amplification
 // accounting.
 //
-// A caller that needs several blocks at once hands them to MapBatch, which
-// keeps them all outstanding at the device together: the only way a single
-// client fills more than one of the Parallelism slots.
+// A caller that needs several blocks at once books them together with
+// Submit (or MapBatch, which waits for all of them): they are outstanding at
+// the device together — the only way a single client fills more than one
+// channel — and the caller's one goroutine takes each as it completes.
+//
+// Media rot (Rot) replaces a file's contents with a rotted copy, so bytes
+// already handed out by MapAt keep what was read, and only later reads see
+// the rot, as on a real drive.
 //
 // Durability model (faultkit): Append extends a file's volatile contents;
 // Sync advances its durable length. A power cut (injected via SetFault)
@@ -39,8 +51,8 @@ const PageSize = 4096
 
 // Profile describes the latency model.
 type Profile struct {
-	// ReadLatency / WriteLatency are per-operation service times charged
-	// while holding a parallelism slot.
+	// ReadLatency / WriteLatency are per-operation service times: how long
+	// a request occupies one of the device's channels.
 	ReadLatency  time.Duration
 	WriteLatency time.Duration
 	// ReadBandwidth / WriteBandwidth (bytes/sec) add a per-byte service-time
@@ -88,8 +100,10 @@ type Device struct {
 	profile Profile
 	stats   *device.Stats
 
-	slots   chan struct{} // parallelism tokens
-	queued  atomic.Int64  // requests issued and not yet completed
+	epoch   time.Time       // zero of the queue's clock
+	qmu     sync.Mutex      // books requests on channels
+	freeAt  []time.Duration // per channel, when its booked work ends (since epoch); guarded by: qmu
+	queued  atomic.Int64    // requests issued and not yet completed
 	ioLat   *histogram.Histogram
 	mu      sync.RWMutex
 	files   map[FileID]*file
@@ -109,7 +123,8 @@ func New(p Profile) *Device {
 	d := &Device{
 		profile: p,
 		stats:   device.NewStats(),
-		slots:   make(chan struct{}, par),
+		epoch:   time.Now(),
+		freeAt:  make([]time.Duration, par),
 		files:   make(map[FileID]*file),
 		roots:   make(map[string]FileID),
 		ioLat:   histogram.New(),
@@ -141,7 +156,11 @@ func (d *Device) IOLatency() *histogram.Histogram { return d.ioLat }
 func (d *Device) QueueDepth() int { return int(d.queued.Load()) }
 
 // Parallelism reports the device's internal parallelism.
-func (d *Device) Parallelism() int { return cap(d.slots) }
+func (d *Device) Parallelism() int {
+	d.qmu.Lock()
+	defer d.qmu.Unlock()
+	return len(d.freeAt)
+}
 
 // serviceTime computes the in-device time for an op of n bytes.
 func (d *Device) serviceTime(write bool, n int) time.Duration {
@@ -159,21 +178,48 @@ func (d *Device) serviceTime(write bool, n int) time.Duration {
 	return lat
 }
 
-// perform executes one request: queue for a slot, hold it for the service
-// time, account busy time and end-to-end latency.
+// now reads the queue's clock.
+func (d *Device) now() time.Duration { return time.Since(d.epoch) }
+
+// bookLocked reserves the channel that frees first for a request of service
+// time st issued at now, and returns the instant the request completes.
+//
+//pmblade:holds qmu
+func (d *Device) bookLocked(now, st time.Duration) time.Duration {
+	c := 0
+	for i := 1; i < len(d.freeAt); i++ {
+		if d.freeAt[i] < d.freeAt[c] {
+			c = i
+		}
+	}
+	end := max(now, d.freeAt[c]) + st
+	d.freeAt[c] = end
+	d.queued.Add(1)
+	return end
+}
+
+// complete waits until a booked request's completion instant end, then
+// accounts it: st of busy time and end-issued of latency (queue plus
+// service).
+func (d *Device) complete(issued, end, st time.Duration) {
+	clock.Spin(end - d.now())
+	d.queued.Add(-1)
+	d.stats.AddBusy(st)
+	d.ioLat.Record(end - issued)
+}
+
+// perform executes one request: book it, wait for it to complete, account
+// it.
 func (d *Device) perform(write bool, n int) {
 	st := d.serviceTime(write, n)
 	if st <= 0 {
 		return
 	}
-	d.queued.Add(1)
-	start := time.Now()
-	d.slots <- struct{}{}
-	clock.Spin(st)
-	<-d.slots
-	d.queued.Add(-1)
-	d.stats.AddBusy(st)
-	d.ioLat.Record(time.Since(start))
+	d.qmu.Lock()
+	issued := d.now()
+	end := d.bookLocked(issued, st)
+	d.qmu.Unlock()
+	d.complete(issued, end, st)
 }
 
 // Create allocates a new empty file.
@@ -210,7 +256,7 @@ type RotEvent struct {
 // and the xor mask come from the injector's seeded stream, so a soak run
 // reproduces bit-for-bit. Rot mutates the stored bytes directly — durable
 // and volatile views alike — which is the point: the corruption is silent
-// until a read or a scrub checks the covering checksum.
+// until a later read or a scrub checks the covering checksum.
 func (d *Device) Rot(id FileID, off, n int64) (RotEvent, error) {
 	if dec := d.hook(fault.SSDRot, device.CauseUnknown, id, int(n)); dec.Err != nil {
 		return RotEvent{}, dec.Err
@@ -229,6 +275,10 @@ func (d *Device) Rot(id FileID, off, n int64) (RotEvent, error) {
 	if at < 0 || at >= int64(len(f.data)) {
 		return RotEvent{}, fmt.Errorf("ssd: rot offset %d outside file %d (%d bytes)", at, id, len(f.data))
 	}
+	// The rot goes into a copy: views MapAt handed out earlier (and the
+	// block-cache entries and readahead spans that alias them) keep the bytes
+	// they read, and only later reads see the flipped byte.
+	f.data = append([]byte(nil), f.data...)
 	f.data[at] ^= mask
 	return RotEvent{File: id, Off: at, Mask: mask}, nil
 }
@@ -400,35 +450,42 @@ func (d *Device) ReadAt(id FileID, off int64, p []byte, cause device.Cause) erro
 // MapAt returns a zero-copy read-only view of file bytes [off, off+n) — the
 // simulated counterpart of reading through an mmap'd file. It charges the
 // same service time as ReadAt. The view aliases the device's backing store:
-// Go's GC keeps it valid even after the file is deleted, and at-rest
-// corruption injected later (Rot) is visible through it — callers must verify
-// checksums at decode time, exactly as they must for a fresh copy. Only
-// immutable files (finished SSTables) may be mapped: an append that regrows
-// the backing array would strand the view on stale bytes.
+// Go's GC keeps it valid even after the file is deleted, and it keeps the
+// bytes it read — at-rest corruption injected later (Rot) shows only in later
+// reads. Callers must verify checksums at decode time, exactly as they must
+// for a fresh copy. Only immutable files (finished SSTables) may be mapped:
+// an append that regrows the backing array would strand the view on stale
+// bytes.
 func (d *Device) MapAt(id FileID, off int64, n int, cause device.Cause) ([]byte, error) {
-	if err := d.readFault(cause, id, n); err != nil {
+	view, err := d.view(id, off, n, cause)
+	if err != nil {
 		return nil, err
 	}
-	d.mu.RLock()
-	f, ok := d.files[id]
-	if !ok {
-		d.mu.RUnlock()
-		return nil, ErrNotFound
-	}
-	if off < 0 || n < 0 || off+int64(n) > int64(len(f.data)) {
-		d.mu.RUnlock()
-		return nil, fmt.Errorf("ssd: map out of range file=%d off=%d len=%d size=%d",
-			id, off, n, len(f.data))
-	}
-	view := f.data[off : off+int64(n) : off+int64(n)]
-	d.mu.RUnlock()
 	d.perform(false, pages(n)*PageSize)
 	d.stats.CountRead(cause, n)
 	return view, nil
 }
 
-// MapReq is one read of a MapBatch: the range to map and, once MapBatch has
-// returned, the view or the error MapAt gives for it.
+// view resolves a mapped read without charging for it.
+func (d *Device) view(id FileID, off int64, n int, cause device.Cause) ([]byte, error) {
+	if err := d.readFault(cause, id, n); err != nil {
+		return nil, err
+	}
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	f, ok := d.files[id]
+	if !ok {
+		return nil, ErrNotFound
+	}
+	if off < 0 || n < 0 || off+int64(n) > int64(len(f.data)) {
+		return nil, fmt.Errorf("ssd: map out of range file=%d off=%d len=%d size=%d",
+			id, off, n, len(f.data))
+	}
+	return f.data[off : off+int64(n) : off+int64(n)], nil
+}
+
+// MapReq is one read of a batch: the range to map and, once Batch.Next has
+// returned its index, the view or the error MapAt gives for it.
 type MapReq struct {
 	File FileID
 	Off  int64
@@ -436,35 +493,82 @@ type MapReq struct {
 
 	Data []byte
 	Err  error
+
+	st   time.Duration // service time booked; 0 when none was
+	end  time.Duration // completion instant on the queue's clock
+	done bool          // handed back by Next
 }
 
-// MapBatch submits every request at once and returns when all have completed
-// — the simulated counterpart of filling an NVMe submission queue instead of
-// issuing one read and waiting for it. Each request is an ordinary MapAt: it
-// queues for a parallelism slot of its own, is charged its own service time
-// and counted and timed on its own, so a batch costs the device exactly what
-// the same reads cost one after another; only the caller's waiting overlaps,
-// up to Parallelism requests at a time. A failing request fails alone. A
-// single request, and any batch on a profile that charges no read time, runs
-// on the caller's goroutine.
-func (d *Device) MapBatch(reqs []MapReq, cause device.Cause) {
-	mapOne := func(r *MapReq) { r.Data, r.Err = d.MapAt(r.File, r.Off, r.Len, cause) }
-	if len(reqs) < 2 || d.serviceTime(false, PageSize) <= 0 {
-		for i := range reqs {
-			mapOne(&reqs[i])
+// Batch is a set of reads booked on the device's queue together by Submit.
+// The caller takes them back one at a time, in completion order, with Next;
+// it must take every one, since each is counted in QueueDepth until then.
+type Batch struct {
+	d      *Device
+	reqs   []MapReq
+	cause  device.Cause
+	issued time.Duration
+}
+
+// Submit books every request of reqs at once — the simulated counterpart of
+// filling an NVMe submission queue instead of issuing one read and waiting
+// for it — and returns without waiting. Each request is an ordinary MapAt: it
+// is booked on a channel of its own in request order, charged its own
+// service time and counted and timed on its own, so a batch costs the device
+// exactly what the same reads cost one after another; only the caller's
+// waiting overlaps, up to Parallelism requests at a time. A failing request
+// fails alone and costs no device time.
+func (d *Device) Submit(reqs []MapReq, cause device.Cause) Batch {
+	for i := range reqs {
+		r := &reqs[i]
+		r.Data, r.Err = d.view(r.File, r.Off, r.Len, cause)
+		r.st, r.done = 0, false
+		if r.Err == nil {
+			r.st = d.serviceTime(false, pages(r.Len)*PageSize)
 		}
-		return
 	}
-	var wg sync.WaitGroup
-	for i := range reqs[1:] {
-		wg.Add(1)
-		go func(r *MapReq) {
-			defer wg.Done()
-			mapOne(r)
-		}(&reqs[1+i])
+	d.qmu.Lock()
+	issued := d.now()
+	for i := range reqs {
+		r := &reqs[i]
+		r.end = issued
+		if r.st > 0 {
+			r.end = d.bookLocked(issued, r.st)
+		}
 	}
-	mapOne(&reqs[0])
-	wg.Wait()
+	d.qmu.Unlock()
+	return Batch{d: d, reqs: reqs, cause: cause, issued: issued}
+}
+
+// Next waits on the caller's goroutine for the earliest-completing request
+// not yet handed back (ties in request order), accounts it, and returns its
+// index in the submitted slice; -1 once all have been handed back.
+func (b *Batch) Next() int {
+	k := -1
+	for i := range b.reqs {
+		if r := &b.reqs[i]; !r.done && (k < 0 || r.end < b.reqs[k].end) {
+			k = i
+		}
+	}
+	if k < 0 {
+		return -1
+	}
+	r := &b.reqs[k]
+	r.done = true
+	if r.Err == nil {
+		if r.st > 0 {
+			b.d.complete(b.issued, r.end, r.st)
+		}
+		b.d.stats.CountRead(b.cause, r.Len)
+	}
+	return k
+}
+
+// MapBatch submits every request at once and returns when all have
+// completed: Submit, then Next until the batch is drained.
+func (d *Device) MapBatch(reqs []MapReq, cause device.Cause) {
+	b := d.Submit(reqs, cause)
+	for b.Next() >= 0 {
+	}
 }
 
 // Truncate shrinks a file to size bytes (crash-tail simulation and log

@@ -3,6 +3,7 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -265,8 +266,8 @@ func TestMapBatchOverlapsWaiting(t *testing.T) {
 }
 
 // TestMapBatchErrorsAreIndividual: a bad request fails alone, and all the
-// others have completed when MapBatch returns — inline (no read latency) and
-// with one goroutine per request.
+// others have completed when MapBatch returns — with no read latency and with
+// reads booked on the queue.
 func TestMapBatchErrorsAreIndividual(t *testing.T) {
 	for _, p := range []Profile{{Parallelism: 2}, {ReadLatency: 20 * time.Microsecond, Parallelism: 2}} {
 		d, f := batchFile(t, p, 4)
@@ -290,4 +291,70 @@ func TestMapBatchErrorsAreIndividual(t *testing.T) {
 		}
 	}
 	New(FastProfile).MapBatch(nil, device.CauseClientRead) // empty batch: nothing to do
+}
+
+// TestBatchIsABookedQueue: five 10 ms reads on two channels complete in
+// booking order at 10, 10, 20, 20 and 30 ms, and the latency histogram holds
+// exactly those queue-plus-service times. The caller's goroutine is the only
+// one that waits: the batch starts none of its own. The completion order and
+// the recorded latencies are exact; the wall-clock instants are only bounded
+// below exactly, and above generously.
+func TestBatchIsABookedQueue(t *testing.T) {
+	const lat = 10 * time.Millisecond
+	d, f := batchFile(t, Profile{ReadLatency: lat, Parallelism: 2}, 5)
+	reqs := make([]MapReq, 5)
+	for i := range reqs {
+		reqs[i] = MapReq{File: f, Off: int64(i) * PageSize, Len: PageSize}
+	}
+	baseline := runtime.NumGoroutine()
+	var order []int
+	var at []time.Duration
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		start := time.Now()
+		b := d.Submit(reqs, device.CauseClientRead)
+		for i := b.Next(); i >= 0; i = b.Next() {
+			order = append(order, i)
+			at = append(at, time.Since(start))
+		}
+	}()
+	most := 0
+	for waiting := true; waiting; {
+		select {
+		case <-done:
+			waiting = false
+		case <-time.After(time.Millisecond):
+			most = max(most, runtime.NumGoroutine())
+		}
+	}
+	if most > baseline+1 {
+		t.Fatalf("%d goroutines while the batch waited, baseline %d: the batch must wait on its caller only", most, baseline)
+	}
+	want := []time.Duration{lat, lat, 2 * lat, 2 * lat, 3 * lat}
+	for k, i := range order {
+		if i != k {
+			t.Fatalf("completion order %v, want booking order", order)
+		}
+		if at[k] < want[k] || at[k] > want[k]+25*time.Millisecond {
+			t.Fatalf("read %d completed at %v, want about %v (all: %v)", k, at[k], want[k], at)
+		}
+		if reqs[k].Err != nil || reqs[k].Data[0] != byte(k) {
+			t.Fatalf("read %d: err %v", k, reqs[k].Err)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("%d completions, want 5", len(order))
+	}
+	h := d.IOLatency()
+	if h.Count() != 5 || h.Min() != lat || h.Max() != 3*lat || h.Mean() != 18*time.Millisecond {
+		t.Fatalf("latencies: %d samples, min %v, max %v, mean %v; want 5, 10ms, 30ms, 18ms",
+			h.Count(), h.Min(), h.Max(), h.Mean())
+	}
+	if busy := d.Stats().BusyTime(); busy != 5*lat {
+		t.Fatalf("busy %v, want %v", busy, 5*lat)
+	}
+	if qd := d.QueueDepth(); qd != 0 {
+		t.Fatalf("queue depth %d after the batch completed", qd)
+	}
 }

@@ -13,6 +13,13 @@ import (
 // cache" configuration reads through a cache large enough to hold the
 // working set.
 //
+// An entry is the verified buffer the block was read into, not a copy of it,
+// the way RocksDB caches the buffer it read: for an uncompressed block that
+// is a view of the device's read (ssd.MapAt), for a compressed one the
+// decompressed body. Neither is written again — the device rots a copy of a
+// file, never the bytes it has handed out — so an entry keeps the bytes that
+// were verified when it was read.
+//
 // The cache is sharded: a key hashes to one of N power-of-two shards, each
 // with its own mutex, LRU list and capacity slice, so concurrent readers on
 // different shards never contend. Each shard also keeps a per-file handle
@@ -25,8 +32,8 @@ type BlockCache struct {
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int64
-	used     int64                              // guarded by: mu
-	ll       *list.List                         // guarded by: mu
+	used     int64                                  // guarded by: mu
+	ll       *list.List                             // guarded by: mu
 	files    map[ssd.FileID]map[int64]*list.Element // handle index; guarded by: mu
 
 	hits      int64 // guarded by: mu
@@ -109,8 +116,10 @@ func (c *BlockCache) get(file ssd.FileID, off int64) ([]byte, bool) {
 	return el.Value.(*cacheItem).body, true
 }
 
-// put inserts or replaces the cached body for (file, off). Replacing matters:
-// after a file slot is rewritten, a stale body must not survive a re-insert.
+// put inserts or replaces the cached body for (file, off), keeping body
+// itself: the caller hands over a verified block that nothing writes again.
+// Replacing matters: after a file slot is rewritten, a stale body must not
+// survive a re-insert.
 func (c *BlockCache) put(file ssd.FileID, off int64, body []byte) {
 	s := c.shard(file, off)
 	s.mu.Lock()
@@ -118,20 +127,19 @@ func (c *BlockCache) put(file ssd.FileID, off int64, body []byte) {
 	if el, ok := s.files[file][off]; ok {
 		item := el.Value.(*cacheItem)
 		s.used += int64(len(body)) - int64(len(item.body))
-		item.body = append([]byte(nil), body...)
+		item.body = body
 		s.ll.MoveToFront(el)
 		s.evictLocked()
 		return
 	}
-	cp := append([]byte(nil), body...)
-	el := s.ll.PushFront(&cacheItem{file: file, off: off, body: cp})
+	el := s.ll.PushFront(&cacheItem{file: file, off: off, body: body})
 	m := s.files[file]
 	if m == nil {
 		m = make(map[int64]*list.Element)
 		s.files[file] = m
 	}
 	m[off] = el
-	s.used += int64(len(cp))
+	s.used += int64(len(body))
 	s.evictLocked()
 }
 

@@ -779,13 +779,14 @@ func resolve(probes []batchProbe, keys [][]byte, seq uint64, out []kv.Entry, fou
 
 // fetchBlocks sorts probes by file and block and gives each its decoded
 // block. Cached blocks come from the cache; every other distinct block is
-// read once, file-adjacent ones merged into a single span, and all spans go
-// to the device in one MapBatch, so they wait in its queue together rather
-// than behind each other. Each block read is CRC-verified and cached. All
-// reads have completed when fetchBlocks returns, and the error reported is
-// that of the first failing span in (file, offset) order, whichever
-// completed first. saved counts the per-block reads avoided: duplicate
-// blocks plus span merges.
+// read once, file-adjacent ones merged into a single span, and all spans are
+// booked on the device together (ssd.Device.Submit), so they wait in its
+// queue together rather than behind each other. Each span is CRC-verified,
+// decoded and cached as its read completes, earliest first, while the later
+// reads are still outstanding. All reads have completed when fetchBlocks
+// returns, and the error reported is that of the first failing span in
+// (file, offset) order, whichever completed first. saved counts the
+// per-block reads avoided: duplicate blocks plus span merges.
 func fetchBlocks(probes []batchProbe) (saved int, err error) {
 	slices.SortFunc(probes, func(a, b batchProbe) int {
 		if a.t != b.t {
@@ -793,10 +794,7 @@ func fetchBlocks(probes []batchProbe) (saved int, err error) {
 		}
 		return cmp.Compare(a.bi, b.bi)
 	})
-	// A span is one device read: the cache-missing blocks first..last of one
-	// table, wanted by the probes starting at position at.
-	type span struct{ at, first, last int }
-	var spans []span
+	var spans []blockSpan
 	for k, p := range probes {
 		if k > 0 && p.sameBlock(probes[k-1]) {
 			saved++
@@ -813,7 +811,7 @@ func fetchBlocks(probes []batchProbe) (saved int, err error) {
 			saved++
 			continue
 		}
-		spans = append(spans, span{at: k, first: p.bi, last: p.bi})
+		spans = append(spans, blockSpan{at: k, first: p.bi, last: p.bi})
 	}
 	if len(spans) > 0 {
 		reqs := make([]ssd.MapReq, len(spans))
@@ -822,26 +820,18 @@ func fetchBlocks(probes []batchProbe) (saved int, err error) {
 			lo, hi := t.index[sp.first].handle, t.index[sp.last].handle
 			reqs[i] = ssd.MapReq{File: t.file, Off: lo.off, Len: int(hi.off + hi.len - lo.off)}
 		}
-		probes[0].t.dev.MapBatch(reqs, device.CauseClientRead)
-		for i, sp := range spans {
-			if reqs[i].Err != nil {
-				return saved, reqs[i].Err
+		failed := len(spans) // the first failing span so far, in request order
+		batch := probes[0].t.dev.Submit(reqs, device.CauseClientRead)
+		for i := batch.Next(); i >= 0; i = batch.Next() {
+			if i > failed {
+				continue // its error, if any, would not be the one reported
 			}
-			t, k := probes[sp.at].t, sp.at
-			for bi := sp.first; bi <= sp.last; bi++ {
-				h := t.index[bi].handle
-				body, derr := decodeRawBlock(reqs[i].Data[h.off-reqs[i].Off:][:h.len])
-				if derr != nil {
-					return saved, corruptAt(t.file, h, derr)
-				}
-				if t.cache != nil {
-					t.cache.put(t.file, h.off, body)
-				}
-				for probes[k].bi != bi {
-					k++ // duplicates of the previous block
-				}
-				probes[k].body = body
+			if ferr := spans[i].fill(probes, &reqs[i]); ferr != nil {
+				failed, err = i, ferr
 			}
+		}
+		if err != nil {
+			return saved, err
 		}
 	}
 	for k := 1; k < len(probes); k++ {
@@ -850,6 +840,36 @@ func fetchBlocks(probes []batchProbe) (saved int, err error) {
 		}
 	}
 	return saved, nil
+}
+
+// blockSpan is one device read of fetchBlocks: the cache-missing blocks
+// first..last of one table, wanted by the sorted probes starting at position
+// at.
+type blockSpan struct{ at, first, last int }
+
+// fill verifies, decodes and caches each block of the completed read r and
+// hands it to the first probe that wants it; duplicates of a block are
+// filled from it afterwards.
+func (sp blockSpan) fill(probes []batchProbe, r *ssd.MapReq) error {
+	if r.Err != nil {
+		return r.Err
+	}
+	t, k := probes[sp.at].t, sp.at
+	for bi := sp.first; bi <= sp.last; bi++ {
+		h := t.index[bi].handle
+		body, err := decodeRawBlock(r.Data[h.off-r.Off:][:h.len])
+		if err != nil {
+			return corruptAt(t.file, h, err)
+		}
+		if t.cache != nil {
+			t.cache.put(t.file, h.off, body)
+		}
+		for probes[k].bi != bi {
+			k++ // duplicates of the previous block
+		}
+		probes[k].body = body
+	}
+	return nil
 }
 
 // findStatus reports the outcome of an in-block search.
